@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -68,25 +67,17 @@ def _resolve_out(args, config: ToolkitConfig, required: bool = True) -> Optional
     return out
 
 
-def _generate_regions(dataset, region_cfg: RegionConfig, workers: int):
-    """Per-image generation, optionally threaded; collation keeps id order
-    so worker count never changes the result."""
-    ids = dataset.image_ids()
-
-    def one(image_id: int):
-        return generate_region_set(
+def _generate_regions(dataset, region_cfg: RegionConfig):
+    """Per-image generation, collated in image id order."""
+    return {
+        image_id: generate_region_set(
             dataset.images[image_id],
             dataset.keypoints_of(image_id),
             region_cfg,
             dataset.part_names,
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sets = list(pool.map(one, ids))
-    else:
-        sets = [one(image_id) for image_id in ids]
-    return dict(zip(ids, sets))
+        for image_id in dataset.image_ids()
+    }
 
 
 def cmd_validate(args, config: ToolkitConfig) -> int:
@@ -102,7 +93,7 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
     out = _resolve_out(args, config)
     region_cfg = config.region_config()
-    region_sets = _generate_regions(dataset, region_cfg, args.workers)
+    region_sets = _generate_regions(dataset, region_cfg)
     write_region_sets(region_sets, out / "gt_regions.txt")
     write_crop_manifest(dataset, region_sets, region_cfg, out / "crop_manifest.txt")
     export_yolo_labels(region_sets, dataset.images, out / "labels")
@@ -120,7 +111,7 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
         if unknown:
             raise InputError(f"region file references unknown images {unknown[:5]}")
     else:
-        region_sets = _generate_regions(dataset, config.region_config(), args.workers)
+        region_sets = _generate_regions(dataset, config.region_config())
     written = export_yolo_labels(region_sets, dataset.images, out / "labels")
     print(f"label_files={len(written)}")
     return 0
@@ -168,7 +159,6 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
         c=config.svm_c,
         epochs=config.svm_epochs,
         seed=derive_seed(config.seed, "svm"),
-        workers=args.workers,
     )
     accuracy = evaluate_accuracy(model, test, labels)
     out = _resolve_out(args, config)
@@ -192,7 +182,6 @@ def cmd_combination(args, config: ToolkitConfig) -> int:
         seed=derive_seed(config.seed, "svm"),
         order=config.group_order,
         l2_normalize=config.l2_normalize,
-        workers=args.workers,
     )
     tsv = result.to_tsv()
     out = _resolve_out(args, config, required=False)
@@ -222,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     workered = argparse.ArgumentParser(add_help=False)
-    workered.add_argument("--workers", type=int, default=1, help="worker threads (same output)")
+    workered.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
 
     parser = argparse.ArgumentParser(
         prog="partkit",
@@ -291,6 +282,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        # readers outside dataset_io do not yet name the offending line
+        print(f"error: input is not valid UTF-8 text: {exc}", file=sys.stderr)
         return 1
 
 

@@ -94,11 +94,25 @@ class Dataset:
 def _lines(path: Path) -> Iterator[tuple[int, str]]:
     if not path.is_file():
         raise MissingFile(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").strip()
-            if line:
-                yield line_no, line
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").strip()
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError:
+        raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
+
+
+def _first_non_utf8_line(path: Path) -> int:
+    # text-mode reads decode in chunks, so the failing read does not know
+    # its line; find it in the raw bytes
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1  # the file changed after the failed read
 
 
 def _parse_int(path: Path, line_no: int, token: str, what: str, minimum: int | None = None) -> int:

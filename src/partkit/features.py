@@ -10,8 +10,8 @@ the L2-regularized hinge loss.
 
 from __future__ import annotations
 
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -74,6 +74,8 @@ class FeatureStore:
                     image_id = int(fields[0])
                 except ValueError:
                     raise MalformedLine(path, line_no, f"bad image_id {fields[0]!r}") from None
+                if image_id < 1:
+                    raise MalformedLine(path, line_no, f"image_id must be >= 1, got {image_id}")
                 try:
                     group = kind_from_name(fields[1])
                 except KeyError:
@@ -210,26 +212,6 @@ class SvmModel:
         return int(self.weights.shape[1])
 
 
-def _pegasos_binary(
-    x: np.ndarray, y: np.ndarray, c: float, epochs: int, orders: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, float]:
-    n, dim = x.shape
-    reg = 1.0 / (c * n)
-    w = np.zeros(dim, dtype=np.float64)
-    b = 0.0
-    t = 1
-    for epoch in range(epochs):
-        for i in orders[epoch]:
-            step = 1.0 / (reg * t)
-            violated = y[i] * (float(w @ x[i]) + b) < 1.0
-            w *= 1.0 - step * reg
-            if violated:
-                w += step * y[i] * x[i]
-                b += step * y[i]
-            t += 1
-    return w, b
-
-
 def train_svm(
     samples: Sequence[FusedVector],
     labels: Mapping[int, int],
@@ -242,8 +224,11 @@ def train_svm(
 
     The sample list is canonicalized by image id before shuffling, so the
     result is a pure function of (data, hyperparameters, seed) regardless
-    of input order.  The per-epoch visiting orders are precomputed from the
-    seed, and the independent per-class problems may train in parallel.
+    of input order.  Every per-class problem shares the samples, the
+    seeded epoch orders and the step schedule, so all classes train in one
+    pass over a (classes, dim) weight matrix; each class's rows get exactly
+    the arithmetic a separate per-class Pegasos run would give them.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if c <= 0:
         raise ConfigError("svm regularization parameter must be > 0")
@@ -259,31 +244,32 @@ def train_svm(
     if len(dims) != 1:
         raise DimensionMismatch(f"inconsistent fused dimensions: {sorted(dims)}")
     x = np.stack([s.vector for s in ordered])
-    y_ids = np.array([labels[s.image_id] for s in ordered])
+    y_ids = [labels[s.image_id] for s in ordered]
     classes = tuple(sorted(set(int(v) for v in y_ids)))
     if len(classes) < 2:
         raise SingleClass(f"training set has {len(classes)} class(es); need at least 2")
 
-    n = len(ordered)
+    n, dim = x.shape
+    class_index = {class_id: k for k, class_id in enumerate(classes)}
+    positive = [class_index[int(v)] for v in y_ids]
+    reg = 1.0 / (c * n)
+    weights = np.zeros((len(classes), dim), dtype=np.float64)
+    biases = np.zeros(len(classes), dtype=np.float64)
     rng = random.Random(seed)
-    orders: list[list[int]] = []
+    t = 1
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
-        orders.append(order)
-
-    def train_one(class_id: int) -> tuple[np.ndarray, float]:
-        y = np.where(y_ids == class_id, 1.0, -1.0)
-        return _pegasos_binary(x, y, c, epochs, orders)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(train_one, classes))
-    else:
-        results = [train_one(cls) for cls in classes]
-
-    weights = np.stack([w for w, _ in results])
-    biases = np.array([b for _, b in results], dtype=np.float64)
+        for i in order:
+            step = 1.0 / (reg * t)
+            y = np.full(len(classes), -1.0)
+            y[positive[i]] = 1.0
+            violated = y * (weights @ x[i] + biases) < 1.0
+            weights *= 1.0 - step * reg
+            step_y = step * y[violated]
+            weights[violated] += step_y[:, None] * x[i]
+            biases[violated] += step_y
+            t += 1
     return SvmModel(classes=classes, weights=weights, biases=biases, c=c, epochs=epochs, seed=seed)
 
 
@@ -324,36 +310,60 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def load_model(path) -> SvmModel:
+    """Read a model written by ``save_model``.  Every value must be one the
+    trainer can produce: C > 0 and finite, epochs >= 1, finite biases and
+    weights, and class ids >= 1 in strictly increasing order (the order
+    ``predict``'s smallest-id tie rule relies on)."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(path)
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise MalformedLine(path, 1, "empty model file")
-    header = lines[0].split()
+    header_no, header_line = lines[0]
+    header = header_line.split()
     if len(header) != 7 or header[0] != "svm" or header[1] != "v1":
-        raise MalformedLine(path, 1, "expected 'svm v1 <classes> <dim> <C> <epochs> <seed>'")
+        raise MalformedLine(
+            path, header_no, "expected 'svm v1 <classes> <dim> <C> <epochs> <seed>'"
+        )
     try:
         num_classes, dim = int(header[2]), int(header[3])
         c, epochs, seed = float(header[4]), int(header[5]), int(header[6])
     except ValueError:
-        raise MalformedLine(path, 1, "bad header field") from None
+        raise MalformedLine(path, header_no, "bad header field") from None
+    if num_classes < 1 or dim < 1:
+        raise MalformedLine(path, header_no, "class count and dimension must be >= 1")
+    if not (math.isfinite(c) and c > 0):
+        raise MalformedLine(path, header_no, f"C must be finite and > 0, got {header[4]!r}")
+    if epochs < 1:
+        raise MalformedLine(path, header_no, f"epochs must be >= 1, got {epochs}")
     if len(lines) - 1 != num_classes:
-        raise MalformedLine(path, 1, f"expected {num_classes} class lines, found {len(lines) - 1}")
+        raise MalformedLine(
+            path, header_no, f"expected {num_classes} class lines, found {len(lines) - 1}"
+        )
     classes: list[int] = []
     weights = np.zeros((num_classes, dim), dtype=np.float64)
     biases = np.zeros(num_classes, dtype=np.float64)
-    for row, line in enumerate(lines[1:], start=2):
+    for row, (line_no, line) in enumerate(lines[1:]):
         fields = line.split()
         if len(fields) != dim + 2:
-            raise MalformedLine(path, row, f"expected {dim + 2} fields, found {len(fields)}")
+            raise MalformedLine(path, line_no, f"expected {dim + 2} fields, found {len(fields)}")
         try:
-            classes.append(int(fields[0]))
-            biases[row - 2] = float(fields[1])
-            weights[row - 2] = [float(v) for v in fields[2:]]
+            class_id = int(fields[0])
+            biases[row] = float(fields[1])
+            weights[row] = [float(v) for v in fields[2:]]
         except ValueError:
-            raise MalformedLine(path, row, "non-numeric model value") from None
+            raise MalformedLine(path, line_no, "non-numeric model value") from None
+        if class_id < 1:
+            raise MalformedLine(path, line_no, f"class id must be >= 1, got {class_id}")
+        if classes and class_id <= classes[-1]:
+            raise MalformedLine(
+                path, line_no, f"class id {class_id} repeats or follows the larger {classes[-1]}"
+            )
+        if not (np.isfinite(biases[row]) and np.all(np.isfinite(weights[row]))):
+            raise MalformedLine(path, line_no, "non-finite model value")
+        classes.append(class_id)
     return SvmModel(
         classes=tuple(classes), weights=weights, biases=biases, c=c, epochs=epochs, seed=seed
     )
@@ -404,7 +414,8 @@ def run_combination_experiment(
     whole-image baseline is then grown one part at a time in descending
     single-part accuracy order (ties keep canonical group order), training
     and evaluating a fresh model per combination.  ``split`` maps image ids
-    to Split values; training uses TRAIN, evaluation uses TEST.
+    to Split values; training uses TRAIN, evaluation uses TEST.  ``workers``
+    is accepted for compatibility and has no effect.
     """
     from .dataset_io import Split
 
@@ -416,7 +427,7 @@ def run_combination_experiment(
     def accuracy_for(groups: Sequence[PartKind]) -> float:
         train = _fused_split(store, train_ids, groups, order, l2_normalize)
         test = _fused_split(store, test_ids, groups, order, l2_normalize)
-        model = train_svm(train, labels, c=c, epochs=epochs, seed=seed, workers=workers)
+        model = train_svm(train, labels, c=c, epochs=epochs, seed=seed)
         return evaluate_accuracy(model, test, labels)
 
     single = {kind: accuracy_for((kind,)) for kind in part_groups}

@@ -101,6 +101,16 @@ class TestValidate:
         assert main(["validate", str(root)]) == 1
         assert "99" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        build_tree(root, toy_images(3))
+        (root / "images.txt").write_bytes(b"1 a.jpg\n2 \xff\xfe.jpg\n3 c.jpg\n")
+        assert main(["validate", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "images.txt:2" in err
+
 
 class TestGenRegions:
     def test_outputs_and_summary(self, corpus, tmp_path, capsys):

@@ -90,6 +90,14 @@ class TestParseDataset:
             parse_dataset(root)
         assert err.value.line_no == 2
 
+    def test_non_utf8_line_reports_location(self, tmp_path):
+        root = build_tree(tmp_path, toy_images(3))
+        (root / "image_class_labels.txt").write_bytes(b"1 1\n2 1\n3 \xe9\n")
+        with pytest.raises(MalformedLine) as err:
+            parse_dataset(root)
+        assert err.value.line_no == 3
+        assert err.value.path == root / "image_class_labels.txt"
+
     def test_visible_keypoint_out_of_bounds(self, tmp_path):
         rows = default_part_rows([1, 2, 3])
         rows[0] = "1 1 500.0 10.0 1"  # beyond the 200px image

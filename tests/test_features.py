@@ -116,6 +116,8 @@ class TestFeatureStore:
             "1\toriginal\t\n",
             "1\toriginal\tnan\n",
             "1\toriginal\tinf\n",
+            "0\toriginal\t1.0\n",
+            "-3\toriginal\t1.0\n",
         ],
     )
     def test_malformed_rows(self, tmp_path, row):
@@ -253,6 +255,92 @@ def four_class_problem(per_class=5, noise=0.1, seed=3):
             labels[image_id] = class_id
             image_id += 1
     return samples, labels
+
+
+def pegasos_reference(samples, labels, c, epochs, seed):
+    """Scalar one-vs-rest Pegasos, one class at a time: the oracle the
+    batched trainer must reproduce bit for bit."""
+    ordered = sorted(samples, key=lambda s: s.image_id)
+    x = np.stack([s.vector for s in ordered])
+    y_ids = np.array([labels[s.image_id] for s in ordered])
+    classes = sorted(set(int(v) for v in y_ids))
+    n, dim = x.shape
+    rng = random.Random(seed)
+    orders = []
+    for _ in range(epochs):
+        order = list(range(n))
+        rng.shuffle(order)
+        orders.append(order)
+    reg = 1.0 / (c * n)
+    weights, biases = [], []
+    for class_id in classes:
+        y = np.where(y_ids == class_id, 1.0, -1.0)
+        w = np.zeros(dim, dtype=np.float64)
+        b = 0.0
+        t = 1
+        for order in orders:
+            for i in order:
+                step = 1.0 / (reg * t)
+                violated = y[i] * (float(w @ x[i]) + b) < 1.0
+                w *= 1.0 - step * reg
+                if violated:
+                    w += step * y[i] * x[i]
+                    b += step * y[i]
+                t += 1
+        weights.append(w)
+        biases.append(b)
+    return tuple(classes), np.stack(weights), np.array(biases, dtype=np.float64)
+
+
+def many_class_problem(num_classes=24, per_class=6, group_dim=8, seed=21):
+    """Four fused groups: the two whole-image baselines always present, head
+    and wing each absent with probability 0.4 and then an exact-zero block,
+    as fusion leaves a missing part."""
+    rng = random.Random(seed)
+    groups = (PartKind.ORIGINAL, PartKind.CROPPED, PartKind.HEAD, PartKind.WING)
+    samples, labels = [], {}
+    image_id = 1
+    for class_id in range(1, num_classes + 1):
+        for _ in range(per_class):
+            blocks = []
+            present = set(BASELINE_GROUPS)
+            for group in groups:
+                if group in BASELINE_GROUPS or rng.random() < 0.6:
+                    block = [rng.gauss(0.0, 1.0) for _ in range(group_dim)]
+                    block[class_id % group_dim] += 1.5
+                    if group not in BASELINE_GROUPS:
+                        present.add(group)
+                else:
+                    block = [0.0] * group_dim
+                blocks.extend(block)
+            samples.append(FusedVector(image_id, groups, np.array(blocks), frozenset(present)))
+            labels[image_id] = class_id
+            image_id += 1
+    return samples, labels
+
+
+def assert_matches_reference(samples, labels, c, epochs, seed):
+    model = train_svm(samples, labels, c=c, epochs=epochs, seed=seed)
+    classes, weights, biases = pegasos_reference(samples, labels, c, epochs, seed)
+    assert model.classes == classes
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.biases, biases)
+
+
+class TestBatchedTrainerMatchesReference:
+    def test_two_classes(self):
+        samples, labels = two_class_problem()
+        assert_matches_reference(samples, labels, c=1.0, epochs=50, seed=0)
+
+    def test_many_classes_with_zero_filled_blocks(self):
+        samples, labels = many_class_problem()
+        assert any(np.all(s.vector[16:24] == 0.0) for s in samples)
+        assert_matches_reference(samples, labels, c=1.0, epochs=3, seed=5)
+
+    @pytest.mark.parametrize("epochs,seed,c", [(1, 0, 1.0), (4, 7, 0.5), (9, 123, 10.0)])
+    def test_epochs_and_seeds(self, epochs, seed, c):
+        samples, labels = four_class_problem(per_class=7, noise=1.0, seed=seed)
+        assert_matches_reference(samples, labels, c=c, epochs=epochs, seed=seed)
 
 
 class TestTrainSvm:
@@ -422,6 +510,43 @@ class TestModelFile:
         path.write_text("svm v1 1 2 1 1 0\n1 0 0\n", encoding="utf-8")
         with pytest.raises(MalformedLine):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "text,line_no",
+        [
+            ("svm v1 2 2 -1 1 0\n1 0 0 0\n2 0 0 0\n", 1),
+            ("svm v1 2 2 nan 1 0\n1 0 0 0\n2 0 0 0\n", 1),
+            ("svm v1 2 2 1 0 0\n1 0 0 0\n2 0 0 0\n", 1),
+            ("svm v1 -1 2 1 1 0\n", 1),
+            ("svm v1 1 0 1 1 0\n1 0\n", 1),
+            ("svm v1 2 2 1 1 0\n1 nan 0 0\n2 0 0 0\n", 2),
+            ("svm v1 2 2 1 1 0\n1 0 0 0\n2 0 inf 0\n", 3),
+            ("svm v1 2 2 1 1 0\n1 0 0 0\n1 0 0 0\n", 3),
+            ("svm v1 2 2 1 1 0\n2 0 0 0\n1 0 0 0\n", 3),
+            ("svm v1 2 2 1 1 0\n0 0 0 0\n1 0 0 0\n", 2),
+            ("svm v1 2 2 1 1 0\n\n1 0 0 0\n\n1 0 0 0\n", 5),
+        ],
+        ids=[
+            "negative-C",
+            "nan-C",
+            "zero-epochs",
+            "negative-classes",
+            "zero-dim",
+            "nan-bias",
+            "inf-weight",
+            "duplicate-class",
+            "unordered-classes",
+            "class-id-zero",
+            "line-numbers-count-blank-lines",
+        ],
+    )
+    def test_rejects_invalid_values_with_location(self, tmp_path, text, line_no):
+        path = tmp_path / "model.svm"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine) as err:
+            load_model(path)
+        assert err.value.path == path
+        assert err.value.line_no == line_no
 
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(MissingFile):

@@ -283,10 +283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UnicodeDecodeError as exc:
-        # readers outside dataset_io do not yet name the offending line
-        print(f"error: input is not valid UTF-8 text: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

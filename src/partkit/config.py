@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
+from .dataset_io import _first_non_utf8_line
 from .detection import Thresholds
 from .errors import BadRatios, ConfigError, MissingFile
 from .parts import GROUP_ORDER, PartKind, kind_from_name
@@ -209,4 +210,8 @@ def load_config(path=None) -> ToolkitConfig:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}:{_first_non_utf8_line(path)}: not valid UTF-8 text") from None
+    return parse_config_text(text, source=str(path))

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from .errors import (
     MalformedLine,
     MissingFile,
     SingleClass,
+    ToolkitError,
     UnknownImage,
 )
+from .dataset_io import Split, _first_non_utf8_line
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 
 BASELINE_GROUPS: tuple[PartKind, ...] = (PartKind.ORIGINAL, PartKind.CROPPED)
@@ -37,70 +39,150 @@ BASELINE_GROUPS: tuple[PartKind, ...] = (PartKind.ORIGINAL, PartKind.CROPPED)
 
 class FeatureStore:
     """Read-only feature vectors keyed by (image_id, group), one shared
-    dimension."""
+    dimension, held as the rows of one read-only (records, dim) matrix."""
 
     def __init__(self, records: Mapping[tuple[int, PartKind], np.ndarray], dim: int):
-        self._records = dict(records)
-        self.dim = dim
-        self._image_ids = frozenset(image_id for image_id, _ in self._records)
+        rows: dict[int, list[Optional[int]]] = {}
+        for row, (image_id, group) in enumerate(records):
+            rows.setdefault(image_id, [None] * len(GROUP_ORDER))[GROUP_ORDER.index(group)] = row
+        matrix = np.array(list(records.values()), dtype=np.float64)
+        self._adopt(rows, matrix.reshape(len(records), dim))
+
+    def _adopt(self, rows: dict[int, list[Optional[int]]], matrix: np.ndarray) -> None:
+        matrix.flags.writeable = False
+        # image_id -> the matrix row of each group, at its GROUP_ORDER position
+        # (found by identity scans: PartKind hashing runs in Python)
+        self._rows = rows
+        self._matrix = matrix
+        self.dim = int(matrix.shape[1])
+        self._image_ids = frozenset(rows)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return int(self._matrix.shape[0])
 
     @property
     def image_ids(self) -> frozenset[int]:
         return self._image_ids
 
     def get(self, image_id: int, group: PartKind) -> Optional[np.ndarray]:
-        return self._records.get((image_id, group))
+        slots = self._rows.get(image_id)
+        if slots is None or group not in GROUP_ORDER:
+            return None
+        row = slots[GROUP_ORDER.index(group)]
+        return None if row is None else self._matrix[row]
 
     @classmethod
     def load(cls, path) -> "FeatureStore":
-        """Parse a feature TSV: '<image_id>\\t<group>\\t<v1> <v2> ...'."""
+        """Parse a feature TSV: '<image_id>\\t<group>\\t<v1> <v2> ...'.
+
+        The keys are checked line by line and the value fields are streamed
+        to one ``np.loadtxt`` call.  Whenever that cannot be trusted to
+        match ``float()`` on every component (a key check fails, ``loadtxt``
+        raises or returns another row count, or a value is not finite), the
+        whole file goes through ``_load_per_line`` instead, which raises
+        the error of the first bad line or reads the syntax only ``float()``
+        accepts, such as ``1_0``.
+        """
         path = Path(path)
         if not path.is_file():
             raise MissingFile(path)
+        rows: dict[int, list[Optional[int]]] = {}
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                matrix = np.loadtxt(
+                    _value_fields(path, fh, rows), dtype=np.float64, ndmin=2, comments=None
+                )
+        except (ToolkitError, ValueError):  # UnicodeDecodeError is a ValueError
+            return cls._load_per_line(path)
+        records = sum(len(slots) - slots.count(None) for slots in rows.values())
+        if matrix.shape[0] != records or not np.isfinite(matrix).all():
+            return cls._load_per_line(path)
+        store = cls.__new__(cls)
+        store._adopt(rows, matrix)
+        return store
+
+    @classmethod
+    def _load_per_line(cls, path: Path) -> "FeatureStore":
         records: dict[tuple[int, PartKind], np.ndarray] = {}
         dim: Optional[int] = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise MalformedLine(path, line_no, "expected 3 tab-separated fields")
-                try:
-                    image_id = int(fields[0])
-                except ValueError:
-                    raise MalformedLine(path, line_no, f"bad image_id {fields[0]!r}") from None
-                if image_id < 1:
-                    raise MalformedLine(path, line_no, f"image_id must be >= 1, got {image_id}")
-                try:
-                    group = kind_from_name(fields[1])
-                except KeyError:
-                    raise MalformedLine(path, line_no, f"unknown group {fields[1]!r}") from None
-                try:
-                    vector = np.array([float(v) for v in fields[2].split()], dtype=np.float64)
-                except ValueError:
-                    raise MalformedLine(path, line_no, "non-numeric feature component") from None
-                if vector.size == 0:
-                    raise MalformedLine(path, line_no, "empty feature vector")
-                if not np.all(np.isfinite(vector)):
-                    raise MalformedLine(path, line_no, "non-finite feature component")
-                if dim is None:
-                    dim = int(vector.size)
-                elif vector.size != dim:
-                    raise DimensionMismatch(
-                        f"{path}:{line_no}: vector length {vector.size}, store dimension {dim}"
-                    )
-                key = (image_id, group)
-                if key in records:
-                    raise DuplicateKey(f"{path}:{line_no}: repeated record for {image_id}/{group}")
-                records[key] = vector
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for line_no, raw in enumerate(fh, start=1):
+                    line = raw.rstrip("\n")
+                    if not line.strip():
+                        continue
+                    fields = line.split("\t")
+                    key = _record_key(path, line_no, fields)
+                    try:
+                        vector = np.array([float(v) for v in fields[2].split()], dtype=np.float64)
+                    except ValueError:
+                        raise MalformedLine(
+                            path, line_no, "non-numeric feature component"
+                        ) from None
+                    if vector.size == 0:
+                        raise MalformedLine(path, line_no, "empty feature vector")
+                    if not np.all(np.isfinite(vector)):
+                        raise MalformedLine(path, line_no, "non-finite feature component")
+                    if dim is None:
+                        dim = int(vector.size)
+                    elif vector.size != dim:
+                        raise DimensionMismatch(
+                            f"{path}:{line_no}: vector length {vector.size}, store dimension {dim}"
+                        )
+                    if key in records:
+                        raise DuplicateKey(
+                            f"{path}:{line_no}: repeated record for {key[0]}/{key[1]}"
+                        )
+                    records[key] = vector
+        except UnicodeDecodeError:
+            raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
         if dim is None:
             raise InputError(f"{path}: feature store is empty")
         return cls(records, dim)
+
+
+def _record_key(path: Path, line_no: int, fields: list[str]) -> tuple[int, PartKind]:
+    if len(fields) != 3:
+        raise MalformedLine(path, line_no, "expected 3 tab-separated fields")
+    try:
+        image_id = int(fields[0])
+    except ValueError:
+        raise MalformedLine(path, line_no, f"bad image_id {fields[0]!r}") from None
+    if image_id < 1:
+        raise MalformedLine(path, line_no, f"image_id must be >= 1, got {image_id}")
+    try:
+        group = kind_from_name(fields[1])
+    except KeyError:
+        raise MalformedLine(path, line_no, f"unknown group {fields[1]!r}") from None
+    return image_id, group
+
+
+def _value_fields(
+    path: Path, lines: Iterable[str], rows: dict[int, list[Optional[int]]]
+) -> Iterator[str]:
+    """Yield each record's value field, recording its matrix row in ``rows``.
+
+    Raises on any line the per-line reader rejects for its key, on an
+    empty value field (``loadtxt`` skips it, and warns when no data is
+    left) and on a file with no records; the caller then reads per line.
+    """
+    records = 0
+    for line_no, raw in enumerate(lines, start=1):
+        if raw.isspace():
+            continue
+        fields = raw.split("\t")
+        image_id, group = _record_key(path, line_no, fields)
+        if not fields[2] or fields[2].isspace():
+            raise MalformedLine(path, line_no, "empty feature vector")
+        slots = rows.setdefault(image_id, [None] * len(GROUP_ORDER))
+        slot = GROUP_ORDER.index(group)
+        if slots[slot] is not None:
+            raise DuplicateKey(f"{path}:{line_no}: repeated record for {image_id}/{group}")
+        slots[slot] = records
+        records += 1
+        yield fields[2]
+    if not records:
+        raise InputError(f"{path}: feature store is empty")
 
 
 def write_feature_records(
@@ -137,7 +219,7 @@ def normalize_groups(
     for g in groups:
         if g not in order:
             raise ConfigError(f"unknown group {g}")
-    return tuple(g for g in order if g in set(groups))
+    return tuple([g for g in order if g in groups])
 
 
 def fuse(
@@ -156,24 +238,26 @@ def fuse(
     the image.
     """
     selected = normalize_groups(groups, order)
-    if image_id not in store.image_ids:
+    slots = store._rows.get(image_id)
+    if slots is None:
         raise UnknownImage(f"image {image_id} has no feature records")
-    blocks = []
+    dim = store.dim
+    fused = np.zeros(len(selected) * dim, dtype=np.float64)
     present = []
-    for group in selected:
-        vector = store.get(image_id, group)
-        if vector is None:
-            blocks.append(np.zeros(store.dim, dtype=np.float64))
-        else:
-            if l2_normalize:
-                norm = float(np.linalg.norm(vector))
-                vector = vector / norm if norm > 0 else vector
-            blocks.append(np.asarray(vector, dtype=np.float64))
-            present.append(group)
+    for i, group in enumerate(selected):
+        row = slots[GROUP_ORDER.index(group)]
+        if row is None:
+            continue
+        vector = store._matrix[row]
+        if l2_normalize:
+            norm = float(np.linalg.norm(vector))
+            vector = vector / norm if norm > 0 else vector
+        fused[i * dim : (i + 1) * dim] = vector
+        present.append(group)
     return FusedVector(
         image_id=image_id,
         groups=selected,
-        vector=np.concatenate(blocks),
+        vector=fused,
         present=frozenset(present),
     )
 
@@ -255,20 +339,28 @@ def train_svm(
     reg = 1.0 / (c * n)
     weights = np.zeros((len(classes), dim), dtype=np.float64)
     biases = np.zeros(len(classes), dtype=np.float64)
+    # reused every step: the ±1 label column (one entry set, then reset)
+    # and the class scores
+    y = np.full(len(classes), -1.0)
+    scores = np.empty(len(classes), dtype=np.float64)
     rng = random.Random(seed)
     t = 1
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
         for i in order:
+            xi = x[i]
             step = 1.0 / (reg * t)
-            y = np.full(len(classes), -1.0)
             y[positive[i]] = 1.0
-            violated = y * (weights @ x[i] + biases) < 1.0
+            np.dot(weights, xi, out=scores)
+            scores += biases
+            scores *= y
+            violated = (scores < 1.0).nonzero()[0]
             weights *= 1.0 - step * reg
             step_y = step * y[violated]
-            weights[violated] += step_y[:, None] * x[i]
+            weights[violated] += step_y[:, None] * xi
             biases[violated] += step_y
+            y[positive[i]] = -1.0
             t += 1
     return SvmModel(classes=classes, weights=weights, biases=biases, c=c, epochs=epochs, seed=seed)
 
@@ -317,8 +409,11 @@ def load_model(path) -> SvmModel:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError:
+        raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
     if not lines:
         raise MalformedLine(path, 1, "empty model file")
     header_no, header_line = lines[0]
@@ -417,8 +512,6 @@ def run_combination_experiment(
     to Split values; training uses TRAIN, evaluation uses TEST.  ``workers``
     is accepted for compatibility and has no effect.
     """
-    from .dataset_io import Split
-
     train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
     test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
 

@@ -330,10 +330,13 @@ def export_yolo_labels(
     """
     out = Path(out_dir)
     written: list[Path] = []
+    made: set[Path] = set()
     for image_id in sorted(images):
         image = images[image_id]
         label_path = (out / image.relative_path).with_suffix(".txt")
-        label_path.parent.mkdir(parents=True, exist_ok=True)
+        if label_path.parent not in made:
+            label_path.parent.mkdir(parents=True, exist_ok=True)
+            made.add(label_path.parent)
         lines = []
         regions = region_sets.get(image_id)
         if regions is not None:

@@ -71,6 +71,15 @@ class TestUsageAndConfig:
         assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "toolkit.cfg"
+        cfg.write_bytes(b"seed = 1\n# \xff\nsvm_c = 2\n")
+        assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert f"{cfg}:2:" in err
+
     def test_config_supplies_data_root(self, tmp_path, capsys):
         root = tmp_path / "data"
         build_tree(root, toy_images(2))
@@ -265,6 +274,18 @@ class TestClassify:
     def test_unknown_group_name(self, corpus, tmp_path, capsys):
         assert self.run_classify(corpus, tmp_path / "clf", ["--groups", "beak"]) == 2
         capsys.readouterr()
+
+    def test_non_utf8_feature_file_is_one_error_line(self, corpus, tmp_path, capsys):
+        lines = corpus["features"].read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"\t", b"\t\xff", 1)
+        features = tmp_path / "features.tsv"
+        features.write_bytes(b"".join(lines))
+        argv = ["classify", str(features), str(corpus["labels"]), str(corpus["split"])]
+        assert main([*argv, "--out", str(tmp_path / "clf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert f"{features}:3:" in err
 
     def test_missing_feature_file(self, corpus, tmp_path, capsys):
         argv = [

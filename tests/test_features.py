@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partkit.dataset_io import Split
 from partkit.errors import (
@@ -18,6 +22,7 @@ from partkit.errors import (
     MalformedLine,
     MissingFile,
     SingleClass,
+    ToolkitError,
     UnknownImage,
 )
 from partkit.features import (
@@ -116,6 +121,7 @@ class TestFeatureStore:
             "1\toriginal\t\n",
             "1\toriginal\tnan\n",
             "1\toriginal\tinf\n",
+            "1\toriginal\t1.0 #2\n",
             "0\toriginal\t1.0\n",
             "-3\toriginal\t1.0\n",
         ],
@@ -129,6 +135,135 @@ class TestFeatureStore:
         with pytest.raises(MalformedLine) as exc_info:
             store_from_rows(rows, tmp_path / "f.tsv")
         assert "2" in str(exc_info.value)
+
+    def test_rows_are_read_only_and_fused_vectors_writeable(self, tmp_path):
+        loaded = full_store(tmp_path)
+        built = FeatureStore({(1, PartKind.HEAD): np.ones(DIM)}, DIM)
+        for store in (loaded, built):
+            row = store.get(1, PartKind.HEAD)
+            with pytest.raises(ValueError):
+                row[0] = 5.0
+            for l2 in (False, True):
+                fused = fuse(store, 1, GROUP_ORDER, l2_normalize=l2)
+                fused.vector[:] = 7.0
+            assert store.get(1, PartKind.HEAD)[0] != 7.0
+
+    def test_valid_file_never_reads_per_line(self, tmp_path, monkeypatch):
+        def per_line(path):
+            raise AssertionError("fell back to the per-line reader")
+
+        monkeypatch.setattr(FeatureStore, "_load_per_line", per_line)
+        rows = ["\n", "2\thead\t1e-3 +2 -0.0\n", "  \n", "1\toriginal\t.5\x0c7. 1E2\n"]
+        store = store_from_rows(rows, tmp_path / "f.tsv")
+        assert len(store) == 2
+        assert store.get(1, PartKind.ORIGINAL).tolist() == [0.5, 7.0, 100.0]
+        assert store.get(2, PartKind.HEAD).tobytes() == np.array([1e-3, 2.0, -0.0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "row,expected",
+        [("1\toriginal\t1_0 2\n", [10.0, 2.0]), ("1\toriginal\t1\xa02\n", [1.0, 2.0])],
+    )
+    def test_underscore_digits_and_nbsp_separator_load(self, tmp_path, row, expected):
+        store = store_from_rows([row], tmp_path / "f.tsv")
+        assert store.get(1, PartKind.ORIGINAL).tolist() == expected
+
+
+def _mutate(lines, kind, at, pick):
+    """Apply one mutation to line ``at`` of a valid feature TSV."""
+    line = lines[at]
+    image_id, group, values = line.rstrip("\n").split("\t")
+    parts = values.split(" ")
+    if kind == "blank":
+        lines.insert(at, ["\n", "   \n", "\t\n"][pick % 3])
+    elif kind == "empty-value":
+        lines[at] = f"{image_id}\t{group}\t{['', ' ', chr(12)][pick % 3]}\n"
+    elif kind == "ragged":
+        parts = parts[:-1] if pick % 2 else parts + ["1.5"]
+        lines[at] = f"{image_id}\t{group}\t{' '.join(parts)}\n"
+    elif kind == "token":
+        tokens = ["#", "1#", "nan", "inf", "-inf", "1e400", "1_0", "0x1", "\u0663", "\x00"]
+        parts[pick % len(parts)] = tokens[pick % len(tokens)]
+        lines[at] = f"{image_id}\t{group}\t{' '.join(parts)}\n"
+    elif kind == "separator":
+        sep = ["\xa0", "\u2028", "\x0c", "\x1c", "\r", "\t", "  "][pick % 7]
+        lines[at] = f"{image_id}\t{group}\t{sep.join(parts)}\n"
+    elif kind == "bad-group":
+        lines[at] = f"{image_id}\t{['beak', '', 'Head'][pick % 3]}\t{values}\n"
+    elif kind == "bad-id":
+        lines[at] = f"{['0', '-2', 'x', ''][pick % 4]}\t{group}\t{values}\n"
+    elif kind == "repeat":
+        lines.insert(at + 1 + pick % 2, line)
+    elif kind == "non-utf8":
+        lines[at] = line.replace("\t", "\t\udcff", 1)
+    elif kind == "no-newline":
+        lines[at] = line.rstrip("\n")
+        del lines[at + 1 :]
+
+
+def _load_outcome(loader, path):
+    try:
+        store = loader(path)
+    except Exception as exc:  # compared as an outcome; the test checks its class
+        return type(exc), str(exc)
+    rows = {
+        (image_id, group): None if row is None else row.tobytes()
+        for image_id in sorted(store.image_ids)
+        for group in GROUP_ORDER
+        for row in [store.get(image_id, group)]
+    }
+    return len(store), store.dim, rows
+
+
+MUTATIONS = (
+    "blank",
+    "empty-value",
+    "ragged",
+    "token",
+    "separator",
+    "bad-group",
+    "bad-id",
+    "repeat",
+    "non-utf8",
+    "no-newline",
+)
+
+
+class TestLoadMatchesPerLineReader:
+    """``FeatureStore.load``'s streamed parse must agree with the per-line
+    reader on every input: the same rows byte for byte, or the same error
+    at the same line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.sampled_from(["{:.6f}", "{!r}", "{:.3e}", "{:g}"])),
+            min_size=6,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 5), st.integers(0, 100)),
+            max_size=3,
+        ),
+    )
+    def test_same_rows_or_same_error(self, values, mutations):
+        keys = [(1, PartKind.ORIGINAL), (1, PartKind.HEAD), (2, PartKind.WING), (3, PartKind.LEG)]
+        lines = []
+        for n, (image_id, group) in enumerate(keys):
+            components = [fmt.format(v) for v, fmt in values[n : n + 3]]
+            lines.append(f"{image_id}\t{group.value}\t{' '.join(components)}\n")
+        for kind, at, pick in mutations:
+            if lines and at < len(lines) and "\t" in lines[at].rstrip("\n"):
+                try:
+                    _mutate(lines, kind, at, pick)
+                except ValueError:  # the line was already mutated out of shape
+                    pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.tsv"
+            path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+            fast = _load_outcome(FeatureStore.load, path)
+            reference = _load_outcome(FeatureStore._load_per_line, path)
+        assert fast == reference
+        assert not isinstance(fast[0], type) or issubclass(fast[0], ToolkitError)
 
 
 class TestFuse:
@@ -547,6 +682,15 @@ class TestModelFile:
             load_model(path)
         assert err.value.path == path
         assert err.value.line_no == line_no
+
+    def test_non_utf8_model_file_names_the_line(self, tmp_path):
+        # no subcommand reads a model file, so the reader is called directly
+        path = tmp_path / "model.svm"
+        path.write_bytes(b"svm v1 2 2 1 1 0\n1 0 0 0\n2 \xff 0 0\n")
+        with pytest.raises(MalformedLine) as err:
+            load_model(path)
+        assert err.value.path == path
+        assert err.value.line_no == 3
 
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(MissingFile):

@@ -3,7 +3,8 @@
 
 Builds a synthetic feature store where only the head group carries class
 signal, shows zero filling for a missing part, trains the classifier on
-fused vectors, and walks the incremental part-combination schedule.
+the fused matrix of each split, and walks the incremental part-combination
+schedule.
 """
 
 from partkit.dataset_io import Split, split_dataset
@@ -32,12 +33,15 @@ store = FeatureStore({(iid, kind): vec for iid, kind, vec in records}, cfg.featu
 labels = {iid: rec.class_id for iid, rec in dataset.images.items()}
 print(f"store: {len(store)} records of dimension {store.dim}")
 
-# legs were forced invisible, so every fused vector gets a zero leg block
-fused = fuse(store, 1, GROUP_ORDER)
-print(f"fused vector for image 1: {fused.vector.size} components "
+# legs were forced invisible, so every fused row gets a zero leg block
+fused = fuse(store, [1], GROUP_ORDER)
+print(f"fused row for image 1: {fused.vectors.shape[1]} components "
       f"({len(GROUP_ORDER)} blocks of {store.dim})")
-print(f"leg block all zero: {bool((fused.block(PartKind.LEG) == 0.0).all())}")
-print(f"groups present: {', '.join(sorted(k.value for k in fused.present))}")
+leg = GROUP_ORDER.index(PartKind.LEG)
+leg_block = fused.vectors[0, leg * store.dim : (leg + 1) * store.dim]
+print(f"leg block all zero: {bool((leg_block == 0.0).all())}")
+present = [g.value for g, p in zip(fused.groups, fused.present[0]) if p]
+print(f"groups present: {', '.join(sorted(present))}")
 
 assignments = split_dataset(dataset, (0.5, 0.25, 0.25), seed=3)
 split = {a.image_id: a.split for a in assignments}
@@ -45,13 +49,14 @@ train_ids = sorted(i for i, s in split.items() if s is Split.TRAIN)
 test_ids = sorted(i for i, s in split.items() if s is Split.TEST)
 print(f"\nsplit: {len(train_ids)} train / {len(test_ids)} test")
 
-train = [fuse(store, i, GROUP_ORDER) for i in train_ids]
-test = [fuse(store, i, GROUP_ORDER) for i in test_ids]
+train = fuse(store, train_ids, GROUP_ORDER)
+test = fuse(store, test_ids, GROUP_ORDER)
+print(f"fused matrices: train {train.vectors.shape}, test {test.vectors.shape}")
 model = train_svm(train, labels, c=0.1, epochs=50, seed=0)
 print(f"accuracy with every group fused: {evaluate_accuracy(model, test, labels):.4f}")
 
-baseline_train = [fuse(store, i, BASELINE_GROUPS) for i in train_ids]
-baseline_test = [fuse(store, i, BASELINE_GROUPS) for i in test_ids]
+baseline_train = fuse(store, train_ids, BASELINE_GROUPS)
+baseline_test = fuse(store, test_ids, BASELINE_GROUPS)
 baseline_model = train_svm(baseline_train, labels, c=0.1, epochs=50, seed=0)
 print(f"accuracy on whole-image groups only: "
       f"{evaluate_accuracy(baseline_model, baseline_test, labels):.4f}")

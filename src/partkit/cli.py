@@ -38,9 +38,9 @@ from .features import (
     train_svm,
 )
 from .regions import (
-    RegionConfig,
     export_yolo_labels,
-    generate_region_set,
+    generate_all,
+    generate_region_set,  # noqa: F401  bench/tracing.py check_cli needs this name here
     read_region_sets,
     write_crop_manifest,
     write_region_sets,
@@ -67,19 +67,6 @@ def _resolve_out(args, config: ToolkitConfig, required: bool = True) -> Optional
     return out
 
 
-def _generate_regions(dataset, region_cfg: RegionConfig):
-    """Per-image generation, collated in image id order."""
-    return {
-        image_id: generate_region_set(
-            dataset.images[image_id],
-            dataset.keypoints_of(image_id),
-            region_cfg,
-            dataset.part_names,
-        )
-        for image_id in dataset.image_ids()
-    }
-
-
 def cmd_validate(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
     print(
@@ -93,7 +80,7 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
     out = _resolve_out(args, config)
     region_cfg = config.region_config()
-    region_sets = _generate_regions(dataset, region_cfg)
+    region_sets = generate_all(dataset, region_cfg)
     write_region_sets(region_sets, out / "gt_regions.txt")
     write_crop_manifest(dataset, region_sets, region_cfg, out / "crop_manifest.txt")
     export_yolo_labels(region_sets, dataset.images, out / "labels")
@@ -111,7 +98,7 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
         if unknown:
             raise InputError(f"region file references unknown images {unknown[:5]}")
     else:
-        region_sets = _generate_regions(dataset, config.region_config())
+        region_sets = generate_all(dataset, config.region_config())
     written = export_yolo_labels(region_sets, dataset.images, out / "labels")
     print(f"label_files={len(written)}")
     return 0
@@ -142,7 +129,7 @@ def _load_classification_inputs(args):
 
 def cmd_classify(args, config: ToolkitConfig) -> int:
     store, labels, split = _load_classification_inputs(args)
-    if args.groups:
+    if args.groups is not None:
         try:
             groups = parse_group_list(args.groups)
         except ValueError as exc:
@@ -151,8 +138,8 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
         groups = config.group_order
     train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
     test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
-    train = [fuse(store, i, groups, config.group_order, config.l2_normalize) for i in train_ids]
-    test = [fuse(store, i, groups, config.group_order, config.l2_normalize) for i in test_ids]
+    train = fuse(store, train_ids, groups, config.group_order, config.l2_normalize)
+    test = fuse(store, test_ids, groups, config.group_order, config.l2_normalize)
     model = train_svm(
         train,
         labels,

@@ -31,7 +31,7 @@ from .errors import (
     ToolkitError,
     UnknownImage,
 )
-from .dataset_io import Split, _first_non_utf8_line
+from .dataset_io import Split, _first_non_utf8_line, _lines
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 
 BASELINE_GROUPS: tuple[PartKind, ...] = (PartKind.ORIGINAL, PartKind.CROPPED)
@@ -195,17 +195,30 @@ def write_feature_records(
             fh.write(f"{image_id}\t{group.value}\t{values}\n")
 
 
-@dataclass(frozen=True)
-class FusedVector:
-    image_id: int
-    groups: tuple[PartKind, ...]
-    vector: np.ndarray
-    present: frozenset[PartKind]
+@dataclass(frozen=True, eq=False)
+class FusedMatrix:
+    """The fused vectors of a set of images, one row per image.
 
-    def block(self, group: PartKind) -> np.ndarray:
-        i = self.groups.index(group)
-        dim = self.vector.size // len(self.groups)
-        return self.vector[i * dim : (i + 1) * dim]
+    Row r holds image ``image_ids[r]``; its block i covers columns
+    [i*D, (i+1)*D) for the i-th group of ``groups`` and is exact zero where
+    ``present[r, i]`` is False.  Ids are strictly ascending, so anything
+    computed row by row is a function of the id set, not of an input order.
+    """
+
+    image_ids: tuple[int, ...]
+    groups: tuple[PartKind, ...]
+    vectors: np.ndarray  # (images, len(groups) * dim)
+    present: np.ndarray  # (images, len(groups)) bool
+
+    def __post_init__(self):
+        ids = self.image_ids
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise InputError("fused image ids must be strictly ascending")
+        if len(self.vectors) != len(ids):
+            raise InputError(f"{len(self.vectors)} fused rows for {len(ids)} image ids")
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
 
 def normalize_groups(
@@ -224,41 +237,44 @@ def normalize_groups(
 
 def fuse(
     store: FeatureStore,
-    image_id: int,
+    image_ids: Iterable[int],
     groups: Sequence[PartKind],
     order: Sequence[PartKind] = GROUP_ORDER,
     l2_normalize: bool = False,
-) -> FusedVector:
-    """Concatenate one image's group vectors, zero-filling absent groups.
+) -> FusedMatrix:
+    """Concatenate each image's group vectors, zero-filling absent groups.
 
-    Block i of the result covers offsets [i*D, (i+1)*D) for the i-th
-    selected group in canonical order.  ``l2_normalize`` rescales each
-    stored vector to unit length before concatenation (zero blocks stay
-    zero).  Raises UnknownImage when the store holds nothing at all for
-    the image.
+    Rows follow ascending image id.  Block i of a row covers offsets
+    [i*D, (i+1)*D) for the i-th selected group in canonical order.
+    ``l2_normalize`` rescales each stored vector to unit length before
+    concatenation (zero blocks stay zero).  Raises UnknownImage when the
+    store holds nothing at all for an image.
     """
     selected = normalize_groups(groups, order)
-    slots = store._rows.get(image_id)
-    if slots is None:
-        raise UnknownImage(f"image {image_id} has no feature records")
-    dim = store.dim
-    fused = np.zeros(len(selected) * dim, dtype=np.float64)
-    present = []
-    for i, group in enumerate(selected):
-        row = slots[GROUP_ORDER.index(group)]
-        if row is None:
-            continue
-        vector = store._matrix[row]
-        if l2_normalize:
-            norm = float(np.linalg.norm(vector))
-            vector = vector / norm if norm > 0 else vector
-        fused[i * dim : (i + 1) * dim] = vector
-        present.append(group)
-    return FusedVector(
-        image_id=image_id,
+    ids = sorted(image_ids)
+    slots = [GROUP_ORDER.index(group) for group in selected]
+    rows = []
+    for image_id in ids:
+        image_rows = store._rows.get(image_id)
+        if image_rows is None:
+            raise UnknownImage(f"image {image_id} has no feature records")
+        rows.append([-1 if image_rows[s] is None else image_rows[s] for s in slots])
+    rows = np.array(rows, dtype=np.intp).reshape(len(ids), len(selected))
+    present = rows >= 0
+    blocks = store._matrix[rows[present]]
+    if l2_normalize:
+        for block in blocks:
+            # the 1-D norm of each block: a norm along an axis sums in another order
+            norm = np.linalg.norm(block)
+            if norm > 0:
+                block /= norm
+    vectors = np.zeros((len(ids), len(selected), store.dim), dtype=np.float64)
+    vectors[present] = blocks
+    return FusedMatrix(
+        image_ids=tuple(ids),
         groups=selected,
-        vector=fused,
-        present=frozenset(present),
+        vectors=vectors.reshape(len(ids), len(selected) * store.dim),
+        present=present,
     )
 
 
@@ -297,38 +313,30 @@ class SvmModel:
 
 
 def train_svm(
-    samples: Sequence[FusedVector],
+    samples: FusedMatrix,
     labels: Mapping[int, int],
     c: float = 1.0,
     epochs: int = 50,
     seed: int = 0,
-    workers: int = 1,
 ) -> SvmModel:
     """One-vs-rest linear SVM via seeded epoch-wise subgradient descent.
 
-    The sample list is canonicalized by image id before shuffling, so the
-    result is a pure function of (data, hyperparameters, seed) regardless
-    of input order.  Every per-class problem shares the samples, the
-    seeded epoch orders and the step schedule, so all classes train in one
-    pass over a (classes, dim) weight matrix; each class's rows get exactly
-    the arithmetic a separate per-class Pegasos run would give them.
-    ``workers`` is accepted for compatibility and has no effect.
+    The rows are in ascending image id order (``FusedMatrix`` enforces
+    it), so the result is a pure function of (data, hyperparameters, seed).
+    Every per-class problem shares the samples, the seeded epoch orders and
+    the step schedule, so all classes train in one pass over a
+    (classes, dim) weight matrix; each class's rows get exactly the
+    arithmetic a separate per-class Pegasos run would give them.
     """
     if c <= 0:
         raise ConfigError("svm regularization parameter must be > 0")
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    ordered = sorted(samples, key=lambda s: s.image_id)
-    if not ordered:
+    if not len(samples):
         raise EmptyTrainingSet("no training samples")
-    missing = [s.image_id for s in ordered if s.image_id not in labels]
-    if missing:
-        raise InputError(f"no class label for images {missing[:5]}")
-    dims = {s.vector.size for s in ordered}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"inconsistent fused dimensions: {sorted(dims)}")
-    x = np.stack([s.vector for s in ordered])
-    y_ids = [labels[s.image_id] for s in ordered]
+    _check_labels(samples, labels)
+    x = samples.vectors
+    y_ids = [labels[image_id] for image_id in samples.image_ids]
     classes = tuple(sorted(set(int(v) for v in y_ids)))
     if len(classes) < 2:
         raise SingleClass(f"training set has {len(classes)} class(es); need at least 2")
@@ -378,12 +386,24 @@ def predict(model: SvmModel, vector: np.ndarray) -> int:
 
 
 def evaluate_accuracy(
-    model: SvmModel, samples: Sequence[FusedVector], labels: Mapping[int, int]
+    model: SvmModel, samples: FusedMatrix, labels: Mapping[int, int]
 ) -> float:
-    if not samples:
+    """Share of rows whose prediction matches the label, one ``predict`` per row."""
+    if not len(samples):
         raise EmptyTestSet("no test samples")
-    correct = sum(1 for s in samples if predict(model, s.vector) == labels[s.image_id])
+    _check_labels(samples, labels)
+    correct = sum(
+        1
+        for image_id, vector in zip(samples.image_ids, samples.vectors)
+        if predict(model, vector) == labels[image_id]
+    )
     return correct / len(samples)
+
+
+def _check_labels(samples: FusedMatrix, labels: Mapping[int, int]) -> None:
+    missing = [image_id for image_id in samples.image_ids if image_id not in labels]
+    if missing:
+        raise InputError(f"no class label for images {missing[:5]}")
 
 
 # --- model file ---------------------------------------------------------------
@@ -407,13 +427,7 @@ def load_model(path) -> SvmModel:
     weights, and class ids >= 1 in strictly increasing order (the order
     ``predict``'s smallest-id tie rule relies on)."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
-    except UnicodeDecodeError:
-        raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
+    lines = list(_lines(path))
     if not lines:
         raise MalformedLine(path, 1, "empty model file")
     header_no, header_line = lines[0]
@@ -488,10 +502,6 @@ class ExperimentResult:
         return "".join(line + "\n" for line in lines)
 
 
-def _fused_split(store, ids, groups, order, l2_normalize):
-    return [fuse(store, image_id, groups, order, l2_normalize) for image_id in ids]
-
-
 def run_combination_experiment(
     store: FeatureStore,
     labels: Mapping[int, int],
@@ -501,7 +511,6 @@ def run_combination_experiment(
     seed: int = 0,
     order: Sequence[PartKind] = GROUP_ORDER,
     l2_normalize: bool = False,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Incremental part-combination study.
 
@@ -509,8 +518,7 @@ def run_combination_experiment(
     whole-image baseline is then grown one part at a time in descending
     single-part accuracy order (ties keep canonical group order), training
     and evaluating a fresh model per combination.  ``split`` maps image ids
-    to Split values; training uses TRAIN, evaluation uses TEST.  ``workers``
-    is accepted for compatibility and has no effect.
+    to Split values; training uses TRAIN, evaluation uses TEST.
     """
     train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
     test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
@@ -518,8 +526,8 @@ def run_combination_experiment(
     part_groups = [g for g in order if g not in BASELINE_GROUPS]
 
     def accuracy_for(groups: Sequence[PartKind]) -> float:
-        train = _fused_split(store, train_ids, groups, order, l2_normalize)
-        test = _fused_split(store, test_ids, groups, order, l2_normalize)
+        train = fuse(store, train_ids, groups, order, l2_normalize)
+        test = fuse(store, test_ids, groups, order, l2_normalize)
         model = train_svm(train, labels, c=c, epochs=epochs, seed=seed)
         return evaluate_accuracy(model, test, labels)
 

@@ -31,7 +31,7 @@ from .detection import Detection
 from .errors import ConfigError
 from .features import write_feature_records
 from .geometry import Box
-from .parts import CUB_PART_NAMES, GROUP_ORDER, REGION_KINDS, PartKind
+from .parts import CUB_PART_NAMES, GROUP_ORDER, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
 from .regions import PartRegionSet, RegionConfig, generate_all, read_region_sets, write_crop_manifest, write_region_sets
 from .seeding import derive_seed
 
@@ -56,14 +56,9 @@ TEMPLATE_FRACTIONS: dict[str, tuple[float, float]] = {
 }
 
 # visibility is drawn once per keypoint cluster, in this fixed order
-_VISIBILITY_GROUPS: tuple[tuple[str, frozenset[str]], ...] = (
-    ("head", frozenset({"beak", "crown", "forehead", "left eye", "nape", "right eye", "throat"})),
-    ("breast", frozenset({"belly", "breast"})),
-    ("tail", frozenset({"tail"})),
-    ("wing", frozenset({"left wing", "right wing"})),
-    ("leg", frozenset({"left leg", "right leg"})),
-    ("back", frozenset({"back"})),
-)
+_VISIBILITY_GROUPS: tuple[tuple[str, frozenset[str]], ...] = tuple(
+    (kind.value, KIND_TO_KEYPOINT_NAMES[kind]) for kind in REGION_KINDS
+) + (("back", frozenset({"back"})),)
 
 _OVERRIDE_KEYS = frozenset(name for name, _ in _VISIBILITY_GROUPS)
 
@@ -256,8 +251,7 @@ def synth_features(cfg: SynthConfig, dataset: Dataset) -> list[tuple[int, PartKi
         }
         for group in GROUP_ORDER:
             if group in REGION_KINDS:
-                members = next(m for n, m in _VISIBILITY_GROUPS if n == group.value)
-                if not (members & visible_names):
+                if not (KIND_TO_KEYPOINT_NAMES[group] & visible_names):
                     continue
             vector = np.zeros(cfg.feature_dim, dtype=np.float64)
             if group in cfg.signal_groups:

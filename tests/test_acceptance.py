@@ -23,7 +23,7 @@ from partkit.detection import Detection, compute_pcp, select_all, select_valid_p
 from partkit.features import (
     BASELINE_GROUPS,
     FeatureStore,
-    FusedVector,
+    FusedMatrix,
     evaluate_accuracy,
     fuse,
     load_model,
@@ -66,13 +66,13 @@ def store_of(records, dim):
     return FeatureStore({(i, g): v for i, g, v in records}, dim)
 
 
-def sample_of(image_id, values):
-    vector = np.asarray(values, dtype=np.float64)
-    return FusedVector(
-        image_id=image_id,
+def samples_of(rows):
+    """A FusedMatrix of (image_id, values) rows under the single group ORIGINAL."""
+    return FusedMatrix(
+        image_ids=tuple(image_id for image_id, _ in rows),
         groups=(PartKind.ORIGINAL,),
-        vector=vector,
-        present=frozenset({PartKind.ORIGINAL}),
+        vectors=np.array([values for _, values in rows], dtype=np.float64),
+        present=np.ones((len(rows), 1), dtype=bool),
     )
 
 
@@ -236,18 +236,21 @@ def test_06_fusion_layout(report):
             store = FeatureStore(
                 {(1, g): base[g] for g in GROUP_ORDER if g not in absent}, dim
             )
-            fused = fuse(store, 1, GROUP_ORDER)
-            assert fused.vector.size == 7 * dim
-            assert fused.present == frozenset(GROUP_ORDER) - absent
+            fused = fuse(store, [1], GROUP_ORDER)
+            assert fused.vectors.shape == (1, 7 * dim)
+            assert fused.groups == GROUP_ORDER
+            assert frozenset(g for g, p in zip(GROUP_ORDER, fused.present[0]) if p) == (
+                frozenset(GROUP_ORDER) - absent
+            )
             for slot, group in enumerate(GROUP_ORDER):
-                block = fused.vector[slot * dim : (slot + 1) * dim]
+                block = fused.vectors[0, slot * dim : (slot + 1) * dim]
                 if group in absent:
                     assert np.all(block == 0.0)
                 else:
                     np.testing.assert_array_equal(block, base[group])
 
         wide = FeatureStore({(1, g): np.ones(2048) for g in GROUP_ORDER}, 2048)
-        assert fuse(wide, 1, GROUP_ORDER).vector.size == 14336
+        assert fuse(wide, [1], GROUP_ORDER).vectors.shape == (1, 14336)
 
 
 def test_07_svm_separability(report):
@@ -266,8 +269,8 @@ def test_07_svm_separability(report):
 
         signal = store_of(synth_features(cfg, dataset), cfg.feature_dim)
         head_spec = (PartKind.HEAD,)
-        train = [fuse(signal, i, head_spec) for i in train_ids]
-        test = [fuse(signal, i, head_spec) for i in test_ids]
+        train = fuse(signal, train_ids, head_spec)
+        test = fuse(signal, test_ids, head_spec)
         model = train_svm(train, labels, seed=derive_seed(0, "svm"))
         assert evaluate_accuracy(model, test, labels) == 1.0
 
@@ -275,8 +278,8 @@ def test_07_svm_separability(report):
             num_classes=4, images_per_class=20, signal_groups=frozenset(), seed=0
         )
         noise = store_of(synth_features(noise_cfg, dataset), cfg.feature_dim)
-        train_n = [fuse(noise, i, GROUP_ORDER) for i in train_ids]
-        test_n = [fuse(noise, i, GROUP_ORDER) for i in test_ids]
+        train_n = fuse(noise, train_ids, GROUP_ORDER)
+        test_n = fuse(noise, test_ids, GROUP_ORDER)
         model_n = train_svm(train_n, labels, seed=derive_seed(0, "svm"))
         accuracy_n = evaluate_accuracy(model_n, test_n, labels)
         sigma = (0.25 * 0.75 / len(test_ids)) ** 0.5
@@ -409,15 +412,15 @@ def test_10_format_round_trips(report, tmp_path):
                 assert abs(got.y2 - want.y2) <= 1e-6 * image.height
 
         rng = random.Random(23)
-        samples = []
+        rows = []
         labels = {}
         for image_id in range(1, 41):
             class_id = (image_id - 1) % 4 + 1
             values = [rng.uniform(-0.1, 0.1) for _ in range(6)]
             values[class_id - 1] += 2.0
-            samples.append(sample_of(image_id, values))
+            rows.append((image_id, values))
             labels[image_id] = class_id
-        model = train_svm(samples, labels, c=0.7, epochs=25, seed=4)
+        model = train_svm(samples_of(rows), labels, c=0.7, epochs=25, seed=4)
         save_model(model, tmp_path / "model.svm")
         loaded = load_model(tmp_path / "model.svm")
         for _ in range(100):

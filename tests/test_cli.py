@@ -275,6 +275,28 @@ class TestClassify:
         assert self.run_classify(corpus, tmp_path / "clf", ["--groups", "beak"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("groups", ["", " , "])
+    def test_empty_group_selection_is_config_error(self, corpus, tmp_path, capsys, groups):
+        assert self.run_classify(corpus, tmp_path / "clf", ["--groups", groups]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "clf" / "model.svm").exists()
+
+    @pytest.mark.parametrize(
+        "split_value,message", [("0", "no test samples"), ("2", "no training samples")]
+    )
+    def test_one_sided_split_is_one_error_line(
+        self, corpus, tmp_path, capsys, split_value, message
+    ):
+        ids = [line.split()[0] for line in corpus["split"].read_text(encoding="utf-8").splitlines()]
+        split = tmp_path / "split.txt"
+        split.write_text("".join(f"{i} {split_value}\n" for i in ids), encoding="utf-8")
+        argv = ["classify", str(corpus["features"]), str(corpus["labels"]), str(split)]
+        assert main([*argv, "--out", str(tmp_path / "clf")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_non_utf8_feature_file_is_one_error_line(self, corpus, tmp_path, capsys):
         lines = corpus["features"].read_bytes().splitlines(keepends=True)
         lines[2] = lines[2].replace(b"\t", b"\t\xff", 1)

@@ -29,7 +29,7 @@ from partkit.features import (
     BASELINE_GROUPS,
     CombinationSpec,
     FeatureStore,
-    FusedVector,
+    FusedMatrix,
     SvmModel,
     decision_scores,
     evaluate_accuracy,
@@ -144,8 +144,8 @@ class TestFeatureStore:
             with pytest.raises(ValueError):
                 row[0] = 5.0
             for l2 in (False, True):
-                fused = fuse(store, 1, GROUP_ORDER, l2_normalize=l2)
-                fused.vector[:] = 7.0
+                fused = fuse(store, [1], GROUP_ORDER, l2_normalize=l2)
+                fused.vectors[:] = 7.0
             assert store.get(1, PartKind.HEAD)[0] != 7.0
 
     def test_valid_file_never_reads_per_line(self, tmp_path, monkeypatch):
@@ -266,38 +266,87 @@ class TestLoadMatchesPerLineReader:
         assert not isinstance(fast[0], type) or issubclass(fast[0], ToolkitError)
 
 
+def fuse_reference(store, image_id, groups, order=GROUP_ORDER, l2_normalize=False):
+    """One image fused on its own, block by block: the oracle every row of
+    ``fuse`` must equal.  Returns (vector, present groups)."""
+    selected = normalize_groups(groups, order)
+    if image_id not in store.image_ids:
+        raise UnknownImage(f"image {image_id} has no feature records")
+    dim = store.dim
+    fused = np.zeros(len(selected) * dim, dtype=np.float64)
+    present = []
+    for i, group in enumerate(selected):
+        vector = store.get(image_id, group)
+        if vector is None:
+            continue
+        if l2_normalize:
+            norm = float(np.linalg.norm(vector))
+            vector = vector / norm if norm > 0 else vector
+        fused[i * dim : (i + 1) * dim] = vector
+        present.append(group)
+    return fused, frozenset(present)
+
+
+def block(fused, row, group):
+    return fused.vectors[row].reshape(len(fused.groups), -1)[fused.groups.index(group)]
+
+
+def present_groups(fused, row):
+    return frozenset(g for g, p in zip(fused.groups, fused.present[row]) if p)
+
+
 class TestFuse:
     def test_zero_blocks_at_missing_groups(self, tmp_path):
         skip = {(1, PartKind.BREAST), (1, PartKind.TAIL)}
         store = full_store(tmp_path, image_ids=(1,), skip=skip)
-        fused = fuse(store, 1, GROUP_ORDER)
-        assert fused.vector.size == 7 * DIM
-        assert fused.present == frozenset(GROUP_ORDER) - {PartKind.BREAST, PartKind.TAIL}
+        fused = fuse(store, [1], GROUP_ORDER)
+        vector = fused.vectors[0]
+        assert vector.size == 7 * DIM
+        absent = {PartKind.BREAST, PartKind.TAIL}
+        assert present_groups(fused, 0) == frozenset(GROUP_ORDER) - absent
         # breast is canonical slot 4, tail slot 6
-        assert np.all(fused.vector[16:20] == 0.0)
-        assert np.all(fused.vector[24:28] == 0.0)
-        assert np.all(fused.vector[0:16] != 0.0)
-        assert np.all(fused.vector[20:24] != 0.0)
+        assert np.all(vector[16:20] == 0.0)
+        assert np.all(vector[24:28] == 0.0)
+        assert np.all(vector[0:16] != 0.0)
+        assert np.all(vector[20:24] != 0.0)
 
     def test_blocks_follow_canonical_order(self, tmp_path):
         store = full_store(tmp_path, image_ids=(1,))
-        fused = fuse(store, 1, (PartKind.TAIL, PartKind.ORIGINAL, PartKind.HEAD))
+        fused = fuse(store, [1], (PartKind.TAIL, PartKind.ORIGINAL, PartKind.HEAD))
         assert fused.groups == (PartKind.ORIGINAL, PartKind.HEAD, PartKind.TAIL)
-        np.testing.assert_array_equal(fused.block(PartKind.HEAD), store.get(1, PartKind.HEAD))
-        np.testing.assert_array_equal(fused.vector[:DIM], store.get(1, PartKind.ORIGINAL))
+        np.testing.assert_array_equal(block(fused, 0, PartKind.HEAD), store.get(1, PartKind.HEAD))
+        np.testing.assert_array_equal(fused.vectors[0, :DIM], store.get(1, PartKind.ORIGINAL))
 
     def test_baseline_only_length(self, tmp_path):
         store = full_store(tmp_path, image_ids=(1,))
-        assert fuse(store, 1, BASELINE_GROUPS).vector.size == 2 * DIM
+        assert fuse(store, [1], BASELINE_GROUPS).vectors.shape == (1, 2 * DIM)
 
     def test_full_fusion_dimension_scales_with_store(self):
         store = FeatureStore({(1, g): np.ones(2048) for g in GROUP_ORDER}, 2048)
-        assert fuse(store, 1, GROUP_ORDER).vector.size == 14336
+        assert fuse(store, [1], GROUP_ORDER).vectors.shape == (1, 14336)
 
     def test_unknown_image(self, tmp_path):
         store = full_store(tmp_path, image_ids=(1,))
         with pytest.raises(UnknownImage):
-            fuse(store, 99, GROUP_ORDER)
+            fuse(store, [1, 99], GROUP_ORDER)
+
+    def test_rows_follow_ascending_ids(self, tmp_path):
+        store = full_store(tmp_path, image_ids=(1, 2, 3))
+        fused = fuse(store, [3, 1, 2], GROUP_ORDER)
+        assert fused.image_ids == (1, 2, 3)
+        assert len(fused) == 3
+        for row, image_id in enumerate(fused.image_ids):
+            np.testing.assert_array_equal(
+                block(fused, row, PartKind.HEAD), store.get(image_id, PartKind.HEAD)
+            )
+
+    def test_no_ids_give_an_empty_matrix(self, tmp_path):
+        store = full_store(tmp_path)
+        for l2 in (False, True):
+            fused = fuse(store, [], BASELINE_GROUPS, l2_normalize=l2)
+            assert len(fused) == 0
+            assert fused.vectors.shape == (0, 2 * DIM)
+            assert fused.present.shape == (0, 2)
 
     def test_l2_normalize_rescales_each_block(self, tmp_path):
         path = tmp_path / "f.tsv"
@@ -306,12 +355,12 @@ class TestFuse:
             path,
         )
         store = FeatureStore.load(path)
-        fused = fuse(store, 1, (PartKind.ORIGINAL, PartKind.HEAD), l2_normalize=True)
-        np.testing.assert_allclose(fused.block(PartKind.ORIGINAL), [0.6, 0.8])
-        np.testing.assert_allclose(fused.block(PartKind.HEAD), [0.0, 1.0])
+        fused = fuse(store, [1], (PartKind.ORIGINAL, PartKind.HEAD), l2_normalize=True)
+        np.testing.assert_allclose(block(fused, 0, PartKind.ORIGINAL), [0.6, 0.8])
+        np.testing.assert_allclose(block(fused, 0, PartKind.HEAD), [0.0, 1.0])
         # zero fill stays zero under normalization
-        fused2 = fuse(store, 1, (PartKind.ORIGINAL, PartKind.TAIL), l2_normalize=True)
-        assert np.all(fused2.block(PartKind.TAIL) == 0.0)
+        fused2 = fuse(store, [1], (PartKind.ORIGINAL, PartKind.TAIL), l2_normalize=True)
+        assert np.all(block(fused2, 0, PartKind.TAIL) == 0.0)
 
     def test_presence_pattern_offsets(self, tmp_path):
         """Missing combinations never shift the offsets of present groups."""
@@ -319,13 +368,57 @@ class TestFuse:
         for pattern in range(4):
             absent = {part_kinds[i] for i in range(2) if pattern >> i & 1}
             store = full_store(tmp_path, image_ids=(1,), skip={(1, g) for g in absent})
-            fused = fuse(store, 1, GROUP_ORDER)
+            fused = fuse(store, [1], GROUP_ORDER)
             for slot, group in enumerate(GROUP_ORDER):
-                block = fused.vector[slot * DIM : (slot + 1) * DIM]
+                values = fused.vectors[0, slot * DIM : (slot + 1) * DIM]
                 if group in absent:
-                    assert np.all(block == 0.0)
+                    assert np.all(values == 0.0)
                 else:
-                    np.testing.assert_array_equal(block, store.get(1, group))
+                    np.testing.assert_array_equal(values, store.get(1, group))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_the_per_image_reference(self, data):
+        dim = data.draw(st.integers(1, 5), label="dim")
+        image_ids = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
+        component = st.one_of(
+            st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        )
+        records = {}
+        for image_id in image_ids:
+            kept = data.draw(st.sets(st.sampled_from(GROUP_ORDER), min_size=1), label="present")
+            for group in kept:
+                vector = data.draw(st.lists(component, min_size=dim, max_size=dim))
+                records[(image_id, group)] = np.array(vector, dtype=np.float64)
+        store = FeatureStore(records, dim)
+        order = tuple(data.draw(st.permutations(GROUP_ORDER), label="order"))
+        groups = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+        requested = data.draw(st.permutations(image_ids), label="requested")
+        l2 = data.draw(st.booleans(), label="l2")
+
+        fused = fuse(store, requested, groups, order, l2_normalize=l2)
+        assert fused.image_ids == tuple(sorted(image_ids))
+        assert fused.groups == normalize_groups(groups, order)
+        assert fused.vectors.shape == (len(image_ids), len(fused.groups) * dim)
+        for row, image_id in enumerate(fused.image_ids):
+            vector, present = fuse_reference(store, image_id, groups, order, l2)
+            assert np.array_equal(fused.vectors[row], vector)
+            assert fused.vectors[row].tobytes() == vector.tobytes()
+            assert present_groups(fused, row) == present
+
+
+class TestFusedMatrix:
+    @pytest.mark.parametrize("ids", [(2, 1), (1, 1), (1, 3, 2)])
+    def test_rejects_unsorted_or_repeated_ids(self, ids):
+        vectors = np.zeros((len(ids), DIM))
+        present = np.ones((len(ids), 1), dtype=bool)
+        with pytest.raises(InputError):
+            FusedMatrix(ids, (PartKind.ORIGINAL,), vectors, present)
+
+    def test_fuse_rejects_repeated_ids(self, tmp_path):
+        store = full_store(tmp_path)
+        with pytest.raises(InputError):
+            fuse(store, [1, 2, 1], GROUP_ORDER)
 
 
 class TestGroupSelection:
@@ -355,49 +448,55 @@ class TestGroupSelection:
         assert flags[PartKind.TAIL] == 0
 
 
-def fv(image_id: int, values) -> FusedVector:
-    vector = np.asarray(values, dtype=np.float64)
-    return FusedVector(
-        image_id=image_id,
-        groups=(PartKind.ORIGINAL,),
-        vector=vector,
-        present=frozenset({PartKind.ORIGINAL}),
+def matrix_of(rows, groups=(PartKind.ORIGINAL,), present=None) -> FusedMatrix:
+    """A FusedMatrix of (image_id, vector) rows; every group present by default."""
+    ids = tuple(image_id for image_id, _ in rows)
+    vectors = np.array([values for _, values in rows], dtype=np.float64)
+    if present is None:
+        present = np.ones((len(ids), len(groups)), dtype=bool)
+    return FusedMatrix(ids, tuple(groups), vectors, np.asarray(present, dtype=bool))
+
+
+def rows_of(samples: FusedMatrix, index: slice) -> FusedMatrix:
+    return FusedMatrix(
+        samples.image_ids[index], samples.groups, samples.vectors[index], samples.present[index]
     )
 
 
 def two_class_problem():
-    samples = [
-        fv(1, [2.0, 0.1]),
-        fv(2, [1.8, -0.1]),
-        fv(3, [2.2, 0.0]),
-        fv(4, [0.1, 2.0]),
-        fv(5, [-0.1, 1.9]),
-        fv(6, [0.0, 2.2]),
-    ]
+    samples = matrix_of(
+        [
+            (1, [2.0, 0.1]),
+            (2, [1.8, -0.1]),
+            (3, [2.2, 0.0]),
+            (4, [0.1, 2.0]),
+            (5, [-0.1, 1.9]),
+            (6, [0.0, 2.2]),
+        ]
+    )
     labels = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2}
     return samples, labels
 
 
 def four_class_problem(per_class=5, noise=0.1, seed=3):
     rng = random.Random(seed)
-    samples, labels = [], {}
+    rows, labels = [], {}
     image_id = 1
     for class_id in range(1, 5):
         for _ in range(per_class):
             vector = [rng.uniform(-noise, noise) for _ in range(4)]
             vector[class_id - 1] += 2.0
-            samples.append(fv(image_id, vector))
+            rows.append((image_id, vector))
             labels[image_id] = class_id
             image_id += 1
-    return samples, labels
+    return matrix_of(rows), labels
 
 
 def pegasos_reference(samples, labels, c, epochs, seed):
     """Scalar one-vs-rest Pegasos, one class at a time: the oracle the
     batched trainer must reproduce bit for bit."""
-    ordered = sorted(samples, key=lambda s: s.image_id)
-    x = np.stack([s.vector for s in ordered])
-    y_ids = np.array([labels[s.image_id] for s in ordered])
+    x = samples.vectors
+    y_ids = np.array([labels[image_id] for image_id in samples.image_ids])
     classes = sorted(set(int(v) for v in y_ids))
     n, dim = x.shape
     rng = random.Random(seed)
@@ -433,25 +532,25 @@ def many_class_problem(num_classes=24, per_class=6, group_dim=8, seed=21):
     as fusion leaves a missing part."""
     rng = random.Random(seed)
     groups = (PartKind.ORIGINAL, PartKind.CROPPED, PartKind.HEAD, PartKind.WING)
-    samples, labels = [], {}
+    rows, present, labels = [], [], {}
     image_id = 1
     for class_id in range(1, num_classes + 1):
         for _ in range(per_class):
             blocks = []
-            present = set(BASELINE_GROUPS)
+            present.append([])
             for group in groups:
                 if group in BASELINE_GROUPS or rng.random() < 0.6:
                     block = [rng.gauss(0.0, 1.0) for _ in range(group_dim)]
                     block[class_id % group_dim] += 1.5
-                    if group not in BASELINE_GROUPS:
-                        present.add(group)
+                    present[-1].append(True)
                 else:
                     block = [0.0] * group_dim
+                    present[-1].append(False)
                 blocks.extend(block)
-            samples.append(FusedVector(image_id, groups, np.array(blocks), frozenset(present)))
+            rows.append((image_id, blocks))
             labels[image_id] = class_id
             image_id += 1
-    return samples, labels
+    return matrix_of(rows, groups, present), labels
 
 
 def assert_matches_reference(samples, labels, c, epochs, seed):
@@ -469,7 +568,7 @@ class TestBatchedTrainerMatchesReference:
 
     def test_many_classes_with_zero_filled_blocks(self):
         samples, labels = many_class_problem()
-        assert any(np.all(s.vector[16:24] == 0.0) for s in samples)
+        assert any(np.all(vector[16:24] == 0.0) for vector in samples.vectors)
         assert_matches_reference(samples, labels, c=1.0, epochs=3, seed=5)
 
     @pytest.mark.parametrize("epochs,seed,c", [(1, 0, 1.0), (4, 7, 0.5), (9, 123, 10.0)])
@@ -493,10 +592,14 @@ class TestTrainSvm:
 
     def test_sample_order_never_matters(self):
         samples, labels = four_class_problem()
-        model_sorted = train_svm(samples, labels, seed=7)
-        shuffled = list(samples)
+        store = FeatureStore(
+            {(i, PartKind.ORIGINAL): v for i, v in zip(samples.image_ids, samples.vectors)}, 4
+        )
+        groups = (PartKind.ORIGINAL,)
+        model_sorted = train_svm(fuse(store, samples.image_ids, groups), labels, seed=7)
+        shuffled = list(samples.image_ids)
         random.Random(99).shuffle(shuffled)
-        model_shuffled = train_svm(shuffled, labels, seed=7)
+        model_shuffled = train_svm(fuse(store, shuffled, groups), labels, seed=7)
         np.testing.assert_array_equal(model_sorted.weights, model_shuffled.weights)
         np.testing.assert_array_equal(model_sorted.biases, model_shuffled.biases)
 
@@ -506,21 +609,15 @@ class TestTrainSvm:
         b = train_svm(samples, labels, seed=1)
         assert not np.array_equal(a.weights, b.weights)
 
-    def test_worker_count_never_changes_result(self):
-        samples, labels = four_class_problem()
-        serial = train_svm(samples, labels, seed=2, workers=1)
-        threaded = train_svm(samples, labels, seed=2, workers=4)
-        np.testing.assert_array_equal(serial.weights, threaded.weights)
-        np.testing.assert_array_equal(serial.biases, threaded.biases)
-
     def test_single_class_rejected(self):
         samples, _ = two_class_problem()
         with pytest.raises(SingleClass):
-            train_svm(samples, {s.image_id: 1 for s in samples})
+            train_svm(samples, {image_id: 1 for image_id in samples.image_ids})
 
     def test_empty_training_set(self):
+        samples, _ = two_class_problem()
         with pytest.raises(EmptyTrainingSet):
-            train_svm([], {})
+            train_svm(rows_of(samples, slice(0, 0)), {})
 
     def test_bad_hyperparameters(self):
         samples, labels = two_class_problem()
@@ -528,11 +625,6 @@ class TestTrainSvm:
             train_svm(samples, labels, c=0.0)
         with pytest.raises(ConfigError):
             train_svm(samples, labels, epochs=0)
-
-    def test_inconsistent_dimensions(self):
-        samples = [fv(1, [1.0, 2.0]), fv(2, [1.0, 2.0, 3.0])]
-        with pytest.raises(DimensionMismatch):
-            train_svm(samples, {1: 1, 2: 2})
 
     def test_missing_label(self):
         samples, labels = two_class_problem()
@@ -544,17 +636,17 @@ class TestTrainSvm:
         """Dimensions that are zero in every sample never acquire weight, so
         a zero-filled group contributes nothing to any decision score."""
         samples, labels = four_class_problem()
-        padded = [
-            FusedVector(s.image_id, s.groups, np.concatenate([s.vector, np.zeros(3)]), s.present)
-            for s in samples
-        ]
+        padded = FusedMatrix(
+            samples.image_ids,
+            samples.groups,
+            np.hstack([samples.vectors, np.zeros((len(samples), 3))]),
+            samples.present,
+        )
         model = train_svm(padded, labels, seed=0)
         assert np.all(model.weights[:, 4:] == 0.0)
         base = train_svm(samples, labels, seed=0)
-        for s, p in zip(samples, padded):
-            np.testing.assert_array_equal(
-                decision_scores(base, s.vector), decision_scores(model, p.vector)
-            )
+        for s, p in zip(samples.vectors, padded.vectors):
+            np.testing.assert_array_equal(decision_scores(base, s), decision_scores(model, p))
 
 
 class TestPredictAndAccuracy:
@@ -590,27 +682,33 @@ class TestPredictAndAccuracy:
             epochs=1,
             seed=0,
         )
-        samples = [fv(1, [1, 0]), fv(2, [1, 0]), fv(3, [-1, 0]), fv(4, [-1, 0])]
+        samples = matrix_of([(1, [1, 0]), (2, [1, 0]), (3, [-1, 0]), (4, [-1, 0])])
         labels = {1: 1, 2: 1, 3: 2, 4: 1}  # sample 4 is misclassified
         assert evaluate_accuracy(model, samples, labels) == 0.75
 
     def test_accuracy_matches_recount(self):
         samples, labels = four_class_problem(per_class=8, noise=1.5, seed=11)
-        model = train_svm(samples[::2], labels, seed=0)
-        test = samples[1::2]
+        model = train_svm(rows_of(samples, slice(None, None, 2)), labels, seed=0)
+        test = rows_of(samples, slice(1, None, 2))
         reported = evaluate_accuracy(model, test, labels)
         correct = 0
-        for s in test:
-            scores = model.weights @ s.vector + model.biases
+        for image_id, vector in zip(test.image_ids, test.vectors):
+            scores = model.weights @ vector + model.biases
             best = max(range(len(model.classes)), key=lambda k: (scores[k], -k))
-            if model.classes[best] == labels[s.image_id]:
+            if model.classes[best] == labels[image_id]:
                 correct += 1
         assert reported == correct / len(test)
 
     def test_empty_test_set(self):
         model = self._hand_model([0.0, 0.0])
         with pytest.raises(EmptyTestSet):
-            evaluate_accuracy(model, [], {})
+            evaluate_accuracy(model, rows_of(matrix_of([(1, [0.0, 0.0])]), slice(0, 0)), {})
+
+    def test_unlabeled_test_image_is_input_error(self):
+        model = self._hand_model([0.0, 0.0])
+        samples = matrix_of([(1, [1.0, 0.0]), (2, [0.0, 1.0]), (7, [1.0, 1.0])])
+        with pytest.raises(InputError, match=r"no class label for images \[2, 7\]"):
+            evaluate_accuracy(model, samples, {1: 3})
 
 
 class TestModelFile:

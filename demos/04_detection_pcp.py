@@ -6,7 +6,8 @@ detection per part above the score threshold, and reports the fraction
 of visible parts localized at several overlap thresholds.
 """
 
-from partkit.detection import Thresholds, compute_pcp, select_all
+from partkit.config import ToolkitConfig
+from partkit.detection import compute_pcp, select_all
 from partkit.regions import RegionConfig, generate_all
 from partkit.synth import SynthConfig, synth_dataset, synth_detections
 
@@ -18,11 +19,11 @@ detections = synth_detections(
 )
 print(f"raw detections: {len(detections)} over {len(dataset.images)} images")
 
-thresholds = Thresholds()
-print(f"score threshold {thresholds.score_min} (strict), "
-      f"training overlap threshold {thresholds.train_iou_min} (inclusive)")
+config = ToolkitConfig()
+print(f"score threshold {config.score_min} (strict), "
+      f"training overlap threshold {config.train_iou_min} (inclusive)")
 
-selected = select_all(detections, thresholds.score_min)
+selected = select_all(detections, config.score_min)
 kept = sum(len(per_image) for per_image in selected.values())
 print(f"kept after per-part selection: {kept} (distractors at 0.2 are gone)")
 

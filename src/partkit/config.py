@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Optional
 
 from .dataset_io import _first_non_utf8_line
-from .detection import Thresholds
 from .errors import BadRatios, ConfigError, MissingFile
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 from .regions import RegionConfig
@@ -90,6 +89,10 @@ class ToolkitConfig:
     out_dir: str = ""
 
     def __post_init__(self):
+        if not 0.0 <= self.train_iou_min <= 1.0:
+            raise ConfigError("train_iou_min must be in [0, 1]")
+        if not 0.0 <= self.score_min <= 1.0:
+            raise ConfigError("score_min must be in [0, 1]")
         if not 0.0 < self.pcp_iou_min < 1.0:
             raise ConfigError("pcp_iou_min must be in (0, 1)")
         if sorted(g.value for g in self.group_order) != sorted(_CANONICAL_GROUP_NAMES):
@@ -101,7 +104,6 @@ class ToolkitConfig:
             raise BadRatios(f"split fractions must be positive and sum to 1, got {ratios}")
         # delegate the remaining range checks to the owning configs
         self.region_config()
-        self.thresholds()
         self.synth_config()
 
     def region_config(self) -> RegionConfig:
@@ -119,9 +121,6 @@ class ToolkitConfig:
             center_crop_fraction=self.center_crop_fraction,
             tie_seed=self.tie_seed,
         )
-
-    def thresholds(self) -> Thresholds:
-        return Thresholds(train_iou_min=self.train_iou_min, score_min=self.score_min)
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(

@@ -34,7 +34,7 @@ from .geometry import Box
 from .parts import CUB_PART_NAMES, REGION_KINDS, kind_from_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRecord:
     image_id: int
     relative_path: str
@@ -43,7 +43,7 @@ class ImageRecord:
     height: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPoint:
     image_id: int
     part_id: int
@@ -162,6 +162,12 @@ def parse_dataset(root_dir) -> Dataset:
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         if image_id in paths:
             raise DuplicateId("image", image_id)
+        # label files are written at <out>/labels/<relative_path>.txt
+        parts = fields[1].split("/")
+        if not parts[0] or ".." in parts or parts[-1] in ("", "."):
+            raise MalformedLine(
+                p, line_no, f"relative_path must name a file inside the tree: {fields[1]!r}"
+            )
         paths[image_id] = fields[1]
 
     sizes: dict[int, tuple[int, int]] = {}

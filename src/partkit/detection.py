@@ -17,7 +17,7 @@ from .parts import REGION_KINDS, PartKind
 from .regions import PartRegionSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One scored candidate box for a part kind on one image."""
 
@@ -29,22 +29,6 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ScoreOutOfRange(f"score {self.score} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """train_iou_min filters training boxes by IoU against ground truth;
-    score_min is the confidence a detection must exceed to count at test
-    time."""
-
-    train_iou_min: float = 0.6
-    score_min: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 <= self.train_iou_min <= 1.0:
-            raise ConfigError("train_iou_min must be in [0, 1]")
-        if not 0.0 <= self.score_min <= 1.0:
-            raise ConfigError("score_min must be in [0, 1]")
 
 
 @dataclass(frozen=True)

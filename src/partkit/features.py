@@ -14,9 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -34,6 +32,9 @@ from .errors import (
 from .dataset_io import Split, _first_non_utf8_line, _lines
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 
+if TYPE_CHECKING:
+    import numpy as np
+
 BASELINE_GROUPS: tuple[PartKind, ...] = (PartKind.ORIGINAL, PartKind.CROPPED)
 
 
@@ -42,6 +43,8 @@ class FeatureStore:
     dimension, held as the rows of one read-only (records, dim) matrix."""
 
     def __init__(self, records: Mapping[tuple[int, PartKind], np.ndarray], dim: int):
+        import numpy as np
+
         rows: dict[int, list[Optional[int]]] = {}
         for row, (image_id, group) in enumerate(records):
             rows.setdefault(image_id, [None] * len(GROUP_ORDER))[GROUP_ORDER.index(group)] = row
@@ -83,6 +86,8 @@ class FeatureStore:
         the error of the first bad line or reads the syntax only ``float()``
         accepts, such as ``1_0``.
         """
+        import numpy as np
+
         path = Path(path)
         if not path.is_file():
             raise MissingFile(path)
@@ -103,6 +108,8 @@ class FeatureStore:
 
     @classmethod
     def _load_per_line(cls, path: Path) -> "FeatureStore":
+        import numpy as np
+
         records: dict[tuple[int, PartKind], np.ndarray] = {}
         dim: Optional[int] = None
         try:
@@ -250,6 +257,8 @@ def fuse(
     concatenation (zero blocks stay zero).  Raises UnknownImage when the
     store holds nothing at all for an image.
     """
+    import numpy as np
+
     selected = normalize_groups(groups, order)
     ids = sorted(image_ids)
     slots = [GROUP_ORDER.index(group) for group in selected]
@@ -328,6 +337,8 @@ def train_svm(
     (classes, dim) weight matrix; each class's rows get exactly the
     arithmetic a separate per-class Pegasos run would give them.
     """
+    import numpy as np
+
     if c <= 0:
         raise ConfigError("svm regularization parameter must be > 0")
     if epochs < 1:
@@ -347,10 +358,7 @@ def train_svm(
     reg = 1.0 / (c * n)
     weights = np.zeros((len(classes), dim), dtype=np.float64)
     biases = np.zeros(len(classes), dtype=np.float64)
-    # reused every step: the ±1 label column (one entry set, then reset)
-    # and the class scores
-    y = np.full(len(classes), -1.0)
-    scores = np.empty(len(classes), dtype=np.float64)
+    scores = np.empty(len(classes), dtype=np.float64)  # reused every step
     rng = random.Random(seed)
     t = 1
     for _ in range(epochs):
@@ -359,16 +367,21 @@ def train_svm(
         for i in order:
             xi = x[i]
             step = 1.0 / (reg * t)
-            y[positive[i]] = 1.0
+            k_pos = positive[i]
             np.dot(weights, xi, out=scores)
             scores += biases
-            scores *= y
-            violated = (scores < 1.0).nonzero()[0]
+            # class k violates the margin when y_k * score_k < 1; with
+            # y = -1 on every class but the positive one, that is
+            # score > -1 once the positive score is negated (exactly)
+            scores[k_pos] = -scores[k_pos]
+            violated = (scores > -1.0).nonzero()[0].tolist()
             weights *= 1.0 - step * reg
-            step_y = step * y[violated]
-            weights[violated] += step_y[:, None] * xi
-            biases[violated] += step_y
-            y[positive[i]] = -1.0
+            # usually one class violates, so a row update beats a
+            # gather and scatter over the violated rows
+            for k in violated:
+                step_y = step if k == k_pos else -step
+                weights[k] += step_y * xi
+                biases[k] += step_y
             t += 1
     return SvmModel(classes=classes, weights=weights, biases=biases, c=c, epochs=epochs, seed=seed)
 
@@ -381,6 +394,8 @@ def decision_scores(model: SvmModel, vector: np.ndarray) -> np.ndarray:
 
 def predict(model: SvmModel, vector: np.ndarray) -> int:
     """Argmax over per-class scores; exact ties go to the smallest class id."""
+    import numpy as np
+
     scores = decision_scores(model, vector)
     return model.classes[int(np.argmax(scores))]
 
@@ -417,7 +432,7 @@ def save_model(model: SvmModel, path) -> None:
             f"svm v1 {len(model.classes)} {model.dim} {model.c:.9g} {model.epochs} {model.seed}\n"
         )
         for idx, class_id in enumerate(model.classes):
-            weights = " ".join(f"{w:.9g}" for w in model.weights[idx])
+            weights = " ".join(map("{:.9g}".format, model.weights[idx].tolist()))
             fh.write(f"{class_id} {model.biases[idx]:.9g} {weights}\n")
 
 
@@ -426,6 +441,8 @@ def load_model(path) -> SvmModel:
     trainer can produce: C > 0 and finite, epochs >= 1, finite biases and
     weights, and class ids >= 1 in strictly increasing order (the order
     ``predict``'s smallest-id tie rule relies on)."""
+    import numpy as np
+
     path = Path(path)
     lines = list(_lines(path))
     if not lines:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DegeneratePointSet, InvertedBox, NonPositiveSide
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle with strictly positive area."""
 

@@ -63,7 +63,7 @@ class RegionConfig:
             raise ConfigError("center_crop_fraction must be in (0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class PartRegionSet:
     """Resolved regions of one image, at most one box per part kind."""
 

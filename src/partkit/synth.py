@@ -14,9 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .dataset_io import (
     Dataset,
@@ -34,6 +32,9 @@ from .geometry import Box
 from .parts import CUB_PART_NAMES, GROUP_ORDER, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
 from .regions import PartRegionSet, RegionConfig, generate_all, read_region_sets, write_crop_manifest, write_region_sets
 from .seeding import derive_seed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # canonical layout: keypoint -> (x, y) as fractions of the image, bird facing
 # right, head upper-right, tail left
@@ -241,6 +242,8 @@ def synth_features(cfg: SynthConfig, dataset: Dataset) -> list[tuple[int, PartKi
     uniform(-1, 1) noise.  Either way one draw per component keeps the
     stream aligned.
     """
+    import numpy as np
+
     rng = random.Random(derive_seed(cfg.seed, "features"))
     name_of = {i: name for i, name in enumerate(CUB_PART_NAMES, start=1)}
     records: list[tuple[int, PartKind, np.ndarray]] = []

@@ -120,6 +120,16 @@ class TestValidate:
         assert err.count("\n") == 1
         assert "images.txt:2" in err
 
+    def test_path_outside_the_tree_is_one_error_line(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        build_tree(root, toy_images(3))
+        (root / "images.txt").write_text("1 a.jpg\n2 ../../x/b.jpg\n3 c.jpg\n")
+        assert main(["validate", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "images.txt:2" in err
+
 
 class TestGenRegions:
     def test_outputs_and_summary(self, corpus, tmp_path, capsys):
@@ -145,6 +155,14 @@ class TestGenRegions:
             assert rc == 0
         capsys.readouterr()
         assert read_tree(outs[0]) == read_tree(outs[1]) == read_tree(outs[2])
+
+    def test_absolute_image_path_writes_no_label(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        build_tree(root, toy_images(3))
+        outside = tmp_path / "outside" / "b.jpg"
+        (root / "images.txt").write_text(f"1 a.jpg\n2 {outside}\n3 c.jpg\n")
+        assert main(["gen-regions", str(root), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "outside").exists()
 
 
 class TestExportYolo:

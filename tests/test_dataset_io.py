@@ -98,6 +98,18 @@ class TestParseDataset:
         assert err.value.line_no == 3
         assert err.value.path == root / "image_class_labels.txt"
 
+    @pytest.mark.parametrize(
+        "relative_path", ["/abs/dir/img.jpg", "../../x/img.jpg", "a/../../x.jpg", ".", "a/.", "a/"]
+    )
+    def test_relative_path_must_stay_inside_the_tree(self, tmp_path, relative_path):
+        # label files are written at <out>/labels/<relative_path>.txt
+        root = build_tree(tmp_path, toy_images(3))
+        (root / "images.txt").write_text(f"1 a.jpg\n2 {relative_path}\n3 c.jpg\n")
+        with pytest.raises(MalformedLine) as err:
+            parse_dataset(root)
+        assert err.value.line_no == 2
+        assert err.value.path == root / "images.txt"
+
     def test_visible_keypoint_out_of_bounds(self, tmp_path):
         rows = default_part_rows([1, 2, 3])
         rows[0] = "1 1 500.0 10.0 1"  # beyond the 200px image

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from partkit.cli import main
+from partkit.config import ToolkitConfig
 from partkit.detection import (
     Detection,
     PcpReport,
-    Thresholds,
     compute_pcp,
     filter_training_boxes,
     group_by_image,
@@ -35,16 +36,26 @@ def box_with_iou(fraction: float) -> Box:
 
 
 class TestThresholds:
+    """The two detection thresholds are ``ToolkitConfig`` keys."""
+
     def test_defaults(self):
-        t = Thresholds()
-        assert t.train_iou_min == 0.6
-        assert t.score_min == 0.3
+        config = ToolkitConfig()
+        assert config.train_iou_min == 0.6
+        assert config.score_min == 0.3
 
     def test_range_checks(self):
-        with pytest.raises(ConfigError):
-            Thresholds(train_iou_min=1.5)
-        with pytest.raises(ConfigError):
-            Thresholds(score_min=-0.1)
+        with pytest.raises(ConfigError, match="train_iou_min must be in"):
+            ToolkitConfig(train_iou_min=1.5)
+        with pytest.raises(ConfigError, match="score_min must be in"):
+            ToolkitConfig(score_min=-0.1)
+
+    @pytest.mark.parametrize("line", ["train_iou_min = 1.5", "score_min = -0.1"])
+    def test_out_of_range_config_file_exits_2(self, tmp_path, capsys, line):
+        config = tmp_path / "partkit.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_detection_score_range(self):
         with pytest.raises(ScoreOutOfRange):

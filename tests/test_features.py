@@ -576,6 +576,25 @@ class TestBatchedTrainerMatchesReference:
         samples, labels = four_class_problem(per_class=7, noise=1.0, seed=seed)
         assert_matches_reference(samples, labels, c=c, epochs=epochs, seed=seed)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_classes=st.integers(2, 12),
+        dim=st.integers(1, 16),
+        per_class=st.integers(1, 3),
+        epochs=st.integers(1, 4),
+        c=st.sampled_from([0.1, 1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_problems(self, num_classes, dim, per_class, epochs, c, seed):
+        """Every run starts at t=1 from zero weights and biases, where every
+        class violates its margin; exact-zero components make ties."""
+        rng = random.Random(seed)
+        rows, labels = [], {}
+        for image_id in range(1, num_classes * per_class + 1):
+            rows.append((image_id, [rng.choice((0.0, rng.uniform(-2.0, 2.0))) for _ in range(dim)]))
+            labels[image_id] = (image_id - 1) % num_classes + 1
+        assert_matches_reference(matrix_of(rows), labels, c=c, epochs=epochs, seed=seed)
+
 
 class TestTrainSvm:
     def test_separable_two_class(self):

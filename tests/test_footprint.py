@@ -1,0 +1,94 @@
+"""Per-process footprint of the preparation commands.
+
+The preparation commands (``validate``, ``gen-regions``, ``export-yolo``,
+``eval-pcp``) never touch numpy, so they must not pay for importing it,
+and the records they build once per keypoint, image, region or detection
+carry no per-instance ``__dict__``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
+
+import pytest
+
+from partkit.cli import main
+from partkit.dataset_io import ImageRecord, KeyPoint
+from partkit.detection import Detection
+from partkit.geometry import Box
+from partkit.parts import PartKind
+from partkit.regions import PartRegionSet
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in a fresh interpreter: prints one JSON line of
+# [command, exit code, numpy imported afterwards] rows.
+_SCRIPT = """
+import json, sys
+from partkit.cli import main
+corpus, out = sys.argv[1], sys.argv[2]
+data = corpus + "/dataset"
+runs = [["import", 0, "numpy" in sys.modules]]
+for argv in (
+    ["validate", data],
+    ["gen-regions", data, "--out", out + "/regions"],
+    ["export-yolo", data, "--out", out + "/yolo"],
+    ["eval-pcp", corpus + "/gt_regions.txt", corpus + "/detections.txt"],
+    ["classify", corpus + "/features.tsv", data + "/image_class_labels.txt",
+     corpus + "/split.txt", "--out", out + "/classify"],
+):
+    code = main(argv)
+    runs.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_preparation_commands_do_not_import_numpy(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, str(corpus), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    runs = json.loads(result.stdout.splitlines()[-1])
+    assert runs == [
+        ["import", 0, False],
+        ["validate", 0, False],
+        ["gen-regions", 0, False],
+        ["export-yolo", 0, False],
+        ["eval-pcp", 0, False],
+        ["classify", 0, True],
+    ]
+
+
+BOX = Box(0.0, 0.0, 4.0, 3.0)
+RECORDS = [
+    KeyPoint(1, 2, 10.0, 20.0, True),
+    ImageRecord(1, "001.Class_001/img_0001.jpg", 1, 200, 200),
+    BOX,
+    Detection(1, PartKind.HEAD, 0.5, BOX),
+    PartRegionSet(1, {PartKind.HEAD: BOX}),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_per_record_classes_are_slotted(record):
+    assert not hasattr(record, "__dict__")
+    name = fields(record)[0].name
+    if type(record).__dataclass_params__.frozen:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    else:
+        with pytest.raises(AttributeError):
+            record.extra = 1

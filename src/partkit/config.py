@@ -1,12 +1,14 @@
 """Plain-text key=value configuration.
 
 One flat namespace, `#` comments, no nesting.  Every key has a default and
-every value is range-checked at load time; unknown keys are rejected so
-typos surface immediately instead of silently running with defaults.
+every value is range-checked at load time (a float must be finite); unknown
+keys are rejected so typos surface immediately instead of silently running
+with defaults.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -29,10 +31,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_optional_float(raw: str) -> Optional[float]:
     if raw.lower() == "none":
         return None
-    return float(raw)
+    return _parse_float(raw)
 
 
 def parse_group_list(raw: str) -> tuple[PartKind, ...]:
@@ -143,33 +152,33 @@ class ToolkitConfig:
 
 
 _PARSERS = {
-    "pad_w": float,
-    "pad_h": float,
+    "pad_w": _parse_float,
+    "pad_h": _parse_float,
     "breast_pad_w": _parse_optional_float,
     "breast_pad_h": _parse_optional_float,
-    "envelope_scale_tail": float,
-    "envelope_scale_wing": float,
-    "envelope_scale_leg": float,
-    "head_fallback_fraction": float,
-    "center_crop_fraction": float,
+    "envelope_scale_tail": _parse_float,
+    "envelope_scale_wing": _parse_float,
+    "envelope_scale_leg": _parse_float,
+    "head_fallback_fraction": _parse_float,
+    "center_crop_fraction": _parse_float,
     "tie_seed": int,
-    "train_iou_min": float,
-    "score_min": float,
-    "pcp_iou_min": float,
-    "svm_c": float,
+    "train_iou_min": _parse_float,
+    "score_min": _parse_float,
+    "pcp_iou_min": _parse_float,
+    "svm_c": _parse_float,
     "svm_epochs": int,
     "l2_normalize": _parse_bool,
     "group_order": parse_group_list,
     "seed": int,
-    "train_frac": float,
-    "val_frac": float,
-    "test_frac": float,
+    "train_frac": _parse_float,
+    "val_frac": _parse_float,
+    "test_frac": _parse_float,
     "synth_classes": int,
     "synth_images_per_class": int,
     "synth_image_size": int,
-    "synth_jitter": float,
-    "synth_score_noise": float,
-    "synth_part_dropout": float,
+    "synth_jitter": _parse_float,
+    "synth_score_noise": _parse_float,
+    "synth_part_dropout": _parse_float,
     "synth_feature_dim": int,
     "synth_signal_groups": parse_group_list,
     "data_root": str,

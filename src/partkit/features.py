@@ -196,10 +196,14 @@ def write_feature_records(
     records: Iterable[tuple[int, PartKind, np.ndarray]], path
 ) -> None:
     """Write feature TSV rows with 6-decimal fixed component rendering."""
+    formats: dict[int, str] = {}  # vector length -> the values' % format
     with open(path, "w", encoding="utf-8") as fh:
         for image_id, group, vector in records:
-            values = " ".join(f"{v:.6f}" for v in vector)
-            fh.write(f"{image_id}\t{group.value}\t{values}\n")
+            values = vector.tolist()
+            fmt = formats.get(len(values))
+            if fmt is None:
+                fmt = formats[len(values)] = " ".join(["%.6f"] * len(values))
+            fh.write(f"{image_id}\t{group.value}\t{fmt % tuple(values)}\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +343,8 @@ def train_svm(
     """
     import numpy as np
 
+    if not math.isfinite(c):
+        raise ConfigError(f"svm regularization parameter must be finite, got {c}")
     if c <= 0:
         raise ConfigError("svm regularization parameter must be > 0")
     if epochs < 1:
@@ -353,6 +359,8 @@ def train_svm(
         raise SingleClass(f"training set has {len(classes)} class(es); need at least 2")
 
     n, dim = x.shape
+    if not math.isfinite(c * n):
+        raise ConfigError(f"svm regularization parameter {c} times {n} training samples overflows")
     class_index = {class_id: k for k, class_id in enumerate(classes)}
     positive = [class_index[int(v)] for v in y_ids]
     reg = 1.0 / (c * n)

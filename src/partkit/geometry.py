@@ -8,7 +8,6 @@ overlap counts as no overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePointSet, InvertedBox, NonPositiveSide
@@ -116,18 +115,36 @@ def union_area(boxes: Sequence[Box]) -> float:
     Intended for small collections (the per-image region sets hold at most
     five boxes); cost grows as 2^n.
     """
+    return _union_area([(b.x1, b.y1, b.x2, b.y2) for b in boxes])
+
+
+def _union_area(rects: Sequence[tuple[float, float, float, float]]) -> float:
+    # inclusion-exclusion over (x1, y1, x2, y2) tuples.  Level k holds the
+    # non-empty intersections of k rects, each as (index of its last rect,
+    # rect), in itertools.combinations order; a level is summed before the
+    # next, so the sum runs in the order of a per-subset loop.  Each
+    # intersection extends its prefix's, which max and min compute exactly,
+    # and supersets of an empty intersection are never visited.
     total = 0.0
-    n = len(boxes)
-    for k in range(1, n + 1):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for combo in combinations(range(n), k):
-            common = boxes[combo[0]]
-            for idx in combo[1:]:
-                common = intersect(common, boxes[idx])
-                if common is None:
-                    break
-            if common is not None:
-                total += sign * common.area
+    sign = 1.0
+    level = list(enumerate(rects))
+    while level:
+        for _, (x1, y1, x2, y2) in level:
+            total += sign * ((x2 - x1) * (y2 - y1))
+        deeper = []
+        for last, (x1, y1, x2, y2) in level:
+            for j in range(last + 1, len(rects)):
+                bx1, by1, bx2, by2 = rects[j]
+                # max(a, b) and min(a, b) without the calls: each keeps a
+                # unless b is strictly greater (smaller)
+                ix1 = bx1 if bx1 > x1 else x1
+                iy1 = by1 if by1 > y1 else y1
+                ix2 = bx2 if bx2 < x2 else x2
+                iy2 = by2 if by2 < y2 else y2
+                if ix1 < ix2 and iy1 < iy2:
+                    deeper.append((j, (ix1, iy1, ix2, iy2)))
+        level = deeper
+        sign = -sign
     return total
 
 
@@ -140,7 +157,16 @@ def iou_vs_union(candidate: Box, others: Sequence[Box]) -> float:
     """
     if not others:
         return 0.0
-    overlaps = [box for box in (intersect(candidate, o) for o in others) if box]
-    inter_area = union_area(overlaps)
-    total = candidate.area + union_area(list(others)) - inter_area
+    cx1, cy1, cx2, cy2 = candidate.x1, candidate.y1, candidate.x2, candidate.y2
+    rects = [(o.x1, o.y1, o.x2, o.y2) for o in others]
+    overlaps = []
+    for ox1, oy1, ox2, oy2 in rects:
+        x1 = ox1 if ox1 > cx1 else cx1
+        y1 = oy1 if oy1 > cy1 else cy1
+        x2 = ox2 if ox2 < cx2 else cx2
+        y2 = oy2 if oy2 < cy2 else cy2
+        if x1 < x2 and y1 < y2:
+            overlaps.append((x1, y1, x2, y2))
+    inter_area = _union_area(overlaps)
+    total = (cx2 - cx1) * (cy2 - cy1) + _union_area(rects) - inter_area
     return inter_area / total

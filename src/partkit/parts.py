@@ -86,15 +86,3 @@ def kind_from_name(name: str) -> PartKind:
         return _NAME_TO_KIND[name]
     except KeyError:
         raise KeyError(f"unknown part/group name: {name!r}") from None
-
-
-def keypoint_ids_for(kind: PartKind, part_names: dict[int, str]) -> frozenset[int]:
-    """Resolve the keypoint ids feeding ``kind`` from a part-name table.
-
-    ``part_names`` maps part_id -> name as parsed from ``parts/parts.txt``;
-    names are matched case-insensitively.
-    """
-    wanted = KIND_TO_KEYPOINT_NAMES[kind]
-    return frozenset(
-        pid for pid, name in part_names.items() if name.strip().lower() in wanted
-    )

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import ConfigError, DegeneratePointSet, DuplicateId, EmptyCandidates, MalformedLine
+from .errors import (
+    ConfigError,
+    DegeneratePointSet,
+    DuplicateId,
+    EmptyCandidates,
+    InputError,
+    MalformedLine,
+)
 from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
-from .parts import CUB_PART_NAMES, REGION_KINDS, PartKind, keypoint_ids_for, kind_from_name
+from .parts import CUB_PART_NAMES, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind, kind_from_name
 from .seeding import derive_seed
 
 _DEFAULT_ENVELOPE_SCALES = {PartKind.TAIL: 1.0, PartKind.WING: 1.0, PartKind.LEG: 0.6}
@@ -187,8 +195,34 @@ def eliminate_redundant(
     return candidates[tied[tie_rng.randrange(len(tied))]]
 
 
-def _visible_points(keypoints, part_ids: frozenset[int]) -> list[tuple[float, float]]:
-    return [(kp.x, kp.y) for kp in keypoints if kp.visible and kp.part_id in part_ids]
+# keypoint name -> the REGION_KINDS position of the region it feeds; "back"
+# feeds none
+_REGION_OF_KEYPOINT: dict[str, int] = {
+    name: index
+    for index, kind in enumerate(REGION_KINDS)
+    for name in KIND_TO_KEYPOINT_NAMES[kind]
+}
+_CANONICAL_PART_NAMES = {i: name for i, name in enumerate(CUB_PART_NAMES, start=1)}
+
+
+def _visible_points_by_region(
+    keypoints, part_names: Mapping[int, str]
+) -> list[list[tuple[float, float]]]:
+    # one pass over the name table, one over the keypoints; the visible
+    # points of each region kind in REGION_KINDS order, each list in the
+    # keypoints' order
+    points: list[list[tuple[float, float]]] = [[] for _ in REGION_KINDS]
+    bucket_of = {}  # part id -> the point list of its region
+    for pid, name in part_names.items():
+        index = _REGION_OF_KEYPOINT.get(name.strip().lower())
+        if index is not None:
+            bucket_of[pid] = points[index]
+    for kp in keypoints:
+        if kp.visible:
+            bucket = bucket_of.get(kp.part_id)
+            if bucket is not None:
+                bucket.append((kp.x, kp.y))
+    return points
 
 
 def generate_region_set(
@@ -207,28 +241,30 @@ def generate_region_set(
     (cfg.tie_seed, image_id), making the result a pure function of its
     inputs; tie draws are consumed in region order.
     """
-    names = dict(part_names) if part_names else {i: n for i, n in enumerate(CUB_PART_NAMES, start=1)}
+    head_points, breast_points, *envelope_points = _visible_points_by_region(
+        keypoints, part_names or _CANONICAL_PART_NAMES
+    )
     bounds = Box(0.0, 0.0, float(image.width), float(image.height))
-    kps = list(keypoints)
 
     regions: dict[PartKind, Box] = {}
-    head = head_region(_visible_points(kps, keypoint_ids_for(PartKind.HEAD, names)), bounds, cfg)
+    fixed: list[Box] = []  # the regions fixed so far, in REGION_KINDS order
+    head = head_region(head_points, bounds, cfg)
     if head is not None:
         regions[PartKind.HEAD] = head
-    breast = breast_region(
-        _visible_points(kps, keypoint_ids_for(PartKind.BREAST, names)), bounds, cfg
-    )
+        fixed.append(head)
+    breast = breast_region(breast_points, bounds, cfg)
     if breast is not None:
         regions[PartKind.BREAST] = breast
+        fixed.append(breast)
 
     tie_rng = random.Random(derive_seed(cfg.tie_seed, f"tie:{image.image_id}"))
-    for kind in (PartKind.TAIL, PartKind.WING, PartKind.LEG):
-        points = _visible_points(kps, keypoint_ids_for(kind, names))
-        candidates = envelope_region(kind, points, regions.get(PartKind.HEAD), bounds, cfg)
+    for kind, points in zip(REGION_KINDS[2:], envelope_points):
+        candidates = envelope_region(kind, points, head, bounds, cfg)
         if not candidates:
             continue
-        fixed = [regions[k] for k in REGION_KINDS if k in regions]
-        regions[kind] = eliminate_redundant(candidates, fixed, tie_rng)
+        region = eliminate_redundant(candidates, fixed, tie_rng)
+        regions[kind] = region
+        fixed.append(region)
     return PartRegionSet(image_id=image.image_id, regions=regions)
 
 
@@ -256,10 +292,10 @@ def center_crop_box(image, cfg: RegionConfig) -> Box:
 
 def _write_region_line(fh, image_id: int, name: str, box: Box) -> bool:
     # 2-decimal fixed format; slivers below its resolution are omitted
-    x1, y1, x2, y2 = (round(v, 2) for v in (box.x1, box.y1, box.x2, box.y2))
+    x1, y1, x2, y2 = round(box.x1, 2), round(box.y1, 2), round(box.x2, 2), round(box.y2, 2)
     if x1 >= x2 or y1 >= y2:
         return False
-    fh.write(f"{image_id} {name} {x1:.2f} {y1:.2f} {x2:.2f} {y2:.2f}\n")
+    fh.write("%s %s %.2f %.2f %.2f %.2f\n" % (image_id, name, x1, y1, x2, y2))
     return True
 
 
@@ -289,13 +325,18 @@ def read_region_sets(path) -> dict[int, PartRegionSet]:
             raise MalformedLine(path, line_no, f"unknown part name {fields[1]!r}") from None
         if kind not in REGION_KINDS:
             raise MalformedLine(path, line_no, f"{fields[1]!r} is not a part region name")
-        coords = [_parse_float(path, line_no, f, what) for f, what in zip(fields[2:], ("x1", "y1", "x2", "y2"))]
-        if not (coords[0] < coords[2] and coords[1] < coords[3]):
+        x1 = _parse_float(path, line_no, fields[2], "x1")
+        y1 = _parse_float(path, line_no, fields[3], "y1")
+        x2 = _parse_float(path, line_no, fields[4], "x2")
+        y2 = _parse_float(path, line_no, fields[5], "y2")
+        if not (x1 < x2 and y1 < y2):
             raise MalformedLine(path, line_no, "region box requires x1 < x2 and y1 < y2")
-        entry = result.setdefault(image_id, PartRegionSet(image_id=image_id))
-        if kind in entry.regions:
+        entry = result.get(image_id)
+        if entry is None:
+            entry = result[image_id] = PartRegionSet(image_id)
+        elif kind in entry.regions:
             raise DuplicateId("region", (image_id, kind.value))
-        entry.regions[kind] = Box(*coords)
+        entry.regions[kind] = Box(x1, y1, x2, y2)
     return result
 
 
@@ -324,16 +365,25 @@ def export_yolo_labels(
 ) -> list[Path]:
     """One detector label file per image, next to its relative path.
 
-    Lines are '<class_index> <x_center/W> <y_center/H> <w/W> <h/H>' with
-    class indices 0..4 for head, breast, tail, wing, leg and 6-decimal
-    fixed rendering; images without regions produce empty files.
+    The label file is the image's relative path under ``out_dir`` with its
+    suffix replaced by ``.txt``.  Two images mapping to one label file (as
+    ``a/x.jpg`` and ``a/x.png`` do) raise InputError before any file is
+    written.  Lines are '<class_index> <x_center/W> <y_center/H> <w/W>
+    <h/H>' with class indices 0..4 for head, breast, tail, wing, leg and
+    6-decimal fixed rendering; images without regions produce empty files.
     """
     out = Path(out_dir)
-    written: list[Path] = []
+    image_ids = sorted(images)
+    label_paths = [(out / images[i].relative_path).with_suffix(".txt") for i in image_ids]
+    # sorting brings equal paths side by side; a dict or set of the paths
+    # would add about 0.6 MB to the peak of a 6000-image gen-regions
+    for name, following in pairwise(sorted(map(str, label_paths))):
+        if name == following:
+            first, second, *_ = [i for i, p in zip(image_ids, label_paths) if str(p) == name]
+            raise InputError(f"images {first} and {second} map to one label file {name}")
     made: set[Path] = set()
-    for image_id in sorted(images):
+    for image_id, label_path in zip(image_ids, label_paths):
         image = images[image_id]
-        label_path = (out / image.relative_path).with_suffix(".txt")
         if label_path.parent not in made:
             label_path.parent.mkdir(parents=True, exist_ok=True)
             made.add(label_path.parent)
@@ -350,8 +400,7 @@ def export_yolo_labels(
                     f"{box.width / image.width:.6f} {box.height / image.height:.6f}"
                 )
         label_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        written.append(label_path)
-    return written
+    return label_paths
 
 
 def read_yolo_labels(path, image_width: float, image_height: float) -> list[tuple[int, Box]]:

@@ -244,25 +244,31 @@ def synth_features(cfg: SynthConfig, dataset: Dataset) -> list[tuple[int, PartKi
     """
     import numpy as np
 
-    rng = random.Random(derive_seed(cfg.seed, "features"))
+    dim = cfg.feature_dim
+    # Random.uniform(a, b) is a + (b - a) * random(); calling random()
+    # directly draws the same stream without a method call per value
+    draw = random.Random(derive_seed(cfg.seed, "features")).random
     name_of = {i: name for i, name in enumerate(CUB_PART_NAMES, start=1)}
+    # per group: the keypoint names that make it exist (None: always
+    # exists), whether it carries the marker, and its noise interval
+    plan = []
+    for group in GROUP_ORDER:
+        signal = group in cfg.signal_groups
+        low, high = (-0.1, 0.1) if signal else (-1.0, 1.0)
+        plan.append((group, KIND_TO_KEYPOINT_NAMES.get(group), signal, low, high - low))
     records: list[tuple[int, PartKind, np.ndarray]] = []
     for image_id in dataset.image_ids():
         class_id = dataset.images[image_id].class_id
         visible_names = {
             name_of[kp.part_id] for kp in dataset.keypoints_of(image_id) if kp.visible
         }
-        for group in GROUP_ORDER:
-            if group in REGION_KINDS:
-                if not (KIND_TO_KEYPOINT_NAMES[group] & visible_names):
-                    continue
-            vector = np.zeros(cfg.feature_dim, dtype=np.float64)
-            if group in cfg.signal_groups:
-                vector[(class_id - 1) % cfg.feature_dim] = 2.0
-                noise = [rng.uniform(-0.1, 0.1) for _ in range(cfg.feature_dim)]
-            else:
-                noise = [rng.uniform(-1.0, 1.0) for _ in range(cfg.feature_dim)]
-            vector += np.array(noise)
+        for group, names, signal, low, width in plan:
+            if names is not None and not (names & visible_names):
+                continue
+            vector = np.array([low + width * draw() for _ in range(dim)])
+            if signal:
+                # noise + 2.0 is the sum 2.0 + noise of a marker added to noise
+                vector[(class_id - 1) % dim] += 2.0
             records.append((image_id, group, vector))
     return records
 

@@ -89,6 +89,34 @@ class TestUsageAndConfig:
         assert capsys.readouterr().out.startswith("images=2 ")
 
 
+class TestNonFiniteConfigFloats:
+    """A float config value that is not finite is a config error naming
+    its line, whatever command reads it."""
+
+    INPUTS = {"classify": ("features", "labels", "split"), "gen-regions": ("dataset",)}
+
+    @pytest.mark.parametrize(
+        "line, command",
+        [
+            ("svm_c = inf", "classify"),  # was a ZeroDivisionError traceback
+            ("svm_c = nan", "classify"),  # trained a NaN model and exited 0
+            ("pad_w = nan", "gen-regions"),  # exited 1 on an unrelated invalid box
+            ("envelope_scale_leg = inf", "gen-regions"),  # was accepted
+            ("breast_pad_w = -inf", "gen-regions"),
+        ],
+    )
+    def test_exit_two_with_the_line(self, corpus, tmp_path, capsys, line, command):
+        cfg = tmp_path / "toolkit.cfg"
+        cfg.write_text(f"# line 1\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        inputs = [str(corpus[name]) for name in self.INPUTS[command]]
+        assert main([command, *inputs, "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: bad value for {line.split()[0]}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestValidate:
     def test_summary_line(self, tmp_path, capsys):
         root = tmp_path / "data"
@@ -163,6 +191,29 @@ class TestGenRegions:
         (root / "images.txt").write_text(f"1 a.jpg\n2 {outside}\n3 c.jpg\n")
         assert main(["gen-regions", str(root), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "outside").exists()
+
+
+class TestLabelPathCollisions:
+    """Two images whose label files would be one file are an input error,
+    raised before any label file is written."""
+
+    @pytest.mark.parametrize(
+        "image_lines, ids",
+        [
+            (["1 a/x.jpg", "2 a/x.png", "3 a/y.jpg"], "1 and 2"),  # only the suffixes differ
+            (["1 a/x.jpg", "2 b/y.jpg", "3 a/x.jpg"], "1 and 3"),  # one path twice
+        ],
+    )
+    @pytest.mark.parametrize("command", ["gen-regions", "export-yolo"])
+    def test_exit_one_and_no_label_written(self, tmp_path, capsys, command, image_lines, ids):
+        root = tmp_path / "data"
+        build_tree(root, toy_images(3))
+        (root / "images.txt").write_text("".join(f"{line}\n" for line in image_lines))
+        out = tmp_path / "out"
+        assert main([command, str(root), "--out", str(out)]) == 1
+        label = out / "labels" / "a" / "x.txt"
+        assert capsys.readouterr().err == f"error: images {ids} map to one label file {label}\n"
+        assert not list(out.glob("labels/**/*.txt"))
 
 
 class TestExportYolo:

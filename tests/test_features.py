@@ -66,6 +66,54 @@ def full_store(tmp_path, image_ids=(1, 2), dim=DIM, skip=()):
     return FeatureStore.load(path)
 
 
+class TestWriteFeatureRecords:
+    """The writer formats a record at a time; its bytes are pinned against
+    per-component f"{v:.6f}"."""
+
+    @staticmethod
+    def per_value_bytes(records) -> bytes:
+        return "".join(
+            f"{image_id}\t{group.value}\t{' '.join(f'{v:.6f}' for v in vector)}\n"
+            for image_id, group, vector in records
+        ).encode("utf-8")
+
+    def test_edge_values(self, tmp_path):
+        # the doubles nearest 5e-7 and 2.5e-6 lie just below and just above
+        # the decimal, so they round down and up
+        subnormal = 5e-324
+        edges = [-0.0, -4e-7, 5e-7, 2.5e-6, 1e15, subnormal, -subnormal, 0.0000005, 1.0000005]
+        records = [
+            (1, PartKind.ORIGINAL, np.array(edges)),
+            (2, PartKind.HEAD, np.array(edges[::-1])),
+            (3, PartKind.TAIL, np.array([-0.0])),
+        ]
+        path = tmp_path / "f.tsv"
+        write_feature_records(records, path)
+        assert path.read_bytes() == self.per_value_bytes(records)
+        assert path.read_text().splitlines()[0].split("\t")[2].split()[:6] == [
+            "-0.000000", "-0.000000", "0.000000", "0.000003", "1000000000000000.000000", "0.000000"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_per_value_format(self, vectors):
+        # lengths differ between records, so each length gets its own format
+        records = [
+            (i, GROUP_ORDER[i % len(GROUP_ORDER)], np.array(v, dtype=np.float64))
+            for i, v in enumerate(vectors, start=1)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.tsv"
+            write_feature_records(records, path)
+            assert path.read_bytes() == self.per_value_bytes(records)
+
+
 class TestFeatureStore:
     def test_load_counts_and_lookup(self, tmp_path):
         store = full_store(tmp_path)
@@ -644,6 +692,14 @@ class TestTrainSvm:
             train_svm(samples, labels, c=0.0)
         with pytest.raises(ConfigError):
             train_svm(samples, labels, epochs=0)
+
+    @pytest.mark.parametrize("c", [float("inf"), float("nan"), 1e308])
+    def test_non_finite_regularization_rejected(self, c):
+        # inf made reg = 1/(c*n) zero and the step a ZeroDivisionError, nan
+        # trained a NaN model, and 1e308 times 6 samples overflows to inf
+        samples, labels = two_class_problem()
+        with pytest.raises(ConfigError, match="svm regularization parameter"):
+            train_svm(samples, labels, c=c)
 
     def test_missing_label(self):
         samples, labels = two_class_problem()

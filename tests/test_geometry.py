@@ -3,6 +3,8 @@ unit-cell counting oracle that never touches the closed-form arithmetic."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,81 @@ def union_area_oracle(boxes) -> float:
     for box in boxes:
         mask |= cell_mask(box)
     return float(mask.sum())
+
+
+def union_area_reference(boxes) -> float:
+    """The Box-based inclusion-exclusion that ``union_area`` replaced: every
+    subset by size in combinations order, intersected left to right."""
+    total = 0.0
+    n = len(boxes)
+    for k in range(1, n + 1):
+        sign = 1.0 if k % 2 == 1 else -1.0
+        for combo in combinations(range(n), k):
+            common = boxes[combo[0]]
+            for idx in combo[1:]:
+                common = intersect(common, boxes[idx])
+                if common is None:
+                    break
+            if common is not None:
+                total += sign * common.area
+    return total
+
+
+def iou_vs_union_reference(candidate: Box, others) -> float:
+    """The Box-based ``iou_vs_union`` the tuple kernel replaced."""
+    if not others:
+        return 0.0
+    overlaps = [box for box in (intersect(candidate, o) for o in others) if box]
+    inter_area = union_area_reference(overlaps)
+    total = candidate.area + union_area_reference(list(others)) - inter_area
+    return inter_area / total
+
+
+# a few grid values make touching, nested and identical boxes common; the
+# free floats exercise rounding in the products and the sum
+COORDS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.25, 3.0, 7.1, 10.0]),
+    st.floats(0.0, 200.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def boxes(draw):
+    x1, x2 = sorted((draw(COORDS), draw(COORDS)))
+    y1, y2 = sorted((draw(COORDS), draw(COORDS)))
+    if not (x1 < x2 and y1 < y2):
+        x2, y2 = x1 + 1.0, y1 + 1.0
+    return Box(x1, y1, x2, y2)
+
+
+@st.composite
+def related_box(draw, to: Box):
+    """A box identical to, nested in, touching, disjoint from or unrelated
+    to ``to``."""
+    relation = draw(st.sampled_from(["identical", "nested", "touching", "disjoint", "any"]))
+    if relation == "identical":
+        return Box(to.x1, to.y1, to.x2, to.y2)
+    if relation == "nested":
+        fx1, fx2 = sorted((draw(st.floats(0, 1)), draw(st.floats(0, 1))))
+        fy1, fy2 = sorted((draw(st.floats(0, 1)), draw(st.floats(0, 1))))
+        x1, x2 = to.x1 + fx1 * to.width, to.x1 + fx2 * to.width
+        y1, y2 = to.y1 + fy1 * to.height, to.y1 + fy2 * to.height
+        return Box(x1, y1, x2, y2) if x1 < x2 and y1 < y2 else to
+    if relation == "touching":
+        # shares the right edge (zero-area contact) or the top-left corner
+        if draw(st.booleans()):
+            return Box(to.x2, to.y1, to.x2 + draw(st.floats(0.5, 50)), to.y2)
+        return Box(to.x1 - 3.0, to.y1 - 2.0, to.x1, to.y1)
+    if relation == "disjoint":
+        return Box(to.x2 + 1.0, to.y2 + 1.0, to.x2 + 5.0, to.y2 + 4.0)
+    return draw(boxes())
+
+
+@st.composite
+def candidate_and_others(draw):
+    candidate = draw(boxes())
+    count = draw(st.integers(0, 4))
+    return candidate, [draw(related_box(candidate)) for _ in range(count)]
 
 
 def int_boxes():
@@ -223,6 +300,36 @@ class TestUnionArea:
     @given(st.lists(int_boxes(), min_size=1, max_size=4))
     def test_matches_cell_counting_oracle(self, boxes):
         assert union_area(boxes) == pytest.approx(union_area_oracle(boxes), abs=1e-9)
+
+
+def outcome(fn, *args):
+    """The result, or the type of the exception raised."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+class TestAgainstBoxReference:
+    """The tuple kernels give exactly (``==``) what the Box-based
+    inclusion-exclusion gave, for 0-4 other boxes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(candidate_and_others())
+    def test_iou_vs_union(self, case):
+        # boxes whose areas underflow to 0 divide by zero in both
+        candidate, others = case
+        assert outcome(iou_vs_union, candidate, others) == outcome(
+            iou_vs_union_reference, candidate, others
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(candidate_and_others())
+    def test_union_area(self, case):
+        candidate, others = case
+        every = [candidate, *others]
+        assert union_area(every) == union_area_reference(every)
+        assert union_area(others) == union_area_reference(others)
 
 
 class TestIouVsUnion:

@@ -19,7 +19,6 @@ from partkit.parts import (
     KIND_TO_KEYPOINT_NAMES,
     REGION_KINDS,
     PartKind,
-    keypoint_ids_for,
     kind_from_name,
 )
 from partkit.regions import (
@@ -85,11 +84,6 @@ class TestPartVocabulary:
         assert kind_from_name("original") is PartKind.ORIGINAL
         with pytest.raises(KeyError):
             kind_from_name("torso")
-
-    def test_keypoint_ids_for_canonical_numbering(self):
-        names = {i: n for i, n in enumerate(CUB_PART_NAMES, start=1)}
-        assert keypoint_ids_for(PartKind.BREAST, names) == frozenset({3, 4})
-        assert keypoint_ids_for(PartKind.HEAD, names) == frozenset({2, 5, 6, 7, 10, 11, 15})
 
 
 class TestRegionConfig:
@@ -285,6 +279,19 @@ class TestGenerateRegionSet:
     def test_deterministic_across_runs(self):
         image, kps, cfg = _record(), _keypoints(set(CUB_PART_NAMES)), RegionConfig()
         assert generate_region_set(image, kps, cfg) == generate_region_set(image, kps, cfg)
+
+    def test_part_table_numbering_and_case_are_followed(self):
+        # parts.txt may number the keypoints in any order and spell their
+        # names in any case with surrounding spaces; regions follow the names
+        canonical = _keypoints(set(CUB_PART_NAMES) - {"left leg"})
+        ids = list(range(1, len(CUB_PART_NAMES) + 1))
+        random.Random(4).shuffle(ids)
+        new_id = dict(zip(range(1, len(CUB_PART_NAMES) + 1), ids))
+        names = {new_id[i]: f" {name.upper()} " for i, name in enumerate(CUB_PART_NAMES, start=1)}
+        renumbered = [KeyPoint(kp.image_id, new_id[kp.part_id], kp.x, kp.y, kp.visible) for kp in canonical]
+        expected = generate_region_set(_record(), canonical, RegionConfig())
+        assert set(expected.regions) == set(REGION_KINDS)
+        assert generate_region_set(_record(), renumbered, RegionConfig(), names) == expected
 
     def test_tie_seed_changes_only_tie_outcomes(self):
         # wings symmetric about an empty scene: pure tie

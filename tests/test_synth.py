@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from partkit.dataset_io import Split, parse_dataset, parse_detections, read_spli
 from partkit.detection import compute_pcp, select_all
 from partkit.errors import ConfigError
 from partkit.features import BASELINE_GROUPS, FeatureStore
-from partkit.parts import CUB_PART_NAMES, GROUP_ORDER, REGION_KINDS, PartKind
+from partkit.parts import CUB_PART_NAMES, GROUP_ORDER, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
 from partkit.regions import RegionConfig, generate_all, read_region_sets
 from partkit.seeding import derive_seed
 from partkit.synth import (
@@ -207,7 +208,56 @@ class TestSynthDetections:
             synth_detections(region_sets, distractor_score=1.5)
 
 
+def synth_features_reference(cfg: SynthConfig, dataset):
+    """The per-value ``Random.uniform`` form ``synth_features`` replaced: a
+    zero vector, the marker set to 2.0, then the noise array added."""
+    rng = random.Random(derive_seed(cfg.seed, "features"))
+    name_of = {i: name for i, name in enumerate(CUB_PART_NAMES, start=1)}
+    records = []
+    for image_id in dataset.image_ids():
+        class_id = dataset.images[image_id].class_id
+        visible_names = {
+            name_of[kp.part_id] for kp in dataset.keypoints_of(image_id) if kp.visible
+        }
+        for group in GROUP_ORDER:
+            if group in REGION_KINDS and not (KIND_TO_KEYPOINT_NAMES[group] & visible_names):
+                continue
+            vector = np.zeros(cfg.feature_dim, dtype=np.float64)
+            if group in cfg.signal_groups:
+                vector[(class_id - 1) % cfg.feature_dim] = 2.0
+                noise = [rng.uniform(-0.1, 0.1) for _ in range(cfg.feature_dim)]
+            else:
+                noise = [rng.uniform(-1.0, 1.0) for _ in range(cfg.feature_dim)]
+            vector += np.array(noise)
+            records.append((image_id, group, vector))
+    return records
+
+
 class TestSynthFeatures:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(num_classes=5, images_per_class=4, feature_dim=7, seed=3),
+            SynthConfig(num_classes=3, images_per_class=6, feature_dim=1, part_dropout=0.5, seed=8),
+            SynthConfig(
+                num_classes=4,
+                images_per_class=3,
+                feature_dim=16,
+                signal_groups=frozenset({PartKind.HEAD, PartKind.ORIGINAL}),
+                dropout_overrides={"leg": 1.0},
+                seed=11,
+            ),
+        ],
+    )
+    def test_noise_is_the_random_uniform_stream(self, cfg):
+        dataset = synth_dataset(cfg)
+        actual = synth_features(cfg, dataset)
+        expected = synth_features_reference(cfg, dataset)
+        assert [(i, g) for i, g, _ in actual] == [(i, g) for i, g, _ in expected]
+        for (_, _, a), (_, _, b) in zip(actual, expected):
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+
     def test_signal_structure(self):
         cfg = SynthConfig(num_classes=3, images_per_class=2, feature_dim=8)
         dataset = synth_dataset(cfg)

@@ -81,9 +81,10 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     out = _resolve_out(args, config)
     region_cfg = config.region_config()
     region_sets = generate_all(dataset, region_cfg)
+    # labels first: their path-collision check raises before any output exists
+    export_yolo_labels(region_sets, dataset.images, out / "labels")
     write_region_sets(region_sets, out / "gt_regions.txt")
     write_crop_manifest(dataset, region_sets, region_cfg, out / "crop_manifest.txt")
-    export_yolo_labels(region_sets, dataset.images, out / "labels")
     total = sum(len(rs.regions) for rs in region_sets.values())
     print(f"images={len(dataset.images)} regions={total}")
     return 0
@@ -138,8 +139,9 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
         groups = config.group_order
     train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
     test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
+    # one fused split at a time: the train matrix is dropped before the
+    # test matrix is built
     train = fuse(store, train_ids, groups, config.group_order, config.l2_normalize)
-    test = fuse(store, test_ids, groups, config.group_order, config.l2_normalize)
     model = train_svm(
         train,
         labels,
@@ -147,11 +149,14 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
         epochs=config.svm_epochs,
         seed=derive_seed(config.seed, "svm"),
     )
+    train_rows = len(train)
+    del train
+    test = fuse(store, test_ids, groups, config.group_order, config.l2_normalize)
     accuracy = evaluate_accuracy(model, test, labels)
     out = _resolve_out(args, config)
     save_model(model, out / "model.svm")
     (out / "accuracy.tsv").write_text(
-        f"train\t{len(train)}\ntest\t{len(test)}\naccuracy\t{accuracy:.4f}\n",
+        f"train\t{train_rows}\ntest\t{len(test)}\naccuracy\t{accuracy:.4f}\n",
         encoding="utf-8",
     )
     print(f"accuracy={accuracy:.4f}")

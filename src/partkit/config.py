@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .dataset_io import _first_non_utf8_line
 from .errors import BadRatios, ConfigError, MissingFile
+from .parsing import _first_non_utf8_line
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 from .regions import RegionConfig
 from .synth import SynthConfig

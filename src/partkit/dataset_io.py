@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .detection import Detection
 from .errors import (
@@ -27,10 +27,10 @@ from .errors import (
     InvertedBox,
     KeypointOutOfBounds,
     MalformedLine,
-    MissingFile,
     ScoreOutOfRange,
 )
 from .geometry import Box
+from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int
 from .parts import CUB_PART_NAMES, REGION_KINDS, kind_from_name
 
 
@@ -88,53 +88,6 @@ class Dataset:
         return [self.keypoints[image_id][pid] for pid in sorted(self.keypoints[image_id])]
 
 
-# --- low-level line reading ---------------------------------------------------
-
-
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
-    if not path.is_file():
-        raise MissingFile(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").strip()
-                if line:
-                    yield line_no, line
-    except UnicodeDecodeError:
-        raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
-
-
-def _first_non_utf8_line(path: Path) -> int:
-    # text-mode reads decode in chunks, so the failing read does not know
-    # its line; find it in the raw bytes
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return 1  # the file changed after the failed read
-
-
-def _parse_int(path: Path, line_no: int, token: str, what: str, minimum: int | None = None) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise MalformedLine(path, line_no, f"{what} is not an integer: {token!r}") from None
-    if minimum is not None and value < minimum:
-        raise MalformedLine(path, line_no, f"{what} must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_float(path: Path, line_no: int, token: str, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise MalformedLine(path, line_no, f"{what} is not a number: {token!r}") from None
-    if not math.isfinite(value):
-        raise MalformedLine(path, line_no, f"{what} is not finite: {token!r}")
-    return value
-
-
 def _fmt(value: float) -> str:
     # repr round-trips doubles exactly and is platform-stable
     return repr(float(value))
@@ -149,7 +102,8 @@ def parse_dataset(root_dir) -> Dataset:
     Requires ``images.txt``, ``image_class_labels.txt``, ``classes.txt``,
     ``image_sizes.txt``, ``parts/parts.txt`` and ``parts/part_locs.txt``
     under ``root_dir``.  Any dangling id, duplicate, malformed line, or
-    visible keypoint outside its image is rejected.
+    visible keypoint outside its image is rejected.  Keypoints built from
+    equal tokens share one int or float object.
     """
     root = Path(root_dir)
 
@@ -239,15 +193,17 @@ def parse_dataset(root_dir) -> Dataset:
             raise DanglingReference("class label", image_id)
 
     keypoints: dict[int, dict[int, KeyPoint]] = {image_id: {} for image_id in paths}
+    ids: dict[str, int] = {}
+    coords: dict[str, float] = {}
     p = root / "parts" / "part_locs.txt"
     for line_no, line in _lines(p):
         fields = line.split()
         if len(fields) != 5:
             raise MalformedLine(p, line_no, "expected '<image_id> <part_id> <x> <y> <visible>'")
-        image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
-        part_id = _parse_int(p, line_no, fields[1], "part_id", minimum=1)
-        x = _parse_float(p, line_no, fields[2], "x")
-        y = _parse_float(p, line_no, fields[3], "y")
+        image_id = _memo_int(ids, p, line_no, fields[0], "image_id", minimum=1)
+        part_id = _memo_int(ids, p, line_no, fields[1], "part_id", minimum=1)
+        x = _memo_float(coords, p, line_no, fields[2], "x")
+        y = _memo_float(coords, p, line_no, fields[3], "y")
         if fields[4] not in ("0", "1"):
             raise MalformedLine(p, line_no, f"visible flag must be 0 or 1, got {fields[4]!r}")
         visible = fields[4] == "1"

@@ -29,7 +29,8 @@ from .errors import (
     ToolkitError,
     UnknownImage,
 )
-from .dataset_io import Split, _first_non_utf8_line, _lines
+from .dataset_io import Split
+from .parsing import _first_non_utf8_line, _lines
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 
 if TYPE_CHECKING:
@@ -274,15 +275,19 @@ def fuse(
         rows.append([-1 if image_rows[s] is None else image_rows[s] for s in slots])
     rows = np.array(rows, dtype=np.intp).reshape(len(ids), len(selected))
     present = rows >= 0
-    blocks = store._matrix[rows[present]]
+    vectors = np.zeros((len(ids), len(selected), store.dim), dtype=np.float64)
+    # one block column at a time: the only intermediate is one group's
+    # gathered rows, freed before the next group's are gathered
+    for column in range(len(selected)):
+        have = present[:, column]
+        vectors[have, column] = store._matrix[rows[have, column]]
     if l2_normalize:
-        for block in blocks:
+        for i, j in zip(*present.nonzero()):
+            block = vectors[i, j]
             # the 1-D norm of each block: a norm along an axis sums in another order
             norm = np.linalg.norm(block)
             if norm > 0:
                 block /= norm
-    vectors = np.zeros((len(ids), len(selected), store.dim), dtype=np.float64)
-    vectors[present] = blocks
     return FusedMatrix(
         image_ids=tuple(ids),
         groups=selected,
@@ -551,10 +556,11 @@ def run_combination_experiment(
     part_groups = [g for g in order if g not in BASELINE_GROUPS]
 
     def accuracy_for(groups: Sequence[PartKind]) -> float:
-        train = fuse(store, train_ids, groups, order, l2_normalize)
-        test = fuse(store, test_ids, groups, order, l2_normalize)
-        model = train_svm(train, labels, c=c, epochs=epochs, seed=seed)
-        return evaluate_accuracy(model, test, labels)
+        # one fused split at a time
+        model = train_svm(
+            fuse(store, train_ids, groups, order, l2_normalize), labels, c=c, epochs=epochs, seed=seed
+        )
+        return evaluate_accuracy(model, fuse(store, test_ids, groups, order, l2_normalize), labels)
 
     single = {kind: accuracy_for((kind,)) for kind in part_groups}
     ranked = sorted(part_groups, key=lambda k: (-single[k], order.index(k)))

@@ -65,13 +65,18 @@ def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1].
 
     Symmetric; exactly 1.0 for identical boxes, 0.0 when the interiors are
-    disjoint (shared edges do not count).
+    disjoint (shared edges do not count).  Boxes so small that the union
+    area is not positive (every area underflows to 0, as for sides about
+    1e-200 wide) have no measurable overlap and score 0.0.
     """
     inter = intersect(a, b)
     if inter is None:
         return 0.0
     inter_area = inter.area
-    return inter_area / (a.area + b.area - inter_area)
+    union = a.area + b.area - inter_area
+    if not union > 0.0:
+        return 0.0
+    return inter_area / union
 
 
 def minimal_rect(points: Iterable[tuple[float, float]]) -> Box:
@@ -153,7 +158,8 @@ def iou_vs_union(candidate: Box, others: Sequence[Box]) -> float:
 
     Both the intersection area (union of pairwise overlaps) and the union
     area are computed exactly by inclusion-exclusion.  Returns 0.0 when
-    ``others`` is empty.
+    ``others`` is empty, and when the union area is not positive (every
+    area underflows to 0): such boxes have no measurable overlap.
     """
     if not others:
         return 0.0
@@ -169,4 +175,6 @@ def iou_vs_union(candidate: Box, others: Sequence[Box]) -> float:
             overlaps.append((x1, y1, x2, y2))
     inter_area = _union_area(overlaps)
     total = (cx2 - cx1) * (cy2 - cy1) + _union_area(rects) - inter_area
+    if not total > 0.0:
+        return 0.0
     return inter_area / total

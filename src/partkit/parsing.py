@@ -1,0 +1,76 @@
+"""Line reading and token parsing shared by every text-format reader.
+
+``_parse_int`` and ``_parse_float`` parse one token and raise the
+``MalformedLine`` that names its file, line and field.  ``_memo_int`` and
+``_memo_float`` run the same helpers once per distinct token and keep the
+value in a per-call dict, so records built from repeated tokens share one
+int or float object; a rejected token is never stored, so it raises again,
+with the field name of the lookup that met it.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+from typing import Iterator
+
+from .errors import MalformedLine, MissingFile
+
+
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    if not path.is_file():
+        raise MissingFile(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").strip()
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError:
+        raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
+
+
+def _first_non_utf8_line(path: Path) -> int:
+    # text-mode reads decode in chunks, so the failing read does not know
+    # its line; find it in the raw bytes
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1  # the file changed after the failed read
+
+
+def _parse_int(path: Path, line_no: int, token: str, what: str, minimum: int | None = None) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise MalformedLine(path, line_no, f"{what} is not an integer: {token!r}") from None
+    if minimum is not None and value < minimum:
+        raise MalformedLine(path, line_no, f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _parse_float(path: Path, line_no: int, token: str, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise MalformedLine(path, line_no, f"{what} is not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise MalformedLine(path, line_no, f"{what} is not finite: {token!r}")
+    return value
+
+
+def _memo_int(memo: dict, path: Path, line_no: int, token: str, what: str, minimum: int | None = None) -> int:
+    # one memo per rule: a value stored under one minimum is returned unchecked
+    value = memo.get(token)
+    if value is None:
+        value = memo[token] = _parse_int(path, line_no, token, what, minimum)
+    return value
+
+
+def _memo_float(memo: dict, path: Path, line_no: int, token: str, what: str) -> float:
+    value = memo.get(token)
+    if value is None:
+        value = memo[token] = _parse_float(path, line_no, token, what)
+    return value

@@ -25,6 +25,7 @@ from .errors import (
     MalformedLine,
 )
 from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
+from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int
 from .parts import CUB_PART_NAMES, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind, kind_from_name
 from .seeding import derive_seed
 
@@ -310,25 +311,26 @@ def write_region_sets(region_sets: Mapping[int, PartRegionSet], path) -> None:
 
 
 def read_region_sets(path) -> dict[int, PartRegionSet]:
-    from .dataset_io import _lines, _parse_float, _parse_int  # shared line plumbing
-
+    """Read region lines; boxes built from equal tokens share one float."""
     path = Path(path)
     result: dict[int, PartRegionSet] = {}
+    ids: dict[str, int] = {}
+    coords: dict[str, float] = {}
     for line_no, line in _lines(path):
         fields = line.split()
         if len(fields) != 6:
             raise MalformedLine(path, line_no, "expected '<image_id> <part_name> <x1> <y1> <x2> <y2>'")
-        image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
+        image_id = _memo_int(ids, path, line_no, fields[0], "image_id", minimum=1)
         try:
             kind = kind_from_name(fields[1])
         except KeyError:
             raise MalformedLine(path, line_no, f"unknown part name {fields[1]!r}") from None
         if kind not in REGION_KINDS:
             raise MalformedLine(path, line_no, f"{fields[1]!r} is not a part region name")
-        x1 = _parse_float(path, line_no, fields[2], "x1")
-        y1 = _parse_float(path, line_no, fields[3], "y1")
-        x2 = _parse_float(path, line_no, fields[4], "x2")
-        y2 = _parse_float(path, line_no, fields[5], "y2")
+        x1 = _memo_float(coords, path, line_no, fields[2], "x1")
+        y1 = _memo_float(coords, path, line_no, fields[3], "y1")
+        x2 = _memo_float(coords, path, line_no, fields[4], "x2")
+        y2 = _memo_float(coords, path, line_no, fields[5], "y2")
         if not (x1 < x2 and y1 < y2):
             raise MalformedLine(path, line_no, "region box requires x1 < x2 and y1 < y2")
         entry = result.get(image_id)
@@ -406,8 +408,6 @@ def export_yolo_labels(
 def read_yolo_labels(path, image_width: float, image_height: float) -> list[tuple[int, Box]]:
     """Denormalize a label file back to (class_index, Box) pairs."""
     path = Path(path)
-    from .dataset_io import _lines, _parse_float, _parse_int
-
     boxes: list[tuple[int, Box]] = []
     for line_no, line in _lines(path):
         fields = line.split()

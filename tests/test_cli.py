@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+import partkit.cli
+import partkit.features
 from partkit.cli import main
 from conftest import build_tree, toy_images
 
@@ -30,6 +33,32 @@ def corpus(tmp_path_factory):
 def read_tree(root):
     files = sorted(p for p in root.rglob("*") if p.is_file())
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in files}
+
+
+def spy_on_splits(monkeypatch, module):
+    """Record the ``fuse`` and ``train_svm`` calls made through ``module``.
+
+    A fuse event notes whether every matrix fused before it was already
+    freed; "trained" marks a ``train_svm`` return.
+    """
+    events = []
+    fused = []
+    real_fuse, real_train = module.fuse, module.train_svm
+
+    def fuse(*args, **kwargs):
+        events.append(("fuse", all(ref() is None for ref in fused)))
+        result = real_fuse(*args, **kwargs)
+        fused.append(weakref.ref(result))
+        return result
+
+    def train_svm(*args, **kwargs):
+        model = real_train(*args, **kwargs)
+        events.append("trained")
+        return model
+
+    monkeypatch.setattr(module, "fuse", fuse)
+    monkeypatch.setattr(module, "train_svm", train_svm)
+    return events
 
 
 class TestUsageAndConfig:
@@ -192,6 +221,17 @@ class TestGenRegions:
         assert main(["gen-regions", str(root), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "outside").exists()
 
+    def test_keypoints_clustered_at_underflowing_distances(self, tmp_path, capsys):
+        # every box area underflows to 0, so the overlap scores divide 0 by 0
+        rows = [
+            f"1 {p} {1e-200 if p % 2 else 0.0} {1e-200 if p % 3 else 0.0} 1" for p in range(1, 16)
+        ]
+        root = build_tree(tmp_path / "data", toy_images(1), part_rows=rows)
+        assert main(["gen-regions", str(root), "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("images=1 regions=")
+        assert captured.err == ""
+
 
 class TestLabelPathCollisions:
     """Two images whose label files would be one file are an input error,
@@ -214,6 +254,16 @@ class TestLabelPathCollisions:
         label = out / "labels" / "a" / "x.txt"
         assert capsys.readouterr().err == f"error: images {ids} map to one label file {label}\n"
         assert not list(out.glob("labels/**/*.txt"))
+
+    def test_gen_regions_writes_no_output(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        build_tree(root, toy_images(3))
+        (root / "images.txt").write_text("1 a/x.jpg\n2 a/x.png\n3 a/y.jpg\n")
+        out = tmp_path / "out"
+        assert main(["gen-regions", str(root), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
 
 class TestExportYolo:
@@ -302,6 +352,16 @@ class TestEvalPcp:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "head\t2\t3\t0.6667"
 
+    def test_boxes_with_underflowing_areas_score_no_overlap(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1 head 0 0 1e-200 1e-200\n", encoding="utf-8")
+        dets = tmp_path / "dets.txt"
+        dets.write_text("1 head 0.9 0 0 1e-200 1e-200\n", encoding="utf-8")
+        assert main(["eval-pcp", str(gt), str(dets)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "head\t0\t1\t0.0000"
+        assert captured.err == ""
+
     def test_missing_detection_file(self, corpus, tmp_path, capsys):
         assert main(["eval-pcp", str(corpus["gt_regions"]), str(tmp_path / "none.txt")]) == 1
         capsys.readouterr()
@@ -327,6 +387,14 @@ class TestClassify:
         assert (out / "model.svm").is_file()
         content = (out / "accuracy.tsv").read_text(encoding="utf-8")
         assert content == "train\t20\ntest\t12\naccuracy\t1.0000\n"
+
+    def test_test_split_fused_after_training_with_train_matrix_freed(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        events = spy_on_splits(monkeypatch, partkit.cli)
+        assert self.run_classify(corpus, tmp_path / "clf") == 0
+        capsys.readouterr()
+        assert events == [("fuse", True), "trained", ("fuse", True)]
 
     def test_model_file_reproducible(self, corpus, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -392,6 +460,14 @@ class TestClassify:
 
 
 class TestCombination:
+    def test_one_fused_split_at_a_time(self, corpus, capsys, monkeypatch):
+        events = spy_on_splits(monkeypatch, partkit.features)
+        argv = ["combination", str(corpus["features"]), str(corpus["labels"]), str(corpus["split"])]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # five single parts, then the baseline and five grown combinations
+        assert events == [("fuse", True), "trained", ("fuse", True)] * 11
+
     def test_rows_and_out_file(self, corpus, tmp_path, capsys):
         out = tmp_path / "comb"
         argv = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,30 @@ class TestFuse:
                     assert np.all(values == 0.0)
                 else:
                     np.testing.assert_array_equal(values, store.get(1, group))
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_peak_is_output_plus_one_block_column(self, l2):
+        images, dim = 200, 512
+        rng = np.random.default_rng(0)
+        store = FeatureStore(
+            {
+                (image_id, group): rng.standard_normal(dim)
+                for image_id in range(1, images + 1)
+                for group in GROUP_ORDER
+                if (image_id + GROUP_ORDER.index(group)) % 5
+            },
+            dim,
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fused = fuse(store, range(1, images + 1), GROUP_ORDER, l2_normalize=l2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        column = images * dim * 8
+        # the per-image index lists and arrays take well under 64 KiB here
+        assert peak <= fused.vectors.nbytes + column + 64 * 1024
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -33,11 +33,11 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # stratified split: each class is allocated by largest remainder, then
     # shuffled with a seeded generator, so reruns agree exactly
-    assignments = split_dataset(dataset, (0.5, 0.25, 0.25), seed=7)
-    counts = {split: 0 for split in Split}
-    for assignment in assignments:
-        counts[assignment.split] += 1
+    split = split_dataset(dataset, (0.5, 0.25, 0.25), seed=7)
+    counts = {s: 0 for s in Split}
+    for s in split.values():
+        counts[s] += 1
     print(f"\nsplit sizes: " + ", ".join(f"{s.name}={n}" for s, n in counts.items()))
 
     rerun = split_dataset(dataset, (0.5, 0.25, 0.25), seed=7)
-    print(f"identical on rerun: {assignments == rerun}")
+    print(f"identical on rerun: {split == rerun}")

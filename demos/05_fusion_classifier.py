@@ -43,8 +43,7 @@ print(f"leg block all zero: {bool((leg_block == 0.0).all())}")
 present = [g.value for g, p in zip(fused.groups, fused.present[0]) if p]
 print(f"groups present: {', '.join(sorted(present))}")
 
-assignments = split_dataset(dataset, (0.5, 0.25, 0.25), seed=3)
-split = {a.image_id: a.split for a in assignments}
+split = split_dataset(dataset, (0.5, 0.25, 0.25), seed=3)
 train_ids = sorted(i for i, s in split.items() if s is Split.TRAIN)
 test_ids = sorted(i for i, s in split.items() if s is Split.TEST)
 print(f"\nsplit: {len(train_ids)} train / {len(test_ids)} test")

@@ -5,133 +5,10 @@ regions (padded keypoint rectangles and head-referenced square envelopes),
 detector label export, detection post-processing with localization scoring,
 and zero-filled multi-region feature fusion into a linear SVM, plus a
 deterministic synthetic corpus generator for end-to-end testing.
+
+Import each name from the module that defines it (``partkit.config``,
+``partkit.regions``, ``partkit.detection``, ``partkit.features``, ...);
+importing the package itself loads none of them.
 """
 
-from .config import ToolkitConfig, load_config, parse_config_text
-from .dataset_io import (
-    Dataset,
-    ImageRecord,
-    KeyPoint,
-    Split,
-    SplitAssignment,
-    parse_dataset,
-    parse_detections,
-    read_labels,
-    read_split,
-    split_dataset,
-    write_dataset,
-    write_detections,
-    write_split,
-)
-from .detection import (
-    Detection,
-    PcpEntry,
-    PcpReport,
-    compute_pcp,
-    filter_training_boxes,
-    select_all,
-    select_valid_parts,
-)
-from .errors import ConfigError, InputError, ToolkitError
-from .features import (
-    CombinationSpec,
-    ExperimentResult,
-    ExperimentRow,
-    FeatureStore,
-    FusedMatrix,
-    SvmModel,
-    evaluate_accuracy,
-    fuse,
-    load_model,
-    predict,
-    run_combination_experiment,
-    save_model,
-    train_svm,
-    write_feature_records,
-)
-from .geometry import Box, clip, intersect, iou, iou_vs_union, minimal_rect, union_area
-from .parts import CUB_PART_NAMES, GROUP_ORDER, REGION_KINDS, PartKind
-from .regions import (
-    PartRegionSet,
-    RegionConfig,
-    eliminate_redundant,
-    export_yolo_labels,
-    generate_all,
-    generate_region_set,
-    read_region_sets,
-    write_crop_manifest,
-    write_region_sets,
-)
-from .seeding import derive_seed
-from .synth import SynthConfig, synth_corpus, synth_dataset, synth_detections, synth_features
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Box",
-    "CombinationSpec",
-    "ConfigError",
-    "CUB_PART_NAMES",
-    "Dataset",
-    "Detection",
-    "ExperimentResult",
-    "ExperimentRow",
-    "FeatureStore",
-    "FusedMatrix",
-    "GROUP_ORDER",
-    "ImageRecord",
-    "InputError",
-    "KeyPoint",
-    "PartKind",
-    "PartRegionSet",
-    "PcpEntry",
-    "PcpReport",
-    "REGION_KINDS",
-    "RegionConfig",
-    "Split",
-    "SplitAssignment",
-    "SvmModel",
-    "SynthConfig",
-    "ToolkitConfig",
-    "ToolkitError",
-    "clip",
-    "compute_pcp",
-    "derive_seed",
-    "eliminate_redundant",
-    "evaluate_accuracy",
-    "export_yolo_labels",
-    "filter_training_boxes",
-    "fuse",
-    "generate_all",
-    "generate_region_set",
-    "intersect",
-    "iou",
-    "iou_vs_union",
-    "load_config",
-    "load_model",
-    "minimal_rect",
-    "parse_config_text",
-    "parse_dataset",
-    "parse_detections",
-    "predict",
-    "read_labels",
-    "read_region_sets",
-    "read_split",
-    "run_combination_experiment",
-    "save_model",
-    "select_all",
-    "select_valid_parts",
-    "split_dataset",
-    "synth_corpus",
-    "synth_dataset",
-    "synth_detections",
-    "synth_features",
-    "train_svm",
-    "union_area",
-    "write_crop_manifest",
-    "write_dataset",
-    "write_detections",
-    "write_feature_records",
-    "write_region_sets",
-    "write_split",
-]

@@ -202,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    workered = argparse.ArgumentParser(add_help=False)
-    workered.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
-
     parser = argparse.ArgumentParser(
         prog="partkit",
         description="part-region generation, localization scoring and fused classification",
@@ -219,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gen-regions",
-        parents=[common, workered],
+        parents=[common],
         help="generate part regions, crop manifest and detector labels",
     )
     p.add_argument("root", nargs="?", default=None, help="dataset root directory")
     p.set_defaults(handler=cmd_gen_regions)
 
-    p = sub.add_parser("export-yolo", parents=[common, workered], help="write detector label files")
+    p = sub.add_parser("export-yolo", parents=[common], help="write detector label files")
     p.add_argument("root", nargs="?", default=None, help="dataset root directory")
     p.add_argument("--regions", default=None, help="existing region file (default: generate)")
     p.set_defaults(handler=cmd_export_yolo)
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("detections", help="detection file")
     p.set_defaults(handler=cmd_eval_pcp)
 
-    p = sub.add_parser("classify", parents=[common, workered], help="train and test the classifier")
+    p = sub.add_parser("classify", parents=[common], help="train and test the classifier")
     p.add_argument("features", help="feature TSV")
     p.add_argument("labels", help="image class label file")
     p.add_argument("split", help="split assignment file")
@@ -243,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser(
-        "combination",
-        parents=[common, workered],
-        help="incremental part-combination experiment",
+        "combination", parents=[common], help="incremental part-combination experiment"
     )
     p.add_argument("features", help="feature TSV")
     p.add_argument("labels", help="image class label file")

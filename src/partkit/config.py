@@ -9,9 +9,9 @@ with defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .errors import BadRatios, ConfigError, MissingFile
 from .parsing import _first_non_utf8_line
@@ -151,41 +151,16 @@ class ToolkitConfig:
         return replace(self, seed=seed)
 
 
-_PARSERS = {
-    "pad_w": _parse_float,
-    "pad_h": _parse_float,
-    "breast_pad_w": _parse_optional_float,
-    "breast_pad_h": _parse_optional_float,
-    "envelope_scale_tail": _parse_float,
-    "envelope_scale_wing": _parse_float,
-    "envelope_scale_leg": _parse_float,
-    "head_fallback_fraction": _parse_float,
-    "center_crop_fraction": _parse_float,
-    "tie_seed": int,
-    "train_iou_min": _parse_float,
-    "score_min": _parse_float,
-    "pcp_iou_min": _parse_float,
-    "svm_c": _parse_float,
-    "svm_epochs": int,
-    "l2_normalize": _parse_bool,
-    "group_order": parse_group_list,
-    "seed": int,
-    "train_frac": _parse_float,
-    "val_frac": _parse_float,
-    "test_frac": _parse_float,
-    "synth_classes": int,
-    "synth_images_per_class": int,
-    "synth_image_size": int,
-    "synth_jitter": _parse_float,
-    "synth_score_noise": _parse_float,
-    "synth_part_dropout": _parse_float,
-    "synth_feature_dim": int,
-    "synth_signal_groups": parse_group_list,
-    "data_root": str,
-    "out_dir": str,
+# each key's value is parsed by the parser of its field type
+_PARSER_OF_TYPE = {
+    float: _parse_float,
+    Optional[float]: _parse_optional_float,
+    int: int,
+    bool: _parse_bool,
+    tuple[PartKind, ...]: parse_group_list,
+    str: str,
 }
-
-assert set(_PARSERS) == {f.name for f in fields(ToolkitConfig)}
+_PARSERS = {name: _PARSER_OF_TYPE[hint] for name, hint in get_type_hints(ToolkitConfig).items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
@@ -208,7 +183,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
             values[key] = _PARSERS[key](raw_value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{line_no}: bad value for {key}: {exc}") from None
-    return ToolkitConfig(**values)
+    try:
+        return ToolkitConfig(**values)
+    except ConfigError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 def load_config(path=None) -> ToolkitConfig:

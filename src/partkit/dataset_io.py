@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .detection import Detection
 from .errors import (
@@ -56,12 +56,6 @@ class Split(enum.IntEnum):
     TRAIN = 0
     VAL = 1
     TEST = 2
-
-
-@dataclass(frozen=True)
-class SplitAssignment:
-    image_id: int
-    split: Split
 
 
 @dataclass
@@ -115,7 +109,7 @@ def parse_dataset(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, "expected '<image_id> <relative_path>'")
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         if image_id in paths:
-            raise DuplicateId("image", image_id)
+            raise DuplicateId(p, line_no, "image", image_id)
         # label files are written at <out>/labels/<relative_path>.txt
         parts = fields[1].split("/")
         if not parts[0] or ".." in parts or parts[-1] in ("", "."):
@@ -134,9 +128,9 @@ def parse_dataset(root_dir) -> Dataset:
         width = _parse_int(p, line_no, fields[1], "width", minimum=1)
         height = _parse_int(p, line_no, fields[2], "height", minimum=1)
         if image_id not in paths:
-            raise DanglingReference("image", image_id)
+            raise DanglingReference(p, line_no, "image", image_id)
         if image_id in sizes:
-            raise DuplicateId("image size", image_id)
+            raise DuplicateId(p, line_no, "image size", image_id)
         sizes[image_id] = (width, height)
 
     class_names: dict[int, str] = {}
@@ -147,7 +141,7 @@ def parse_dataset(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, "expected '<class_id> <class_name>'")
         class_id = _parse_int(p, line_no, fields[0], "class_id", minimum=1)
         if class_id in class_names:
-            raise DuplicateId("class", class_id)
+            raise DuplicateId(p, line_no, "class", class_id)
         class_names[class_id] = fields[1]
 
     labels: dict[int, int] = {}
@@ -159,11 +153,11 @@ def parse_dataset(root_dir) -> Dataset:
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         class_id = _parse_int(p, line_no, fields[1], "class_id", minimum=1)
         if image_id not in paths:
-            raise DanglingReference("image", image_id)
+            raise DanglingReference(p, line_no, "image", image_id)
         if class_id not in class_names:
-            raise DanglingReference("class", class_id)
+            raise DanglingReference(p, line_no, "class", class_id)
         if image_id in labels:
-            raise DuplicateId("class label", image_id)
+            raise DuplicateId(p, line_no, "class label", image_id)
         labels[image_id] = class_id
 
     part_names: dict[int, str] = {}
@@ -174,7 +168,7 @@ def parse_dataset(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, "expected '<part_id> <part_name>'")
         part_id = _parse_int(p, line_no, fields[0], "part_id", minimum=1)
         if part_id in part_names:
-            raise DuplicateId("part", part_id)
+            raise DuplicateId(p, line_no, "part", part_id)
         part_names[part_id] = fields[1]
     canonical = {name.lower() for name in CUB_PART_NAMES}
     declared = {name.strip().lower() for name in part_names.values()}
@@ -188,9 +182,9 @@ def parse_dataset(root_dir) -> Dataset:
     # cross-reference completeness: every image needs a size and a label
     for image_id in paths:
         if image_id not in sizes:
-            raise DanglingReference("image size", image_id)
+            raise DanglingReference(root / "image_sizes.txt", None, "image size", image_id)
         if image_id not in labels:
-            raise DanglingReference("class label", image_id)
+            raise DanglingReference(root / "image_class_labels.txt", None, "class label", image_id)
 
     keypoints: dict[int, dict[int, KeyPoint]] = {image_id: {} for image_id in paths}
     ids: dict[str, int] = {}
@@ -208,23 +202,23 @@ def parse_dataset(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, f"visible flag must be 0 or 1, got {fields[4]!r}")
         visible = fields[4] == "1"
         if image_id not in paths:
-            raise DanglingReference("image", image_id)
+            raise DanglingReference(p, line_no, "image", image_id)
         if part_id not in part_names:
-            raise DanglingReference("part", part_id)
+            raise DanglingReference(p, line_no, "part", part_id)
         if x < 0 or y < 0:
             raise MalformedLine(p, line_no, "keypoint coordinates must be non-negative")
         if part_id in keypoints[image_id]:
-            raise DuplicateId("keypoint", (image_id, part_id))
+            raise DuplicateId(p, line_no, "keypoint", (image_id, part_id))
         if visible:
             width, height = sizes[image_id]
             if x > width or y > height:
-                raise KeypointOutOfBounds(image_id, part_id)
+                raise KeypointOutOfBounds(p, line_no, image_id, part_id)
         keypoints[image_id][part_id] = KeyPoint(image_id, part_id, x, y, visible)
 
     for image_id, kps in keypoints.items():
         if len(kps) != len(part_names):
             missing_part = sorted(set(part_names) - set(kps))[0]
-            raise DanglingReference("keypoint", (image_id, missing_part))
+            raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
 
     images = {
         image_id: ImageRecord(
@@ -286,13 +280,14 @@ def split_dataset(
     dataset: Dataset,
     ratios: tuple[float, float, float] = (0.5, 0.2, 0.3),
     seed: int = 0,
-) -> list[SplitAssignment]:
+) -> dict[int, Split]:
     """Stratified train/val/test assignment, deterministic for a fixed seed.
 
     Each class is allocated counts by the largest-remainder rule (remainder
     ties resolved in train, val, test order), then its image ids are sorted
     and shuffled with a seeded Fisher-Yates before slicing, so the result
-    depends only on dataset content, ratios, and seed.
+    depends only on dataset content, ratios, and seed.  The mapping is in
+    ascending image id order, as ``read_split`` returns it.
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise BadRatios(f"ratios must be positive and sum to 1, got {ratios}")
@@ -302,27 +297,25 @@ def split_dataset(
         by_class.setdefault(dataset.images[image_id].class_id, []).append(image_id)
 
     rng = random.Random(seed)
-    assignments: list[SplitAssignment] = []
+    assignments: dict[int, Split] = {}
     for class_id in sorted(by_class):
         ids = sorted(by_class[class_id])
         rng.shuffle(ids)
         n_train, n_val, _ = _largest_remainder(len(ids), ratios)
         for pos, image_id in enumerate(ids):
             if pos < n_train:
-                split = Split.TRAIN
+                assignments[image_id] = Split.TRAIN
             elif pos < n_train + n_val:
-                split = Split.VAL
+                assignments[image_id] = Split.VAL
             else:
-                split = Split.TEST
-            assignments.append(SplitAssignment(image_id, split))
-    assignments.sort(key=lambda a: a.image_id)
-    return assignments
+                assignments[image_id] = Split.TEST
+    return dict(sorted(assignments.items()))
 
 
-def write_split(assignments: Iterable[SplitAssignment], path) -> None:
+def write_split(split: Mapping[int, Split], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for assignment in sorted(assignments, key=lambda a: a.image_id):
-            fh.write(f"{assignment.image_id} {int(assignment.split)}\n")
+        for image_id in sorted(split):
+            fh.write(f"{image_id} {int(split[image_id])}\n")
 
 
 def read_split(path) -> dict[int, Split]:
@@ -336,7 +329,7 @@ def read_split(path) -> dict[int, Split]:
         if fields[1] not in ("0", "1", "2"):
             raise MalformedLine(path, line_no, f"split must be 0, 1 or 2, got {fields[1]!r}")
         if image_id in result:
-            raise DuplicateId("split", image_id)
+            raise DuplicateId(path, line_no, "split", image_id)
         result[image_id] = Split(int(fields[1]))
     return result
 
@@ -352,7 +345,7 @@ def read_labels(path) -> dict[int, int]:
         image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
         class_id = _parse_int(path, line_no, fields[1], "class_id", minimum=1)
         if image_id in labels:
-            raise DuplicateId("class label", image_id)
+            raise DuplicateId(path, line_no, "class label", image_id)
         labels[image_id] = class_id
     return labels
 

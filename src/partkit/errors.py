@@ -29,33 +29,41 @@ class MissingFile(InputError):
         self.path = path
 
 
-class MalformedLine(InputError):
-    def __init__(self, path, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
+class _RecordError(InputError):
+    """Bad record at ``path:line_no``; a ``line_no`` of None blames the file
+    as a whole, for a record it lacks."""
+
+    def __init__(self, path, line_no, message: str):
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line_no = line_no
+
+
+class MalformedLine(_RecordError):
+    def __init__(self, path, line_no: int, reason: str):
+        super().__init__(path, line_no, reason)
         self.reason = reason
 
 
-class DanglingReference(InputError):
-    def __init__(self, kind: str, ref_id: int):
-        super().__init__(f"dangling {kind} reference: {ref_id}")
+class DanglingReference(_RecordError):
+    def __init__(self, path, line_no, kind: str, ref_id):
+        super().__init__(path, line_no, f"dangling {kind} reference: {ref_id}")
         self.kind = kind
         self.ref_id = ref_id
 
 
-class DuplicateId(InputError):
-    def __init__(self, kind: str, ref_id):
-        super().__init__(f"duplicate {kind} id: {ref_id}")
+class DuplicateId(_RecordError):
+    def __init__(self, path, line_no: int, kind: str, ref_id):
+        super().__init__(path, line_no, f"duplicate {kind} id: {ref_id}")
         self.kind = kind
         self.ref_id = ref_id
 
 
-class KeypointOutOfBounds(InputError):
-    def __init__(self, image_id: int, part_id: int):
-        super().__init__(
-            f"visible keypoint (image {image_id}, part {part_id}) lies outside the image"
-        )
+class KeypointOutOfBounds(_RecordError):
+    def __init__(self, path, line_no: int, image_id: int, part_id: int):
+        message = f"visible keypoint (image {image_id}, part {part_id}) lies outside the image"
+        super().__init__(path, line_no, message)
         self.image_id = image_id
         self.part_id = part_id
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -78,9 +78,6 @@ class PartRegionSet:
 
     image_id: int
     regions: dict[PartKind, Box] = field(default_factory=dict)
-
-    def boxes_in_order(self) -> list[Box]:
-        return [self.regions[k] for k in REGION_KINDS if k in self.regions]
 
 
 def padded_rect(points: Sequence[tuple[float, float]], pad_w: float, pad_h: float) -> Box:
@@ -337,7 +334,7 @@ def read_region_sets(path) -> dict[int, PartRegionSet]:
         if entry is None:
             entry = result[image_id] = PartRegionSet(image_id)
         elif kind in entry.regions:
-            raise DuplicateId("region", (image_id, kind.value))
+            raise DuplicateId(path, line_no, "region", (image_id, kind.value))
         entry.regions[kind] = Box(x1, y1, x2, y2)
     return result
 

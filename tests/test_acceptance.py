@@ -260,8 +260,7 @@ def test_07_svm_separability(report):
         cfg = SynthConfig(num_classes=4, images_per_class=20, seed=0)
         dataset = synth_dataset(cfg)
         labels = {i: img.class_id for i, img in dataset.images.items()}
-        assignments = split_dataset(dataset, (0.5, 0.25, 0.25), seed=derive_seed(0, "split"))
-        split = {a.image_id: a.split for a in assignments}
+        split = split_dataset(dataset, (0.5, 0.25, 0.25), seed=derive_seed(0, "split"))
         train_ids = sorted(i for i, s in split.items() if s is Split.TRAIN)
         test_ids = sorted(i for i, s in split.items() if s is Split.TEST)
         assert len(train_ids) == 40
@@ -298,8 +297,7 @@ def test_08_combination_shape(report):
         )
         dataset = synth_dataset(cfg)
         labels = {i: img.class_id for i, img in dataset.images.items()}
-        assignments = split_dataset(dataset, (0.5, 0.25, 0.25), seed=derive_seed(1, "split"))
-        split = {a.image_id: a.split for a in assignments}
+        split = split_dataset(dataset, (0.5, 0.25, 0.25), seed=derive_seed(1, "split"))
         store = store_of(synth_features(cfg, dataset), cfg.feature_dim)
         n_test = sum(1 for s in split.values() if s is Split.TEST)
 
@@ -351,8 +349,8 @@ def test_09_cli_determinism(report, tmp_path, capsys):
         assert capsys.readouterr().out == first
 
         regions = [tmp_path / name for name in ("regions_a", "regions_b", "regions_c")]
-        for out, workers in zip(regions, ("1", "1", "4")):
-            assert main(["gen-regions", dataset, "--out", str(out), "--workers", workers]) == 0
+        for out in regions:
+            assert main(["gen-regions", dataset, "--out", str(out)]) == 0
         assert tree_digest(regions[0]) == tree_digest(regions[1]) == tree_digest(regions[2])
 
         yolos = [tmp_path / name for name in ("yolo_a", "yolo_b")]
@@ -366,11 +364,8 @@ def test_09_cli_determinism(report, tmp_path, capsys):
         assert tree_digest(pcps[0]) == tree_digest(pcps[1])
 
         classifies = [tmp_path / name for name in ("clf_a", "clf_b", "clf_c")]
-        for out, workers in zip(classifies, ("1", "1", "4")):
-            rc = main(
-                ["classify", features, labels, split, "--out", str(out), "--workers", workers]
-            )
-            assert rc == 0
+        for out in classifies:
+            assert main(["classify", features, labels, split, "--out", str(out)]) == 0
         assert tree_digest(classifies[0]) == tree_digest(classifies[1]) == tree_digest(classifies[2])
 
         combos = [tmp_path / name for name in ("comb_a", "comb_b")]

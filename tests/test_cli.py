@@ -11,7 +11,7 @@ import pytest
 import partkit.cli
 import partkit.features
 from partkit.cli import main
-from conftest import build_tree, toy_images
+from conftest import build_tree, default_part_rows, toy_images
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,21 @@ class TestUsageAndConfig:
         assert main(["validate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.startswith("images=2 ")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("score_min = 1.5", "score_min must be in [0, 1]"),
+            ("synth_classes = 1", "num_classes must be >= 2"),
+        ],
+    )
+    def test_range_error_names_the_config_file(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {message}")
+        assert err.count("\n") == 1
+
 
 class TestNonFiniteConfigFloats:
     """A float config value that is not finite is a config error naming
@@ -188,6 +203,64 @@ class TestValidate:
         assert "images.txt:2" in err
 
 
+class TestReaderErrorsNameFileAndLine:
+    """A duplicate, dangling or out-of-image record names its file and line;
+    a record missing after a file is read names the file that lacks it."""
+
+    def validate_error(self, root, capsys):
+        assert main(["validate", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_duplicate_id(self, tmp_path, capsys):
+        root = build_tree(tmp_path / "data", toy_images(2))
+        (root / "images.txt").write_text("1 a.jpg\n1 b.jpg\n", encoding="utf-8")
+        err = self.validate_error(root, capsys)
+        assert err == f"error: {root / 'images.txt'}:2: duplicate image id: 1\n"
+
+    def test_dangling_reference(self, tmp_path, capsys):
+        root = build_tree(tmp_path / "data", toy_images(2))
+        labels = root / "image_class_labels.txt"
+        labels.write_text(labels.read_text(encoding="utf-8") + "99 1\n", encoding="utf-8")
+        err = self.validate_error(root, capsys)
+        assert err == f"error: {labels}:3: dangling image reference: 99\n"
+
+    def test_keypoint_out_of_bounds(self, tmp_path, capsys):
+        rows = default_part_rows([1])
+        rows[3] = "1 4 250.0 10.0 1"
+        root = build_tree(tmp_path / "data", toy_images(1), part_rows=rows)
+        err = self.validate_error(root, capsys)
+        locs = root / "parts" / "part_locs.txt"
+        assert err == (
+            f"error: {locs}:4: visible keypoint (image 1, part 4) lies outside the image\n"
+        )
+
+    def test_missing_record_names_the_file(self, tmp_path, capsys):
+        root = build_tree(tmp_path / "data", toy_images(2))
+        (root / "image_sizes.txt").write_text("1 200 200\n", encoding="utf-8")
+        err = self.validate_error(root, capsys)
+        assert err == f"error: {root / 'image_sizes.txt'}: dangling image size reference: 2\n"
+
+    def test_duplicate_split_id(self, corpus, tmp_path, capsys):
+        lines = corpus["split"].read_text(encoding="utf-8").splitlines(keepends=True)
+        split = tmp_path / "split.txt"
+        split.write_text("".join(lines[:5] + lines[4:5]), encoding="utf-8")
+        image_id = lines[4].split()[0]
+        argv = ["classify", str(corpus["features"]), str(corpus["labels"]), str(split)]
+        assert main([*argv, "--out", str(tmp_path / "clf")]) == 1
+        assert capsys.readouterr().err == f"error: {split}:6: duplicate split id: {image_id}\n"
+
+    def test_duplicate_region(self, corpus, tmp_path, capsys):
+        lines = corpus["gt_regions"].read_text(encoding="utf-8").splitlines(keepends=True)
+        gt = tmp_path / "gt_regions.txt"
+        gt.write_text("".join(lines[:2] + lines[:1]), encoding="utf-8")
+        image_id, name = lines[0].split()[:2]
+        assert main(["eval-pcp", str(gt), str(corpus["detections"])]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {gt}:3: duplicate region id: ({image_id}, '{name}')\n"
+
+
 class TestGenRegions:
     def test_outputs_and_summary(self, corpus, tmp_path, capsys):
         out = tmp_path / "regions"
@@ -203,13 +276,10 @@ class TestGenRegions:
         capsys.readouterr()
         assert (out / "gt_regions.txt").read_bytes() == corpus["gt_regions"].read_bytes()
 
-    def test_rerun_and_worker_count_are_byte_identical(self, corpus, tmp_path, capsys):
+    def test_three_reruns_are_byte_identical(self, corpus, tmp_path, capsys):
         outs = [tmp_path / name for name in ("a", "b", "c")]
-        for out, workers in zip(outs, ("1", "1", "4")):
-            rc = main(
-                ["gen-regions", str(corpus["dataset"]), "--out", str(out), "--workers", workers]
-            )
-            assert rc == 0
+        for out in outs:
+            assert main(["gen-regions", str(corpus["dataset"]), "--out", str(out)]) == 0
         capsys.readouterr()
         assert read_tree(outs[0]) == read_tree(outs[1]) == read_tree(outs[2])
 
@@ -541,3 +611,31 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0
     assert "gen-regions" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-regions", "root"],
+        ["export-yolo", "root"],
+        ["classify", "f.tsv", "l.txt", "s.txt"],
+        ["combination", "f.tsv", "l.txt", "s.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_workers_option_is_a_usage_error_without_traceback(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "partkit.cli", *argv, "--workers", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --workers 4" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_package_root_loads_no_stage_module():
+    code = "import sys, partkit; print(sorted(m for m in sys.modules if m.startswith('partkit.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

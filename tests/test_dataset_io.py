@@ -175,23 +175,23 @@ class TestSplitDataset:
 
     def test_ten_images_exact_proportions(self):
         ds = self._dataset({1: 10})
-        assignments = split_dataset(ds, (0.5, 0.2, 0.3), seed=7)
+        split = split_dataset(ds, (0.5, 0.2, 0.3), seed=7)
         counts = {s: 0 for s in Split}
-        for a in assignments:
-            counts[a.split] += 1
+        for s in split.values():
+            counts[s] += 1
         assert counts == {Split.TRAIN: 5, Split.VAL: 2, Split.TEST: 3}
 
     def test_every_image_exactly_once(self):
         ds = self._dataset({1: 7, 2: 5, 3: 1})
-        assignments = split_dataset(ds, (0.5, 0.2, 0.3), seed=3)
-        assert sorted(a.image_id for a in assignments) == sorted(ds.images)
+        split = split_dataset(ds, (0.5, 0.2, 0.3), seed=3)
+        # every image once, in ascending id order
+        assert list(split) == sorted(ds.images)
 
     def test_single_image_goes_to_train(self):
         # largest remainder on quotas (0.5, 0.2, 0.3): floors are all zero and
         # the one leftover goes to the largest fractional part, 0.5 -> train
         ds = self._dataset({1: 1})
-        (assignment,) = split_dataset(ds, (0.5, 0.2, 0.3), seed=0)
-        assert assignment.split == Split.TRAIN
+        assert split_dataset(ds, (0.5, 0.2, 0.3), seed=0) == {1: Split.TRAIN}
 
     def test_insertion_order_does_not_matter(self):
         ds = self._dataset({1: 6, 2: 9})
@@ -227,7 +227,7 @@ class TestSplitDataset:
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
     def test_per_class_counts_match_largest_remainder(self, class_sizes, seed):
         ds = self._dataset({i + 1: n for i, n in enumerate(class_sizes)})
-        assignments = {a.image_id: a.split for a in split_dataset(ds, (0.5, 0.2, 0.3), seed=seed)}
+        assignments = split_dataset(ds, (0.5, 0.2, 0.3), seed=seed)
         for class_id, n in ((i + 1, n) for i, n in enumerate(class_sizes)):
             ids = [i for i in ds.images if ds.images[i].class_id == class_id]
             got = [sum(1 for i in ids if assignments[i] == s) for s in Split]
@@ -235,10 +235,11 @@ class TestSplitDataset:
 
     def test_split_file_round_trip(self, tmp_path):
         ds = self._dataset({1: 5, 2: 5})
-        assignments = split_dataset(ds, seed=2)
-        write_split(assignments, tmp_path / "split.txt")
+        split = split_dataset(ds, seed=2)
+        write_split(split, tmp_path / "split.txt")
         loaded = read_split(tmp_path / "split.txt")
-        assert loaded == {a.image_id: a.split for a in assignments}
+        assert loaded == split
+        assert list(loaded) == list(split)
 
     def test_read_split_rejects_bad_flag(self, tmp_path):
         (tmp_path / "split.txt").write_text("1 3\n")

@@ -39,7 +39,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, "expected '<image_id> <relative_path>'")
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         if image_id in paths:
-            raise DuplicateId("image", image_id)
+            raise DuplicateId(p, line_no, "image", image_id)
         parts = fields[1].split("/")
         if not parts[0] or ".." in parts or parts[-1] in ("", "."):
             raise MalformedLine(
@@ -57,9 +57,9 @@ def parse_dataset_reference(root_dir) -> Dataset:
         width = _parse_int(p, line_no, fields[1], "width", minimum=1)
         height = _parse_int(p, line_no, fields[2], "height", minimum=1)
         if image_id not in paths:
-            raise DanglingReference("image", image_id)
+            raise DanglingReference(p, line_no, "image", image_id)
         if image_id in sizes:
-            raise DuplicateId("image size", image_id)
+            raise DuplicateId(p, line_no, "image size", image_id)
         sizes[image_id] = (width, height)
 
     class_names: dict[int, str] = {}
@@ -70,7 +70,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, "expected '<class_id> <class_name>'")
         class_id = _parse_int(p, line_no, fields[0], "class_id", minimum=1)
         if class_id in class_names:
-            raise DuplicateId("class", class_id)
+            raise DuplicateId(p, line_no, "class", class_id)
         class_names[class_id] = fields[1]
 
     labels: dict[int, int] = {}
@@ -82,11 +82,11 @@ def parse_dataset_reference(root_dir) -> Dataset:
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         class_id = _parse_int(p, line_no, fields[1], "class_id", minimum=1)
         if image_id not in paths:
-            raise DanglingReference("image", image_id)
+            raise DanglingReference(p, line_no, "image", image_id)
         if class_id not in class_names:
-            raise DanglingReference("class", class_id)
+            raise DanglingReference(p, line_no, "class", class_id)
         if image_id in labels:
-            raise DuplicateId("class label", image_id)
+            raise DuplicateId(p, line_no, "class label", image_id)
         labels[image_id] = class_id
 
     part_names: dict[int, str] = {}
@@ -97,7 +97,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, "expected '<part_id> <part_name>'")
         part_id = _parse_int(p, line_no, fields[0], "part_id", minimum=1)
         if part_id in part_names:
-            raise DuplicateId("part", part_id)
+            raise DuplicateId(p, line_no, "part", part_id)
         part_names[part_id] = fields[1]
     canonical = {name.lower() for name in CUB_PART_NAMES}
     declared = {name.strip().lower() for name in part_names.values()}
@@ -110,9 +110,9 @@ def parse_dataset_reference(root_dir) -> Dataset:
 
     for image_id in paths:
         if image_id not in sizes:
-            raise DanglingReference("image size", image_id)
+            raise DanglingReference(root / "image_sizes.txt", None, "image size", image_id)
         if image_id not in labels:
-            raise DanglingReference("class label", image_id)
+            raise DanglingReference(root / "image_class_labels.txt", None, "class label", image_id)
 
     keypoints: dict[int, dict[int, KeyPoint]] = {image_id: {} for image_id in paths}
     p = root / "parts" / "part_locs.txt"
@@ -128,23 +128,23 @@ def parse_dataset_reference(root_dir) -> Dataset:
             raise MalformedLine(p, line_no, f"visible flag must be 0 or 1, got {fields[4]!r}")
         visible = fields[4] == "1"
         if image_id not in paths:
-            raise DanglingReference("image", image_id)
+            raise DanglingReference(p, line_no, "image", image_id)
         if part_id not in part_names:
-            raise DanglingReference("part", part_id)
+            raise DanglingReference(p, line_no, "part", part_id)
         if x < 0 or y < 0:
             raise MalformedLine(p, line_no, "keypoint coordinates must be non-negative")
         if part_id in keypoints[image_id]:
-            raise DuplicateId("keypoint", (image_id, part_id))
+            raise DuplicateId(p, line_no, "keypoint", (image_id, part_id))
         if visible:
             width, height = sizes[image_id]
             if x > width or y > height:
-                raise KeypointOutOfBounds(image_id, part_id)
+                raise KeypointOutOfBounds(p, line_no, image_id, part_id)
         keypoints[image_id][part_id] = KeyPoint(image_id, part_id, x, y, visible)
 
     for image_id, kps in keypoints.items():
         if len(kps) != len(part_names):
             missing_part = sorted(set(part_names) - set(kps))[0]
-            raise DanglingReference("keypoint", (image_id, missing_part))
+            raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
 
     images = {
         image_id: ImageRecord(
@@ -183,7 +183,7 @@ def read_region_sets_reference(path) -> dict[int, PartRegionSet]:
         if entry is None:
             entry = result[image_id] = PartRegionSet(image_id)
         elif kind in entry.regions:
-            raise DuplicateId("region", (image_id, kind.value))
+            raise DuplicateId(path, line_no, "region", (image_id, kind.value))
         entry.regions[kind] = Box(x1, y1, x2, y2)
     return result
 

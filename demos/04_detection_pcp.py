@@ -20,8 +20,7 @@ detections = synth_detections(
 print(f"raw detections: {len(detections)} over {len(dataset.images)} images")
 
 config = ToolkitConfig()
-print(f"score threshold {config.score_min} (strict), "
-      f"training overlap threshold {config.train_iou_min} (inclusive)")
+print(f"score threshold {config.score_min} (strict)")
 
 selected = select_all(detections, config.score_min)
 kept = sum(len(per_image) for per_image in selected.values())

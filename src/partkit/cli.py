@@ -37,6 +37,7 @@ from .features import (
     save_model,
     train_svm,
 )
+from .parts import GROUP_ORDER
 from .regions import (
     export_yolo_labels,
     generate_all,
@@ -97,7 +98,7 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
         region_sets = read_region_sets(args.regions)
         unknown = sorted(set(region_sets) - set(dataset.images))
         if unknown:
-            raise InputError(f"region file references unknown images {unknown[:5]}")
+            raise InputError(f"{args.regions}: regions of images not in the dataset: {unknown[:5]}")
     else:
         region_sets = generate_all(dataset, config.region_config())
     written = export_yolo_labels(region_sets, dataset.images, out / "labels")
@@ -124,24 +125,23 @@ def _load_classification_inputs(args):
     split = read_split(args.split)
     unlabeled = sorted(i for i in store.image_ids if i not in labels)
     if unlabeled:
-        raise InputError(f"feature store images without class labels: {unlabeled[:5]}")
+        raise InputError(f"{args.labels}: no class label for feature store images {unlabeled[:5]}")
     return store, labels, split
 
 
 def cmd_classify(args, config: ToolkitConfig) -> int:
     store, labels, split = _load_classification_inputs(args)
+    groups = GROUP_ORDER
     if args.groups is not None:
         try:
             groups = parse_group_list(args.groups)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    else:
-        groups = config.group_order
     train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
     test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
     # one fused split at a time: the train matrix is dropped before the
     # test matrix is built
-    train = fuse(store, train_ids, groups, config.group_order, config.l2_normalize)
+    train = fuse(store, train_ids, groups, l2_normalize=config.l2_normalize)
     model = train_svm(
         train,
         labels,
@@ -151,7 +151,7 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
     )
     train_rows = len(train)
     del train
-    test = fuse(store, test_ids, groups, config.group_order, config.l2_normalize)
+    test = fuse(store, test_ids, groups, l2_normalize=config.l2_normalize)
     accuracy = evaluate_accuracy(model, test, labels)
     out = _resolve_out(args, config)
     save_model(model, out / "model.svm")
@@ -172,7 +172,6 @@ def cmd_combination(args, config: ToolkitConfig) -> int:
         c=config.svm_c,
         epochs=config.svm_epochs,
         seed=derive_seed(config.seed, "svm"),
-        order=config.group_order,
         l2_normalize=config.l2_normalize,
     )
     tsv = result.to_tsv()

@@ -19,8 +19,6 @@ from .parts import GROUP_ORDER, PartKind, kind_from_name
 from .regions import RegionConfig
 from .synth import SynthConfig
 
-_CANONICAL_GROUP_NAMES = tuple(g.value for g in GROUP_ORDER)
-
 
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
@@ -70,15 +68,13 @@ class ToolkitConfig:
     head_fallback_fraction: float = 0.1
     center_crop_fraction: float = 0.875
     tie_seed: int = 0
-    # detection thresholds and localization scoring
-    train_iou_min: float = 0.6
+    # detection threshold and localization scoring
     score_min: float = 0.3
     pcp_iou_min: float = 0.5
     # classification
     svm_c: float = 1.0
     svm_epochs: int = 50
     l2_normalize: bool = False
-    group_order: tuple[PartKind, ...] = GROUP_ORDER
     # randomness and splitting
     seed: int = 0
     train_frac: float = 0.5
@@ -98,16 +94,10 @@ class ToolkitConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if not 0.0 <= self.train_iou_min <= 1.0:
-            raise ConfigError("train_iou_min must be in [0, 1]")
         if not 0.0 <= self.score_min <= 1.0:
             raise ConfigError("score_min must be in [0, 1]")
         if not 0.0 < self.pcp_iou_min < 1.0:
             raise ConfigError("pcp_iou_min must be in (0, 1)")
-        if sorted(g.value for g in self.group_order) != sorted(_CANONICAL_GROUP_NAMES):
-            raise ConfigError(
-                f"group_order must be a permutation of {', '.join(_CANONICAL_GROUP_NAMES)}"
-            )
         ratios = (self.train_frac, self.val_frac, self.test_frac)
         if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
             raise BadRatios(f"split fractions must be positive and sum to 1, got {ratios}")
@@ -166,6 +156,7 @@ _PARSERS = {name: _PARSER_OF_TYPE[hint] for name, hint in get_type_hints(Toolkit
 def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
     """Parse `key = value` lines; `#` starts a comment, blank lines ignored."""
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,10 +174,20 @@ def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
             values[key] = _PARSERS[key](raw_value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{line_no}: bad value for {key}: {exc}") from None
+        line_of[key] = line_no
     try:
         return ToolkitConfig(**values)
     except ConfigError as exc:
-        raise type(exc)(f"{source}: {exc}") from None
+        error = exc
+    # the first key whose value alone raises the same error is at fault; a
+    # rule broken only by several keys together names the file
+    for key, value in values.items():
+        try:
+            ToolkitConfig(**{key: value})
+        except ConfigError as alone:
+            if str(alone) == str(error):
+                raise type(error)(f"{source}:{line_of[key]}: {error}") from None
+    raise type(error)(f"{source}: {error}") from None
 
 
 def load_config(path=None) -> ToolkitConfig:

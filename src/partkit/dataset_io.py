@@ -24,14 +24,12 @@ from .errors import (
     DanglingReference,
     DuplicateId,
     InputError,
-    InvertedBox,
     KeypointOutOfBounds,
     MalformedLine,
-    ScoreOutOfRange,
 )
 from .geometry import Box
-from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int
-from .parts import CUB_PART_NAMES, REGION_KINDS, kind_from_name
+from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind
+from .parts import CUB_PART_NAMES
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +72,6 @@ class Dataset:
     def image_ids(self) -> list[int]:
         return sorted(self.images)
 
-    def bounds(self, image_id: int) -> Box:
-        rec = self.images[image_id]
-        return Box(0.0, 0.0, float(rec.width), float(rec.height))
-
     def keypoints_of(self, image_id: int) -> list[KeyPoint]:
         return [self.keypoints[image_id][pid] for pid in sorted(self.keypoints[image_id])]
 
@@ -110,9 +104,10 @@ def parse_dataset(root_dir) -> Dataset:
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         if image_id in paths:
             raise DuplicateId(p, line_no, "image", image_id)
-        # label files are written at <out>/labels/<relative_path>.txt
+        # label files are written at <out>/labels/<relative_path>.txt, and no
+        # file name holds a NUL byte
         parts = fields[1].split("/")
-        if not parts[0] or ".." in parts or parts[-1] in ("", "."):
+        if not parts[0] or ".." in parts or parts[-1] in ("", ".") or "\x00" in fields[1]:
             raise MalformedLine(
                 p, line_no, f"relative_path must name a file inside the tree: {fields[1]!r}"
             )
@@ -352,8 +347,6 @@ def read_labels(path) -> dict[int, int]:
 
 # --- detection files ----------------------------------------------------------
 
-_REGION_NAMES = {kind.value for kind in REGION_KINDS}
-
 
 def parse_detections(path) -> list[Detection]:
     """Parse '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>' lines."""
@@ -366,21 +359,16 @@ def parse_detections(path) -> list[Detection]:
                 path, line_no, "expected '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>'"
             )
         image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
-        if fields[1] not in _REGION_NAMES:
-            raise MalformedLine(
-                path, line_no, f"part_name must be one of {sorted(_REGION_NAMES)}, got {fields[1]!r}"
-            )
-        kind = kind_from_name(fields[1])
+        kind = _parse_region_kind(path, line_no, fields[1])
         score = _parse_float(path, line_no, fields[2], "score")
-        if not 0.0 <= score <= 1.0:
-            raise ScoreOutOfRange(f"{path}:{line_no}: score {score} outside [0, 1]")
         x1 = _parse_float(path, line_no, fields[3], "x1")
         y1 = _parse_float(path, line_no, fields[4], "y1")
         x2 = _parse_float(path, line_no, fields[5], "x2")
         y2 = _parse_float(path, line_no, fields[6], "y2")
-        if not (x1 < x2 and y1 < y2):
-            raise InvertedBox(f"{path}:{line_no}: box requires x1 < x2 and y1 < y2")
-        detections.append(Detection(image_id, kind, score, Box(x1, y1, x2, y2)))
+        try:
+            detections.append(Detection(image_id, kind, score, Box(x1, y1, x2, y2)))
+        except InputError as exc:  # a score or box range rule
+            raise type(exc)(f"{path}:{line_no}: {exc}") from None
     return detections
 
 

@@ -9,7 +9,7 @@ selected box overlaps ground truth at or above an IoU cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, InputError, ScoreOutOfRange
 from .geometry import Box, iou
@@ -67,22 +67,9 @@ def _require_single_image(detections: Sequence[Detection]) -> None:
 def select_valid_parts(
     detections: Sequence[Detection], score_min: float
 ) -> dict[PartKind, Detection]:
-    """Best valid detection per part kind for one image.
-
-    A detection is valid only when its score is strictly greater than
-    ``score_min``; among valid ones of the same kind the highest score wins,
-    with exact ties going to the smaller box, then lexicographically
-    smaller corners.
-    """
+    """``select_all`` for the detections of one image."""
     _require_single_image(detections)
-    selected: dict[PartKind, Detection] = {}
-    for kind in REGION_KINDS:
-        valid = [d for d in detections if d.kind is kind and d.score > score_min]
-        if not valid:
-            continue
-        valid.sort(key=lambda d: (-d.score, d.box.area, d.box.x1, d.box.y1, d.box.x2, d.box.y2))
-        selected[kind] = valid[0]
-    return selected
+    return next(iter(select_all(detections, score_min).values()), {})
 
 
 def filter_training_boxes(
@@ -131,18 +118,34 @@ def compute_pcp(
     return report
 
 
-def group_by_image(detections: Iterable[Detection]) -> dict[int, list[Detection]]:
-    grouped: dict[int, list[Detection]] = {}
-    for det in detections:
-        grouped.setdefault(det.image_id, []).append(det)
-    return grouped
+def _rank(det: Detection) -> tuple[float, ...]:
+    box = det.box
+    return (-det.score, box.area, box.x1, box.y1, box.x2, box.y2)
 
 
 def select_all(
     detections: Iterable[Detection], score_min: float
 ) -> dict[int, dict[PartKind, Detection]]:
-    """select_valid_parts applied per image over a mixed detection list."""
+    """Best valid detection per part kind of each image, in one pass.
+
+    A detection is valid only when its score is strictly greater than
+    ``score_min``.  Among valid ones of the same image and kind the least
+    ``_rank`` wins: the highest score, then the smaller box, then the
+    lexicographically smaller corners; an exact tie keeps the earlier one.
+    Images come in ascending id order, kinds in ``REGION_KINDS`` order, and
+    an image with no valid detection maps to ``{}``.
+    """
+    best: dict[int, list[Optional[Detection]]] = {}  # image id -> a slot per region kind
+    for det in detections:
+        slots = best.get(det.image_id)
+        if slots is None:
+            slots = best[det.image_id] = [None] * len(REGION_KINDS)
+        if det.score > score_min and det.kind in REGION_KINDS:
+            slot = REGION_KINDS.index(det.kind)
+            held = slots[slot]
+            if held is None or _rank(det) < _rank(held):
+                slots[slot] = det
     return {
-        image_id: select_valid_parts(dets, score_min)
-        for image_id, dets in sorted(group_by_image(detections).items())
+        image_id: {kind: det for kind, det in zip(REGION_KINDS, best[image_id]) if det is not None}
+        for image_id in sorted(best)
     }

@@ -233,38 +233,36 @@ class FusedMatrix:
         return len(self.image_ids)
 
 
-def normalize_groups(
-    groups: Sequence[PartKind], order: Sequence[PartKind] = GROUP_ORDER
-) -> tuple[PartKind, ...]:
-    """Validate a group selection and put it in canonical order."""
+def normalize_groups(groups: Sequence[PartKind]) -> tuple[PartKind, ...]:
+    """Validate a group selection and put it in ``GROUP_ORDER``."""
     if not groups:
         raise ConfigError("group selection is empty")
     if len(set(groups)) != len(groups):
         raise ConfigError("group selection contains duplicates")
     for g in groups:
-        if g not in order:
+        if g not in GROUP_ORDER:
             raise ConfigError(f"unknown group {g}")
-    return tuple([g for g in order if g in groups])
+    return tuple([g for g in GROUP_ORDER if g in groups])
 
 
 def fuse(
     store: FeatureStore,
     image_ids: Iterable[int],
     groups: Sequence[PartKind],
-    order: Sequence[PartKind] = GROUP_ORDER,
+    *,
     l2_normalize: bool = False,
 ) -> FusedMatrix:
     """Concatenate each image's group vectors, zero-filling absent groups.
 
     Rows follow ascending image id.  Block i of a row covers offsets
-    [i*D, (i+1)*D) for the i-th selected group in canonical order.
+    [i*D, (i+1)*D) for the i-th selected group in ``GROUP_ORDER``.
     ``l2_normalize`` rescales each stored vector to unit length before
     concatenation (zero blocks stay zero).  Raises UnknownImage when the
     store holds nothing at all for an image.
     """
     import numpy as np
 
-    selected = normalize_groups(groups, order)
+    selected = normalize_groups(groups)
     ids = sorted(image_ids)
     slots = [GROUP_ORDER.index(group) for group in selected]
     rows = []
@@ -481,13 +479,15 @@ def load_model(path) -> SvmModel:
         raise MalformedLine(
             path, header_no, f"expected {num_classes} class lines, found {len(lines) - 1}"
         )
+    rows = [(line_no, line.split()) for line_no, line in lines[1:]]
+    # every field count before the arrays: the header alone may claim any size
+    for line_no, fields in rows:
+        if len(fields) != dim + 2:
+            raise MalformedLine(path, line_no, f"expected {dim + 2} fields, found {len(fields)}")
     classes: list[int] = []
     weights = np.zeros((num_classes, dim), dtype=np.float64)
     biases = np.zeros(num_classes, dtype=np.float64)
-    for row, (line_no, line) in enumerate(lines[1:]):
-        fields = line.split()
-        if len(fields) != dim + 2:
-            raise MalformedLine(path, line_no, f"expected {dim + 2} fields, found {len(fields)}")
+    for row, (line_no, fields) in enumerate(rows):
         try:
             class_id = int(fields[0])
             biases[row] = float(fields[1])
@@ -539,7 +539,6 @@ def run_combination_experiment(
     c: float = 1.0,
     epochs: int = 50,
     seed: int = 0,
-    order: Sequence[PartKind] = GROUP_ORDER,
     l2_normalize: bool = False,
 ) -> ExperimentResult:
     """Incremental part-combination study.
@@ -553,17 +552,19 @@ def run_combination_experiment(
     train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
     test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
 
-    part_groups = [g for g in order if g not in BASELINE_GROUPS]
+    part_groups = [g for g in GROUP_ORDER if g not in BASELINE_GROUPS]
 
     def accuracy_for(groups: Sequence[PartKind]) -> float:
         # one fused split at a time
         model = train_svm(
-            fuse(store, train_ids, groups, order, l2_normalize), labels, c=c, epochs=epochs, seed=seed
+            fuse(store, train_ids, groups, l2_normalize=l2_normalize),
+            labels, c=c, epochs=epochs, seed=seed,
         )
-        return evaluate_accuracy(model, fuse(store, test_ids, groups, order, l2_normalize), labels)
+        test = fuse(store, test_ids, groups, l2_normalize=l2_normalize)
+        return evaluate_accuracy(model, test, labels)
 
     single = {kind: accuracy_for((kind,)) for kind in part_groups}
-    ranked = sorted(part_groups, key=lambda k: (-single[k], order.index(k)))
+    ranked = sorted(part_groups, key=lambda k: -single[k])
 
     rows: list[ExperimentRow] = []
     current: list[PartKind] = list(BASELINE_GROUPS)

@@ -1,11 +1,11 @@
 """Line reading and token parsing shared by every text-format reader.
 
-``_parse_int`` and ``_parse_float`` parse one token and raise the
-``MalformedLine`` that names its file, line and field.  ``_memo_int`` and
-``_memo_float`` run the same helpers once per distinct token and keep the
-value in a per-call dict, so records built from repeated tokens share one
-int or float object; a rejected token is never stored, so it raises again,
-with the field name of the lookup that met it.
+``_parse_int``, ``_parse_float`` and ``_parse_region_kind`` parse one token
+and raise the ``MalformedLine`` that names its file, line and field.
+``_memo_int`` and ``_memo_float`` run the same helpers once per distinct
+token and keep the value in a per-call dict, so records built from repeated
+tokens share one int or float object; a rejected token is never stored, so
+it raises again, with the field name of the lookup that met it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import MalformedLine, MissingFile
+from .parts import REGION_KIND_OF_NAME, PartKind
 
 
 def _lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -59,6 +60,14 @@ def _parse_float(path: Path, line_no: int, token: str, what: str) -> float:
     if not math.isfinite(value):
         raise MalformedLine(path, line_no, f"{what} is not finite: {token!r}")
     return value
+
+
+def _parse_region_kind(path: Path, line_no: int, token: str) -> PartKind:
+    kind = REGION_KIND_OF_NAME.get(token)
+    if kind is None:
+        names = sorted(REGION_KIND_OF_NAME)
+        raise MalformedLine(path, line_no, f"part_name must be one of {names}, got {token!r}")
+    return kind
 
 
 def _memo_int(memo: dict, path: Path, line_no: int, token: str, what: str, minimum: int | None = None) -> int:

@@ -79,6 +79,9 @@ KIND_TO_KEYPOINT_NAMES: dict[PartKind, frozenset[str]] = {
 
 _NAME_TO_KIND = {k.value: k for k in PartKind}
 
+#: The part kinds a region or detection line may name, by file-format name.
+REGION_KIND_OF_NAME: dict[str, PartKind] = {k.value: k for k in REGION_KINDS}
+
 
 def kind_from_name(name: str) -> PartKind:
     """Look up a PartKind by its lowercase file-format name."""

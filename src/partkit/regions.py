@@ -25,8 +25,8 @@ from .errors import (
     MalformedLine,
 )
 from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
-from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int
-from .parts import CUB_PART_NAMES, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind, kind_from_name
+from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind
+from .parts import CUB_PART_NAMES, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
 from .seeding import derive_seed
 
 _DEFAULT_ENVELOPE_SCALES = {PartKind.TAIL: 1.0, PartKind.WING: 1.0, PartKind.LEG: 0.6}
@@ -318,24 +318,21 @@ def read_region_sets(path) -> dict[int, PartRegionSet]:
         if len(fields) != 6:
             raise MalformedLine(path, line_no, "expected '<image_id> <part_name> <x1> <y1> <x2> <y2>'")
         image_id = _memo_int(ids, path, line_no, fields[0], "image_id", minimum=1)
-        try:
-            kind = kind_from_name(fields[1])
-        except KeyError:
-            raise MalformedLine(path, line_no, f"unknown part name {fields[1]!r}") from None
-        if kind not in REGION_KINDS:
-            raise MalformedLine(path, line_no, f"{fields[1]!r} is not a part region name")
+        kind = _parse_region_kind(path, line_no, fields[1])
         x1 = _memo_float(coords, path, line_no, fields[2], "x1")
         y1 = _memo_float(coords, path, line_no, fields[3], "y1")
         x2 = _memo_float(coords, path, line_no, fields[4], "x2")
         y2 = _memo_float(coords, path, line_no, fields[5], "y2")
-        if not (x1 < x2 and y1 < y2):
-            raise MalformedLine(path, line_no, "region box requires x1 < x2 and y1 < y2")
+        try:
+            box = Box(x1, y1, x2, y2)
+        except InputError as exc:  # the box range rule
+            raise type(exc)(f"{path}:{line_no}: {exc}") from None
         entry = result.get(image_id)
         if entry is None:
             entry = result[image_id] = PartRegionSet(image_id)
         elif kind in entry.regions:
             raise DuplicateId(path, line_no, "region", (image_id, kind.value))
-        entry.regions[kind] = Box(x1, y1, x2, y2)
+        entry.regions[kind] = box
     return result
 
 
@@ -416,7 +413,9 @@ def read_yolo_labels(path, image_width: float, image_height: float) -> list[tupl
         half_h = h * image_height / 2.0
         center_x = cx * image_width
         center_y = cy * image_height
-        boxes.append(
-            (class_index, Box(center_x - half_w, center_y - half_h, center_x + half_w, center_y + half_h))
-        )
+        try:
+            box = Box(center_x - half_w, center_y - half_h, center_x + half_w, center_y + half_h)
+        except InputError as exc:  # the box range rule
+            raise type(exc)(f"{path}:{line_no}: {exc}") from None
+        boxes.append((class_index, box))
     return boxes

@@ -129,8 +129,35 @@ class TestUsageAndConfig:
         cfg.write_text(f"{line}\n", encoding="utf-8")
         assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: {message}")
+        assert err.startswith(f"error: {cfg}:1: {message}")
         assert err.count("\n") == 1
+
+    def test_range_error_names_the_line_of_the_key_at_fault(self, tmp_path, capsys):
+        # score_min's rule is checked before pad_w's, so the first error
+        # raised is score_min's, on line 3
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("pad_w = -1\nseed = 2\nscore_min = 1.5\n", encoding="utf-8")
+        assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: score_min must be in [0, 1]\n"
+
+    def test_rule_of_several_keys_names_the_file(self, tmp_path, capsys):
+        # each fraction alone breaks the rule too, but with other fractions
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("train_frac = 0.6\nval_frac = 0.1\ntest_frac = 0.4\n", encoding="utf-8")
+        assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: split fractions must be positive and sum to 1, got (0.6, 0.1, 0.4)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line", ["group_order = original,cropped,head,wing,breast,leg,tail", "train_iou_min = 0.6"]
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n", encoding="utf-8")
+        assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
+        key = line.split(" ")[0]
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown key {key!r}\n"
 
 
 class TestNonFiniteConfigFloats:
@@ -259,6 +286,52 @@ class TestReaderErrorsNameFileAndLine:
         assert main(["eval-pcp", str(gt), str(corpus["detections"])]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {gt}:3: duplicate region id: ({image_id}, '{name}')\n"
+
+
+    def test_nul_byte_in_image_path(self, tmp_path, capsys):
+        root = build_tree(tmp_path / "data", toy_images(2))
+        images = root / "images.txt"
+        images.write_text("1 001.Synth_001/im\x00g_0001.jpg\n2 b.jpg\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["gen-regions", str(root), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {images}:1: relative_path must name a file")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_inverted_region_box(self, corpus, tmp_path, capsys):
+        gt = tmp_path / "gt_regions.txt"
+        gt.write_text("1 head 0 0 10 10\n1 tail 5 0 5 10\n", encoding="utf-8")
+        assert main(["eval-pcp", str(gt), str(corpus["detections"])]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt}:2: invalid box (5.0, 0.0, 5.0, 10.0): requires x1 < x2 and y1 < y2\n"
+        )
+
+    def test_detection_score_out_of_range(self, corpus, tmp_path, capsys):
+        detections = tmp_path / "detections.txt"
+        detections.write_text("1 head 0.5 0 0 10 10\n1 head 1.5 0 0 10 10\n", encoding="utf-8")
+        assert main(["eval-pcp", str(corpus["gt_regions"]), str(detections)]) == 1
+        assert capsys.readouterr().err == f"error: {detections}:2: score 1.5 outside [0, 1]\n"
+
+    def test_region_file_with_unknown_images(self, corpus, tmp_path, capsys):
+        regions = tmp_path / "regions.txt"
+        regions.write_text("1 head 0 0 10 10\n99 head 0 0 10 10\n", encoding="utf-8")
+        argv = ["export-yolo", str(corpus["dataset"]), "--regions", str(regions)]
+        assert main([*argv, "--out", str(tmp_path / "yolo")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {regions}: regions of images not in the dataset: [99]\n"
+        )
+
+    def test_store_images_without_labels(self, corpus, tmp_path, capsys):
+        lines = corpus["labels"].read_text(encoding="utf-8").splitlines(keepends=True)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(lines[:-2]), encoding="utf-8")
+        missing = [int(line.split()[0]) for line in lines[-2:]]
+        argv = ["classify", str(corpus["features"]), str(labels), str(corpus["split"])]
+        assert main([*argv, "--out", str(tmp_path / "clf")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels}: no class label for feature store images {missing}\n"
+        )
 
 
 class TestGenRegions:

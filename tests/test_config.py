@@ -27,5 +27,5 @@ def test_every_default_round_trips_through_its_field_type_parser():
 
 
 def test_range_error_keeps_its_class_and_names_the_source():
-    with pytest.raises(BadRatios, match=r"^bad\.cfg: split fractions must be positive"):
+    with pytest.raises(BadRatios, match=r"^bad\.cfg:1: split fractions must be positive"):
         parse_config_text("train_frac = 0.9\n", source="bad.cfg")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partkit.cli import main
 from partkit.config import ToolkitConfig
@@ -13,7 +15,6 @@ from partkit.detection import (
     PcpReport,
     compute_pcp,
     filter_training_boxes,
-    group_by_image,
     select_all,
     select_valid_parts,
 )
@@ -36,16 +37,14 @@ def box_with_iou(fraction: float) -> Box:
 
 
 class TestThresholds:
-    """The two detection thresholds are ``ToolkitConfig`` keys."""
+    """The selection threshold is a ``ToolkitConfig`` key; the training
+    filter's IoU is an argument of ``filter_training_boxes``."""
 
     def test_defaults(self):
         config = ToolkitConfig()
-        assert config.train_iou_min == 0.6
         assert config.score_min == 0.3
 
     def test_range_checks(self):
-        with pytest.raises(ConfigError, match="train_iou_min must be in"):
-            ToolkitConfig(train_iou_min=1.5)
         with pytest.raises(ConfigError, match="score_min must be in"):
             ToolkitConfig(score_min=-0.1)
 
@@ -265,11 +264,6 @@ class TestReportAndHelpers:
         assert lines[0] == "#iou_threshold=0.5"
         assert lines[1] == "head\t2\t3\t0.6667"
 
-    def test_group_by_image(self):
-        dets = [det(2, PartKind.HEAD, 0.5, GT_BOX), det(1, PartKind.TAIL, 0.5, GT_BOX)]
-        grouped = group_by_image(dets)
-        assert set(grouped) == {1, 2}
-
     def test_select_all(self):
         dets = [
             det(1, PartKind.HEAD, 0.9, GT_BOX),
@@ -284,3 +278,68 @@ class TestReportAndHelpers:
     def test_empty_report_tsv(self):
         report = PcpReport(iou_threshold=0.5)
         assert report.to_tsv() == "#iou_threshold=0.5\n"
+
+
+def select_all_reference(detections, score_min):
+    """The rule ``select_all`` replaced: group by image, then per kind keep
+    the valid detections, sort them by rank (a stable sort) and take the
+    first."""
+    grouped = {}
+    for d in detections:
+        grouped.setdefault(d.image_id, []).append(d)
+    result = {}
+    for image_id in sorted(grouped):
+        chosen = {}
+        for kind in REGION_KINDS:
+            valid = [d for d in grouped[image_id] if d.kind is kind and d.score > score_min]
+            if valid:
+                valid.sort(key=lambda d: (-d.score, d.box.area, d.box.x1, d.box.y1, d.box.x2, d.box.y2))
+                chosen[kind] = valid[0]
+        result[image_id] = chosen
+    return result
+
+
+def picks(selected):
+    """Each image's kinds in order with the identity of the detection kept,
+    so an exact tie must keep the same one of two equal detections."""
+    return [(i, [(kind, id(d)) for kind, d in per_kind.items()]) for i, per_kind in selected.items()]
+
+
+# few values, so that scores, areas and whole boxes repeat: three boxes of
+# area 4 that differ in x1, in y1 and in shape
+SCORES = st.sampled_from([0.0, 0.3, 0.30000000000000004, 0.9, 1.0])
+BOXES = st.sampled_from(
+    [Box(0, 0, 2, 2), Box(1, 0, 3, 2), Box(0, 1, 2, 3), Box(0, 0, 4, 1), Box(0, 0, 1, 1)]
+)
+
+
+@st.composite
+def detections(draw):
+    # every PartKind, so the whole-image groups must be ignored
+    kinds = st.sampled_from(list(PartKind))
+    return [
+        det(draw(st.integers(1, 3)), draw(kinds), draw(SCORES), draw(BOXES))
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+
+
+class TestSelectAllAgainstTheSortRule:
+    @settings(max_examples=300, deadline=None)
+    @given(dets=detections(), score_min=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_same_picks_in_the_same_order(self, dets, score_min):
+        selected = select_all(dets, score_min)
+        reference = select_all_reference(dets, score_min)
+        assert picks(selected) == picks(reference)
+        for image_id in selected:
+            one_image = [d for d in dets if d.image_id == image_id]
+            assert picks({0: select_valid_parts(one_image, score_min)}) == picks(
+                {0: reference[image_id]}
+            )
+
+    def test_first_of_an_exact_tie_stays(self):
+        first, second = det(1, PartKind.HEAD, 0.5, GT_BOX), det(1, PartKind.HEAD, 0.5, GT_BOX)
+        assert select_all([first, second], 0.3)[1][PartKind.HEAD] is first
+
+    def test_image_with_only_invalid_detections_maps_to_empty(self):
+        dets = [det(3, PartKind.HEAD, 0.9, GT_BOX), det(2, PartKind.HEAD, 0.1, GT_BOX)]
+        assert list(select_all(dets, 0.3).items()) == [(2, {}), (3, {PartKind.HEAD: dets[0]})]

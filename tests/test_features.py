@@ -315,10 +315,10 @@ class TestLoadMatchesPerLineReader:
         assert not isinstance(fast[0], type) or issubclass(fast[0], ToolkitError)
 
 
-def fuse_reference(store, image_id, groups, order=GROUP_ORDER, l2_normalize=False):
+def fuse_reference(store, image_id, groups, l2_normalize=False):
     """One image fused on its own, block by block: the oracle every row of
     ``fuse`` must equal.  Returns (vector, present groups)."""
-    selected = normalize_groups(groups, order)
+    selected = normalize_groups(groups)
     if image_id not in store.image_ids:
         raise UnknownImage(f"image {image_id} has no feature records")
     dim = store.dim
@@ -464,17 +464,16 @@ class TestFuse:
                 vector = data.draw(st.lists(component, min_size=dim, max_size=dim))
                 records[(image_id, group)] = np.array(vector, dtype=np.float64)
         store = FeatureStore(records, dim)
-        order = tuple(data.draw(st.permutations(GROUP_ORDER), label="order"))
-        groups = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+        groups = data.draw(st.lists(st.sampled_from(GROUP_ORDER), min_size=1, unique=True))
         requested = data.draw(st.permutations(image_ids), label="requested")
         l2 = data.draw(st.booleans(), label="l2")
 
-        fused = fuse(store, requested, groups, order, l2_normalize=l2)
+        fused = fuse(store, requested, groups, l2_normalize=l2)
         assert fused.image_ids == tuple(sorted(image_ids))
-        assert fused.groups == normalize_groups(groups, order)
+        assert fused.groups == normalize_groups(groups)
         assert fused.vectors.shape == (len(image_ids), len(fused.groups) * dim)
         for row, image_id in enumerate(fused.image_ids):
-            vector, present = fuse_reference(store, image_id, groups, order, l2)
+            vector, present = fuse_reference(store, image_id, groups, l2)
             assert np.array_equal(fused.vectors[row], vector)
             assert fused.vectors[row].tobytes() == vector.tobytes()
             assert present_groups(fused, row) == present
@@ -505,7 +504,7 @@ class TestGroupSelection:
         with pytest.raises(ConfigError):
             normalize_groups((PartKind.HEAD, PartKind.HEAD))
         with pytest.raises(ConfigError):
-            normalize_groups((PartKind.HEAD,), order=BASELINE_GROUPS)
+            normalize_groups((PartKind.HEAD, "beak"))
 
     def test_combination_requires_baseline(self):
         with pytest.raises(ConfigError):

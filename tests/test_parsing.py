@@ -17,6 +17,7 @@ from partkit.errors import (
     DanglingReference,
     DuplicateId,
     InputError,
+    InvertedBox,
     KeypointOutOfBounds,
     MalformedLine,
 )
@@ -167,18 +168,19 @@ def read_region_sets_reference(path) -> dict[int, PartRegionSet]:
         if len(fields) != 6:
             raise MalformedLine(path, line_no, "expected '<image_id> <part_name> <x1> <y1> <x2> <y2>'")
         image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
-        try:
-            kind = kind_from_name(fields[1])
-        except KeyError:
-            raise MalformedLine(path, line_no, f"unknown part name {fields[1]!r}") from None
-        if kind not in REGION_KINDS:
-            raise MalformedLine(path, line_no, f"{fields[1]!r} is not a part region name")
+        names = sorted(kind.value for kind in REGION_KINDS)
+        if fields[1] not in names:
+            raise MalformedLine(path, line_no, f"part_name must be one of {names}, got {fields[1]!r}")
+        kind = kind_from_name(fields[1])
         x1 = _parse_float(path, line_no, fields[2], "x1")
         y1 = _parse_float(path, line_no, fields[3], "y1")
         x2 = _parse_float(path, line_no, fields[4], "x2")
         y2 = _parse_float(path, line_no, fields[5], "y2")
         if not (x1 < x2 and y1 < y2):
-            raise MalformedLine(path, line_no, "region box requires x1 < x2 and y1 < y2")
+            raise InvertedBox(
+                f"{path}:{line_no}: invalid box ({x1}, {y1}, {x2}, {y2}): "
+                "requires x1 < x2 and y1 < y2"
+            )
         entry = result.get(image_id)
         if entry is None:
             entry = result[image_id] = PartRegionSet(image_id)

@@ -1,0 +1,127 @@
+"""Every reader ends a damaged file in a result or a ``ToolkitError``.
+
+Bytes inserted into, written over or cut from a valid file must never let
+a ``KeyError``, ``IndexError``, bare ``ValueError`` or
+``UnicodeDecodeError`` escape: the CLI turns a ``ToolkitError`` into one
+``error:`` line and an exit code, anything else into a traceback.
+"""
+
+from __future__ import annotations
+
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from partkit.config import load_config
+from partkit.dataset_io import parse_detections, read_labels, read_split
+from partkit.errors import InvertedBox, MalformedLine, ToolkitError
+from partkit.features import load_model
+from partkit.regions import read_region_sets, read_yolo_labels
+
+# reader -> a valid file it reads
+READERS = {
+    "parse_detections": (parse_detections, "1 head 0.9 0 0 10 10\n2 wing 0.35 5.5 1 20 8\n"),
+    "read_region_sets": (read_region_sets, "1 head 0.00 0.00 10.00 10.00\n1 leg 2.50 1.00 4.00 8.00\n"),
+    "read_split": (read_split, "1 0\n2 1\n3 2\n"),
+    "read_labels": (read_labels, "1 1\n2 3\n"),
+    "read_yolo_labels": (
+        lambda path: read_yolo_labels(path, 200, 100),
+        "0 0.500000 0.500000 0.200000 0.100000\n3 0.25 0.75 0.1 0.3\n",
+    ),
+    "load_model": (load_model, "svm v1 2 3 1 5 0\n1 -0.5 0.1 0.2 0.3\n2 0.25 1e-3 -2 0\n"),
+    "load_config": (load_config, "seed = 3\nscore_min = 0.4  # strict\nsynth_signal_groups = head,wing\n"),
+}
+
+# pieces a damaged file tends to hold: separators, signs, bytes that are not
+# UTF-8, numbers that overflow or are not finite, names of the wrong kind
+PIECES = [
+    b"\x00", b"\xff", b"\xc3", b" ", b"\t", b"\n", b"\r", b"\x0b", b"#", b"=", b"-", b"0", b"9",
+    b".", b"e", b"nan", b"inf", b"1e400", b"-1", b"99999999999999999999", b"head", b"original",
+    b"svm", b"\xe2\x80\xa8",
+]
+
+# the header of a model that claims more weights than numpy can allocate
+HUGE_MODEL = b"svm v1 2 399999999999999999999 1 5 0\n1 0 0\n2 0 0\n"
+
+
+@st.composite
+def edits(draw) -> list[tuple[str, int, bytes, int]]:
+    return draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "overwrite", "cut"]),
+                st.integers(0, 200),
+                st.sampled_from(PIECES) | st.binary(min_size=1, max_size=3),
+                st.integers(1, 12),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+
+def damaged(text: str, changes) -> bytes:
+    data = bytearray(text.encode("utf-8"))
+    for op, at, piece, length in changes:
+        at %= len(data) + 1
+        if op == "insert":
+            data[at:at] = piece
+        elif op == "overwrite":
+            data[at : at + len(piece)] = piece
+        else:
+            del data[at : at + length]
+    return bytes(data)
+
+
+def read(name: str, raw: bytes) -> None:
+    reader, _ = READERS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(raw)
+        try:
+            reader(path)
+        except ToolkitError:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_the_valid_files_read(name):
+    reader, text = READERS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        reader(path)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(changes=edits())
+@example(changes=[("cut", 0, b"", 1000), ("insert", 0, HUGE_MODEL, 1)])  # HUGE_MODEL alone
+def test_damaged_bytes_give_a_result_or_a_toolkit_error(name, changes):
+    read(name, damaged(READERS[name][1], changes))
+
+
+def test_a_model_header_too_large_to_allocate_is_a_malformed_line(tmp_path):
+    path = tmp_path / "model.svm"
+    path.write_bytes(HUGE_MODEL)
+    with pytest.raises(MalformedLine, match=r"model\.svm:2: expected 400000000000000000001 fields"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("parse_detections", "1 head 0.9 0 0 10 10\n1 wing 0.5 4 0 4 10\n"),
+        ("read_region_sets", "1 head 0 0 10 10\n1 wing 4 0 4 10\n"),
+        ("read_yolo_labels", "0 0.5 0.5 0.2 0.1\n3 0.5 0.5 0 0.1\n"),
+    ],
+)
+def test_a_box_without_area_names_its_line(tmp_path, name, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvertedBox, match=rf"^{re.escape(str(path))}:2: invalid box \("):
+        READERS[name][0](path)

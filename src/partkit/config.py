@@ -157,7 +157,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
     """Parse `key = value` lines; `#` starts a comment, blank lines ignored."""
     values: dict[str, object] = {}
     line_of: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # "\n" alone ends a line, as in the file readers: splitlines() also
+    # breaks at \x0b, \x0c, \x1c-\x1e, \x85 and U+2028/2029
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -55,7 +55,6 @@ class FeatureStore:
     def _adopt(self, rows: dict[int, list[Optional[int]]], matrix: np.ndarray) -> None:
         matrix.flags.writeable = False
         # image_id -> the matrix row of each group, at its GROUP_ORDER position
-        # (found by identity scans: PartKind hashing runs in Python)
         self._rows = rows
         self._matrix = matrix
         self.dim = int(matrix.shape[1])

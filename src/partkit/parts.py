@@ -21,6 +21,10 @@ class PartKind(enum.Enum):
     ORIGINAL = "original"
     CROPPED = "cropped"
 
+    # members are singletons compared by identity, so the C identity hash
+    # serves; Enum.__hash__ is a Python-level call on every dict lookup
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -409,6 +409,14 @@ def read_yolo_labels(path, image_width: float, image_height: float) -> list[tupl
             raise MalformedLine(path, line_no, "expected '<class> <cx> <cy> <w> <h>'")
         class_index = _parse_int(path, line_no, fields[0], "class_index", minimum=0)
         cx, cy, w, h = (_parse_float(path, line_no, f, n) for f, n in zip(fields[1:], "cx cy w h".split()))
+        # the writer's normalized range, which also keeps the products below
+        # finite; a width or height of 0 or less is the box rule's
+        for name, value in (("cx", cx), ("cy", cy)):
+            if not 0.0 <= value <= 1.0:
+                raise MalformedLine(path, line_no, f"{name} must be in [0, 1], got {value!r}")
+        for name, value in (("w", w), ("h", h)):
+            if value > 1.0:
+                raise MalformedLine(path, line_no, f"{name} must be at most 1, got {value!r}")
         half_w = w * image_width / 2.0
         half_h = h * image_height / 2.0
         center_x = cx * image_width

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 import pytest
 
-from partkit.config import ToolkitConfig, parse_config_text
-from partkit.errors import BadRatios
+from partkit.config import ToolkitConfig, load_config, parse_config_text
+from partkit.errors import BadRatios, ConfigError
 
 
 def render(value) -> str:
@@ -29,3 +30,12 @@ def test_every_default_round_trips_through_its_field_type_parser():
 def test_range_error_keeps_its_class_and_names_the_source():
     with pytest.raises(BadRatios, match=r"^bad\.cfg:1: split fractions must be positive"):
         parse_config_text("train_frac = 0.9\n", source="bad.cfg")
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"], ids=ascii)
+def test_only_a_newline_ends_a_config_line(tmp_path, separator):
+    # str.splitlines() also breaks at these, which numbered the key below as line 3
+    path = tmp_path / "vt.cfg"
+    path.write_text(f"seed = 1{separator}# note\nscore_min = 1.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: score_min must be in \[0, 1\]"):
+        load_config(path)

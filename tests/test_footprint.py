@@ -1,9 +1,11 @@
-"""Per-process footprint of the preparation commands.
+"""Per-process footprint of every command.
 
-The preparation commands (``validate``, ``gen-regions``, ``export-yolo``,
-``eval-pcp``) never touch numpy, so they must not pay for importing it,
-and the records they build once per keypoint, image, region or detection
-carry no per-instance ``__dict__``.
+No command loads OpenSSL: sub-seeds use the builtin blake2b, and importing
+``hashlib`` would map libcrypto into each process. The preparation
+commands (``validate``, ``gen-regions``, ``export-yolo``, ``eval-pcp``)
+never touch numpy, so they must not pay for importing it either, and the
+records they build once per keypoint, image, region or detection carry no
+per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -26,29 +28,34 @@ from partkit.regions import PartRegionSet
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs in a fresh interpreter: prints one JSON line of
-# [command, exit code, numpy imported afterwards] rows.
+# Runs every command in one fresh interpreter, synth last: prints one JSON
+# line of [command, exit code, numpy imported, _hashlib imported] rows, the
+# modules as imported by the end of that command.
 _SCRIPT = """
 import json, sys
 from partkit.cli import main
 corpus, out = sys.argv[1], sys.argv[2]
 data = corpus + "/dataset"
-runs = [["import", 0, "numpy" in sys.modules]]
+fit = [corpus + "/features.tsv", data + "/image_class_labels.txt", corpus + "/split.txt"]
+runs = [["import", 0, "numpy" in sys.modules, "_hashlib" in sys.modules]]
 for argv in (
     ["validate", data],
     ["gen-regions", data, "--out", out + "/regions"],
     ["export-yolo", data, "--out", out + "/yolo"],
     ["eval-pcp", corpus + "/gt_regions.txt", corpus + "/detections.txt"],
-    ["classify", corpus + "/features.tsv", data + "/image_class_labels.txt",
-     corpus + "/split.txt", "--out", out + "/classify"],
+    ["classify", *fit, "--out", out + "/classify"],
+    ["combination", *fit, "--out", out + "/combination"],
+    ["synth", "--out", out + "/synth"],
 ):
     code = main(argv)
-    runs.append([argv[0], code, "numpy" in sys.modules])
+    runs.append([argv[0], code, "numpy" in sys.modules, "_hashlib" in sys.modules])
 print(json.dumps(runs))
 """
 
 
-def test_preparation_commands_do_not_import_numpy(tmp_path):
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("footprint")
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus)]) == 0
     env = dict(os.environ)
@@ -61,15 +68,25 @@ def test_preparation_commands_do_not_import_numpy(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    runs = json.loads(result.stdout.splitlines()[-1])
-    assert runs == [
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_preparation_commands_do_not_import_numpy(runs):
+    assert [row[:3] for row in runs] == [
         ["import", 0, False],
         ["validate", 0, False],
         ["gen-regions", 0, False],
         ["export-yolo", 0, False],
         ["eval-pcp", 0, False],
         ["classify", 0, True],
+        ["combination", 0, True],
+        ["synth", 0, True],
     ]
+
+
+def test_no_command_loads_openssl(runs):
+    # the numpy test above pins that every command ran and exited 0
+    assert [row[0] for row in runs if row[3]] == []
 
 
 BOX = Box(0.0, 0.0, 4.0, 3.0)

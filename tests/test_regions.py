@@ -4,6 +4,7 @@ redundancy elimination, crop manifests, and detector label export."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -420,6 +421,28 @@ class TestYoloExport:
         images = {1: ImageRecord(1, "c/im.jpg", 1, 100, 100)}
         export_yolo_labels({}, images, tmp_path)
         assert (tmp_path / "c/im.txt").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("0 0.5 0.5 1e308 0.1", "w"),  # read at 200 x 100 this gave Box(-inf, 45.0, inf, 55.0)
+            ("0 0.5 0.5 0.2 1.000001", "h"),
+            ("0 1.000001 0.5 0.2 0.1", "cx"),
+            ("0 0.5 -0.000001 0.2 0.1", "cy"),
+        ],
+    )
+    def test_values_outside_the_normalized_range_are_malformed(self, tmp_path, line, field):
+        path = tmp_path / "im.txt"
+        path.write_text(f"0 0.5 0.5 0.2 0.1\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=rf"^{re.escape(str(path))}:2: {field} must be "):
+            read_yolo_labels(path, 200, 100)
+
+    def test_boxes_on_the_image_edges_read_back(self, tmp_path):
+        boxes = {PartKind.HEAD: Box(0.0, 0.0, 200.0, 100.0), PartKind.LEG: Box(150.0, 0.0, 200.0, 20.0)}
+        images = {1: ImageRecord(1, "im.jpg", 1, 200, 100)}
+        export_yolo_labels({1: PartRegionSet(1, boxes)}, images, tmp_path)
+        recovered = read_yolo_labels(tmp_path / "im.txt", 200, 100)
+        assert recovered == [(0, boxes[PartKind.HEAD]), (4, boxes[PartKind.LEG])]
 
     def test_class_indices_follow_region_order(self, tmp_path):
         boxes = {kind: Box(10 + i, 10 + i, 30 + i, 30 + i) for i, kind in enumerate(REGION_KINDS)}

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .errors import BadRatios, ConfigError, MissingFile
+from .features import _check_svm_settings
 from .parsing import _first_non_utf8_line
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 from .regions import RegionConfig
@@ -101,7 +102,8 @@ class ToolkitConfig:
         ratios = (self.train_frac, self.val_frac, self.test_frac)
         if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
             raise BadRatios(f"split fractions must be positive and sum to 1, got {ratios}")
-        # delegate the remaining range checks to the owning configs
+        # delegate the remaining range checks to the owning rules
+        _check_svm_settings(self.svm_c, self.svm_epochs)
         self.region_config()
         self.synth_config()
 
@@ -188,7 +190,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
             ToolkitConfig(**{key: value})
         except ConfigError as alone:
             if str(alone) == str(error):
-                raise type(error)(f"{source}:{line_of[key]}: {error}") from None
+                raise type(error)(f"{source}:{line_of[key]}: bad value for {key}: {error}") from None
     raise type(error)(f"{source}: {error}") from None
 
 

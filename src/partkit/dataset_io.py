@@ -28,7 +28,7 @@ from .errors import (
     MalformedLine,
 )
 from .geometry import Box
-from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind
+from .parsing import _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind, _records
 from .parts import CUB_PART_NAMES
 
 
@@ -97,10 +97,7 @@ def parse_dataset(root_dir) -> Dataset:
 
     paths: dict[int, str] = {}
     p = root / "images.txt"
-    for line_no, line in _lines(p):
-        fields = line.split(maxsplit=1)
-        if len(fields) != 2:
-            raise MalformedLine(p, line_no, "expected '<image_id> <relative_path>'")
+    for line_no, fields in _records(p, "<image_id> <relative_path>", maxsplit=1):
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         if image_id in paths:
             raise DuplicateId(p, line_no, "image", image_id)
@@ -115,10 +112,7 @@ def parse_dataset(root_dir) -> Dataset:
 
     sizes: dict[int, tuple[int, int]] = {}
     p = root / "image_sizes.txt"
-    for line_no, line in _lines(p):
-        fields = line.split()
-        if len(fields) != 3:
-            raise MalformedLine(p, line_no, "expected '<image_id> <width> <height>'")
+    for line_no, fields in _records(p, "<image_id> <width> <height>"):
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         width = _parse_int(p, line_no, fields[1], "width", minimum=1)
         height = _parse_int(p, line_no, fields[2], "height", minimum=1)
@@ -130,10 +124,7 @@ def parse_dataset(root_dir) -> Dataset:
 
     class_names: dict[int, str] = {}
     p = root / "classes.txt"
-    for line_no, line in _lines(p):
-        fields = line.split(maxsplit=1)
-        if len(fields) != 2:
-            raise MalformedLine(p, line_no, "expected '<class_id> <class_name>'")
+    for line_no, fields in _records(p, "<class_id> <class_name>", maxsplit=1):
         class_id = _parse_int(p, line_no, fields[0], "class_id", minimum=1)
         if class_id in class_names:
             raise DuplicateId(p, line_no, "class", class_id)
@@ -141,10 +132,7 @@ def parse_dataset(root_dir) -> Dataset:
 
     labels: dict[int, int] = {}
     p = root / "image_class_labels.txt"
-    for line_no, line in _lines(p):
-        fields = line.split()
-        if len(fields) != 2:
-            raise MalformedLine(p, line_no, "expected '<image_id> <class_id>'")
+    for line_no, fields in _records(p, "<image_id> <class_id>"):
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
         class_id = _parse_int(p, line_no, fields[1], "class_id", minimum=1)
         if image_id not in paths:
@@ -157,10 +145,7 @@ def parse_dataset(root_dir) -> Dataset:
 
     part_names: dict[int, str] = {}
     p = root / "parts" / "parts.txt"
-    for line_no, line in _lines(p):
-        fields = line.split(maxsplit=1)
-        if len(fields) != 2:
-            raise MalformedLine(p, line_no, "expected '<part_id> <part_name>'")
+    for line_no, fields in _records(p, "<part_id> <part_name>", maxsplit=1):
         part_id = _parse_int(p, line_no, fields[0], "part_id", minimum=1)
         if part_id in part_names:
             raise DuplicateId(p, line_no, "part", part_id)
@@ -185,10 +170,7 @@ def parse_dataset(root_dir) -> Dataset:
     ids: dict[str, int] = {}
     coords: dict[str, float] = {}
     p = root / "parts" / "part_locs.txt"
-    for line_no, line in _lines(p):
-        fields = line.split()
-        if len(fields) != 5:
-            raise MalformedLine(p, line_no, "expected '<image_id> <part_id> <x> <y> <visible>'")
+    for line_no, fields in _records(p, "<image_id> <part_id> <x> <y> <visible>"):
         image_id = _memo_int(ids, p, line_no, fields[0], "image_id", minimum=1)
         part_id = _memo_int(ids, p, line_no, fields[1], "part_id", minimum=1)
         x = _memo_float(coords, p, line_no, fields[2], "x")
@@ -316,10 +298,7 @@ def write_split(split: Mapping[int, Split], path) -> None:
 def read_split(path) -> dict[int, Split]:
     path = Path(path)
     result: dict[int, Split] = {}
-    for line_no, line in _lines(path):
-        fields = line.split()
-        if len(fields) != 2:
-            raise MalformedLine(path, line_no, "expected '<image_id> <0|1|2>'")
+    for line_no, fields in _records(path, "<image_id> <0|1|2>"):
         image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
         if fields[1] not in ("0", "1", "2"):
             raise MalformedLine(path, line_no, f"split must be 0, 1 or 2, got {fields[1]!r}")
@@ -333,10 +312,7 @@ def read_labels(path) -> dict[int, int]:
     """Read an ``image_class_labels.txt``-format file standalone."""
     path = Path(path)
     labels: dict[int, int] = {}
-    for line_no, line in _lines(path):
-        fields = line.split()
-        if len(fields) != 2:
-            raise MalformedLine(path, line_no, "expected '<image_id> <class_id>'")
+    for line_no, fields in _records(path, "<image_id> <class_id>"):
         image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
         class_id = _parse_int(path, line_no, fields[1], "class_id", minimum=1)
         if image_id in labels:
@@ -352,12 +328,7 @@ def parse_detections(path) -> list[Detection]:
     """Parse '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>' lines."""
     path = Path(path)
     detections: list[Detection] = []
-    for line_no, line in _lines(path):
-        fields = line.split()
-        if len(fields) != 7:
-            raise MalformedLine(
-                path, line_no, "expected '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>'"
-            )
+    for line_no, fields in _records(path, "<image_id> <part_name> <score> <x1> <y1> <x2> <y2>"):
         image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
         kind = _parse_region_kind(path, line_no, fields[1])
         score = _parse_float(path, line_no, fields[2], "score")

@@ -26,7 +26,6 @@ class ConfigError(ToolkitError):
 class MissingFile(InputError):
     def __init__(self, path):
         super().__init__(f"missing required file: {path}")
-        self.path = path
 
 
 class _RecordError(InputError):
@@ -41,31 +40,23 @@ class _RecordError(InputError):
 
 
 class MalformedLine(_RecordError):
-    def __init__(self, path, line_no: int, reason: str):
-        super().__init__(path, line_no, reason)
-        self.reason = reason
+    """A line that breaks its format or one of its fields' rules."""
 
 
 class DanglingReference(_RecordError):
     def __init__(self, path, line_no, kind: str, ref_id):
         super().__init__(path, line_no, f"dangling {kind} reference: {ref_id}")
-        self.kind = kind
-        self.ref_id = ref_id
 
 
 class DuplicateId(_RecordError):
     def __init__(self, path, line_no: int, kind: str, ref_id):
         super().__init__(path, line_no, f"duplicate {kind} id: {ref_id}")
-        self.kind = kind
-        self.ref_id = ref_id
 
 
 class KeypointOutOfBounds(_RecordError):
     def __init__(self, path, line_no: int, image_id: int, part_id: int):
         message = f"visible keypoint (image {image_id}, part {part_id}) lies outside the image"
         super().__init__(path, line_no, message)
-        self.image_id = image_id
-        self.part_id = part_id
 
 
 class InvertedBox(InputError):

@@ -30,7 +30,7 @@ from .errors import (
     UnknownImage,
 )
 from .dataset_io import Split
-from .parsing import _first_non_utf8_line, _lines
+from .parsing import _first_non_utf8_line, _records
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 
 if TYPE_CHECKING:
@@ -327,6 +327,17 @@ class SvmModel:
         return int(self.weights.shape[1])
 
 
+def _check_svm_settings(c: float, epochs: int) -> None:
+    """The range rule of ``train_svm``'s C and epochs; the config checks
+    ``svm_c`` and ``svm_epochs`` by it at load time."""
+    if not math.isfinite(c):
+        raise ConfigError(f"svm regularization parameter must be finite, got {c}")
+    if c <= 0:
+        raise ConfigError("svm regularization parameter must be > 0")
+    if epochs < 1:
+        raise ConfigError("epochs must be >= 1")
+
+
 def train_svm(
     samples: FusedMatrix,
     labels: Mapping[int, int],
@@ -345,12 +356,7 @@ def train_svm(
     """
     import numpy as np
 
-    if not math.isfinite(c):
-        raise ConfigError(f"svm regularization parameter must be finite, got {c}")
-    if c <= 0:
-        raise ConfigError("svm regularization parameter must be > 0")
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
+    _check_svm_settings(c, epochs)
     if not len(samples):
         raise EmptyTrainingSet("no training samples")
     _check_labels(samples, labels)
@@ -454,11 +460,10 @@ def load_model(path) -> SvmModel:
     import numpy as np
 
     path = Path(path)
-    lines = list(_lines(path))
-    if not lines:
+    records = list(_records(path))
+    if not records:
         raise MalformedLine(path, 1, "empty model file")
-    header_no, header_line = lines[0]
-    header = header_line.split()
+    (header_no, header), *rows = records
     if len(header) != 7 or header[0] != "svm" or header[1] != "v1":
         raise MalformedLine(
             path, header_no, "expected 'svm v1 <classes> <dim> <C> <epochs> <seed>'"
@@ -474,11 +479,8 @@ def load_model(path) -> SvmModel:
         raise MalformedLine(path, header_no, f"C must be finite and > 0, got {header[4]!r}")
     if epochs < 1:
         raise MalformedLine(path, header_no, f"epochs must be >= 1, got {epochs}")
-    if len(lines) - 1 != num_classes:
-        raise MalformedLine(
-            path, header_no, f"expected {num_classes} class lines, found {len(lines) - 1}"
-        )
-    rows = [(line_no, line.split()) for line_no, line in lines[1:]]
+    if len(rows) != num_classes:
+        raise MalformedLine(path, header_no, f"expected {num_classes} class lines, found {len(rows)}")
     # every field count before the arrays: the header alone may claim any size
     for line_no, fields in rows:
         if len(fields) != dim + 2:

@@ -1,4 +1,4 @@
-"""Line reading and token parsing shared by every text-format reader.
+"""Record reading and token parsing shared by every text-format reader.
 
 ``_parse_int``, ``_parse_float`` and ``_parse_region_kind`` parse one token
 and raise the ``MalformedLine`` that names its file, line and field.
@@ -18,15 +18,24 @@ from .errors import MalformedLine, MissingFile
 from .parts import REGION_KIND_OF_NAME, PartKind
 
 
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
+def _records(path: Path, fmt: str | None = None, maxsplit: int = -1) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_no, fields)`` for each non-blank line of ``path``, split
+    at whitespace into at most ``maxsplit + 1`` fields.  With ``fmt`` a line
+    must hold one field per ``<name>`` in it, and ``fmt`` is the message of
+    the ``MalformedLine`` raised for one that does not."""
     if not path.is_file():
         raise MissingFile(path)
+    width = None if fmt is None else fmt.count("<")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").strip()
-                if line:
-                    yield line_no, line
+                # a bounded split keeps the trailing whitespace of its last field
+                fields = raw.split() if maxsplit < 0 else raw.strip().split(None, maxsplit)
+                if not fields:
+                    continue
+                if width is not None and len(fields) != width:
+                    raise MalformedLine(path, line_no, f"expected '{fmt}'")
+                yield line_no, fields
     except UnicodeDecodeError:
         raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
 

@@ -25,7 +25,7 @@ from .errors import (
     MalformedLine,
 )
 from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
-from .parsing import _lines, _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind
+from .parsing import _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind, _records
 from .parts import CUB_PART_NAMES, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
 from .seeding import derive_seed
 
@@ -313,10 +313,7 @@ def read_region_sets(path) -> dict[int, PartRegionSet]:
     result: dict[int, PartRegionSet] = {}
     ids: dict[str, int] = {}
     coords: dict[str, float] = {}
-    for line_no, line in _lines(path):
-        fields = line.split()
-        if len(fields) != 6:
-            raise MalformedLine(path, line_no, "expected '<image_id> <part_name> <x1> <y1> <x2> <y2>'")
+    for line_no, fields in _records(path, "<image_id> <part_name> <x1> <y1> <x2> <y2>"):
         image_id = _memo_int(ids, path, line_no, fields[0], "image_id", minimum=1)
         kind = _parse_region_kind(path, line_no, fields[1])
         x1 = _memo_float(coords, path, line_no, fields[2], "x1")
@@ -403,10 +400,7 @@ def read_yolo_labels(path, image_width: float, image_height: float) -> list[tupl
     """Denormalize a label file back to (class_index, Box) pairs."""
     path = Path(path)
     boxes: list[tuple[int, Box]] = []
-    for line_no, line in _lines(path):
-        fields = line.split()
-        if len(fields) != 5:
-            raise MalformedLine(path, line_no, "expected '<class> <cx> <cy> <w> <h>'")
+    for line_no, fields in _records(path, "<class> <cx> <cy> <w> <h>"):
         class_index = _parse_int(path, line_no, fields[0], "class_index", minimum=0)
         cx, cy, w, h = (_parse_float(path, line_no, f, n) for f, n in zip(fields[1:], "cx cy w h".split()))
         # the writer's normalized range, which also keeps the products below

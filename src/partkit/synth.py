@@ -276,8 +276,8 @@ def synth_features(cfg: SynthConfig, dataset: Dataset) -> list[tuple[int, PartKi
 def synth_corpus(
     cfg: SynthConfig,
     out_dir,
-    region_cfg: Optional[RegionConfig] = None,
-    ratios: tuple[float, float, float] = (0.5, 0.2, 0.3),
+    region_cfg: RegionConfig,
+    ratios: tuple[float, float, float],
 ) -> dict[str, Path]:
     """Generate a complete pipeline input set under ``out_dir``.
 
@@ -286,12 +286,12 @@ def synth_corpus(
     feature store.  Detections are derived from the regions as re-parsed
     from the written file, so at zero jitter they match the ground truth
     exactly as downstream consumers will read it.  Sub-streams (dataset,
-    split, detections, features) use independently derived seeds.
+    split, detections, features) use independently derived seeds; region
+    ties are drawn from ``region_cfg.tie_seed``, which ``cfg.seed`` leaves
+    alone.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if region_cfg is None:
-        region_cfg = RegionConfig(tie_seed=cfg.seed)
 
     dataset = synth_dataset(cfg, out / "dataset")
     assignments = split_dataset(dataset, ratios, seed=derive_seed(cfg.seed, "split"))

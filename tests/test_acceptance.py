@@ -196,7 +196,7 @@ def test_05_end_to_end_pcp(report, tmp_path):
     """Zero-noise corpus scores 1.0000 everywhere; all-IoU-in-[0.3,0.4] scores 0.0000.  < 10 s."""
     with report("5 end-to-end-pcp"):
         started = time.perf_counter()
-        paths = synth_corpus(SynthConfig(), tmp_path / "corpus")
+        paths = synth_corpus(SynthConfig(), tmp_path / "corpus", RegionConfig(), (0.5, 0.2, 0.3))
         ground_truth = read_region_sets(paths["gt_regions"])
         detections = parse_detections(paths["detections"])
         report_perfect = compute_pcp(select_all(detections, 0.3), ground_truth, 0.5)

@@ -122,6 +122,20 @@ class TestUsageAndConfig:
         [
             ("score_min = 1.5", "score_min must be in [0, 1]"),
             ("synth_classes = 1", "num_classes must be >= 2"),
+            # a stage config's rule names its own field, not the config key
+            ("synth_images_per_class = 0", "images_per_class must be >= 1"),
+            ("synth_image_size = 0", "image_size must be >= 1"),
+            ("synth_jitter = -1", "jitter_px must be >= 0"),
+            ("synth_score_noise = 1", "score_noise must be in [0, 1)"),
+            ("synth_part_dropout = 1", "part_dropout must be in [0, 1)"),
+            ("synth_feature_dim = 0", "feature_dim must be >= 1"),
+            ("pad_w = -1", "pad factors must be >= 0"),
+            ("pad_h = -0.5", "pad factors must be >= 0"),
+            ("envelope_scale_tail = 0", "envelope scale for tail must be > 0"),
+            ("envelope_scale_leg = -1", "envelope scale for leg must be > 0"),
+            ("svm_c = -1", "svm regularization parameter must be > 0"),  # exited 0
+            ("svm_c = 0", "svm regularization parameter must be > 0"),  # exited 0
+            ("svm_epochs = 0", "epochs must be >= 1"),  # exited 0
         ],
     )
     def test_range_error_names_the_config_file(self, tmp_path, capsys, line, message):
@@ -129,8 +143,21 @@ class TestUsageAndConfig:
         cfg.write_text(f"{line}\n", encoding="utf-8")
         assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}:1: {message}")
+        assert err.startswith(f"error: {cfg}:1: bad value for {line.split()[0]}: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["svm_c = -1", "svm_epochs = 0"])
+    def test_classify_rejects_an_svm_setting_at_its_line(self, corpus, tmp_path, capsys, line):
+        # the trainer's own check named no file or line
+        cfg = tmp_path / "toolkit.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        inputs = [str(corpus[name]) for name in ("features", "labels", "split")]
+        assert main(["classify", *inputs, "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:1: bad value for {line.split()[0]}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_range_error_names_the_line_of_the_key_at_fault(self, tmp_path, capsys):
         # score_min's rule is checked before pad_w's, so the first error
@@ -138,7 +165,9 @@ class TestUsageAndConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("pad_w = -1\nseed = 2\nscore_min = 1.5\n", encoding="utf-8")
         assert main(["validate", str(tmp_path), "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:3: score_min must be in [0, 1]\n"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: bad value for score_min: score_min must be in [0, 1]\n"
+        )
 
     def test_rule_of_several_keys_names_the_file(self, tmp_path, capsys):
         # each fraction alone breaks the rule too, but with other fractions

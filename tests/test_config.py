@@ -28,7 +28,8 @@ def test_every_default_round_trips_through_its_field_type_parser():
 
 
 def test_range_error_keeps_its_class_and_names_the_source():
-    with pytest.raises(BadRatios, match=r"^bad\.cfg:1: split fractions must be positive"):
+    message = r"^bad\.cfg:1: bad value for train_frac: split fractions must be positive"
+    with pytest.raises(BadRatios, match=message):
         parse_config_text("train_frac = 0.9\n", source="bad.cfg")
 
 
@@ -37,5 +38,6 @@ def test_only_a_newline_ends_a_config_line(tmp_path, separator):
     # str.splitlines() also breaks at these, which numbered the key below as line 3
     path = tmp_path / "vt.cfg"
     path.write_text(f"seed = 1{separator}# note\nscore_min = 1.5\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: score_min must be in \[0, 1\]"):
+    message = rf"^{re.escape(str(path))}:2: bad value for score_min: score_min must be in \[0, 1\]"
+    with pytest.raises(ConfigError, match=message):
         load_config(path)

@@ -1,6 +1,10 @@
-"""Token memos in the keypoint and region readers: the same records or the
-same first error as the per-token parsing they replaced, with equal tokens
-shared."""
+"""Shared record reading and token memos.
+
+Every line-format reader rejects a line with the wrong field count with
+its format.  The memos in the keypoint and region readers give the same
+records or the same first error as the per-token parsing they replaced,
+with equal tokens shared.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_tree
-from partkit.dataset_io import Dataset, ImageRecord, KeyPoint, parse_dataset
+from partkit.dataset_io import (
+    Dataset,
+    ImageRecord,
+    KeyPoint,
+    parse_dataset,
+    parse_detections,
+    read_labels,
+    read_split,
+)
 from partkit.errors import (
     DanglingReference,
     DuplicateId,
@@ -22,9 +34,77 @@ from partkit.errors import (
     MalformedLine,
 )
 from partkit.geometry import Box
-from partkit.parsing import _lines, _memo_float, _parse_float, _parse_int
+from partkit.parsing import _memo_float, _parse_float, _parse_int, _records
 from partkit.parts import CUB_PART_NAMES, REGION_KINDS, kind_from_name
-from partkit.regions import PartRegionSet, read_region_sets
+from partkit.regions import PartRegionSet, read_region_sets, read_yolo_labels
+
+# --- field counts -------------------------------------------------------------
+
+# the format each line of a parse_dataset tree's file must follow
+DATASET_FORMATS = {
+    "images.txt": "<image_id> <relative_path>",
+    "image_sizes.txt": "<image_id> <width> <height>",
+    "classes.txt": "<class_id> <class_name>",
+    "image_class_labels.txt": "<image_id> <class_id>",
+    "parts/parts.txt": "<part_id> <part_name>",
+    "parts/part_locs.txt": "<image_id> <part_id> <x> <y> <visible>",
+}
+# standalone reader -> (the reader of a path, a valid file, its format)
+STANDALONE_READERS = {
+    "read_split": (read_split, "1 0\n2 1\n", "<image_id> <0|1|2>"),
+    "read_labels": (read_labels, "1 1\n2 3\n", "<image_id> <class_id>"),
+    "parse_detections": (
+        parse_detections,
+        "1 head 0.9 0 0 10 10\n2 wing 0.35 5.5 1 20 8\n",
+        "<image_id> <part_name> <score> <x1> <y1> <x2> <y2>",
+    ),
+    "read_region_sets": (
+        read_region_sets,
+        "1 head 0 0 10 10\n1 leg 2.5 1 4 8\n",
+        "<image_id> <part_name> <x1> <y1> <x2> <y2>",
+    ),
+    "read_yolo_labels": (
+        lambda path: read_yolo_labels(path, 200, 100),
+        "0 0.5 0.5 0.2 0.1\n3 0.25 0.75 0.1 0.3\n",
+        "<class> <cx> <cy> <w> <h>",
+    ),
+}
+# the last field of these formats may hold spaces, so no line is too long
+NAME_LAST = {"images.txt", "classes.txt", "parts/parts.txt"}
+
+
+def short(line: str) -> str:
+    return line.rsplit(" ", 1)[0]
+
+
+def long(line: str) -> str:
+    return line + " 7"
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [(name, short) for name in [*DATASET_FORMATS, *STANDALONE_READERS]]
+    + [(name, long) for name in [*DATASET_FORMATS, *STANDALONE_READERS] if name not in NAME_LAST],
+)
+def test_a_line_with_the_wrong_field_count_names_the_format(tmp_path, name, change):
+    if name in DATASET_FORMATS:
+        # two classes, so that classes.txt has a line 2
+        images = [(1, "a/1.jpg", 1, 200, 200), (2, "a/2.jpg", 2, 200, 200)]
+        root = build_tree(tmp_path, images)
+        path, fmt = root / name, DATASET_FORMATS[name]
+        reader = lambda: parse_dataset(root)
+    else:
+        read, text, fmt = STANDALONE_READERS[name]
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        reader = lambda: read(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = change(lines[1])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedLine) as err:
+        reader()
+    assert str(err.value) == f"{path}:2: expected '{fmt}'"
+
 
 # --- the readers as they were before the memos: one _parse_* call per token ---
 
@@ -34,8 +114,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
 
     paths: dict[int, str] = {}
     p = root / "images.txt"
-    for line_no, line in _lines(p):
-        fields = line.split(maxsplit=1)
+    for line_no, fields in _records(p, maxsplit=1):
         if len(fields) != 2:
             raise MalformedLine(p, line_no, "expected '<image_id> <relative_path>'")
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
@@ -50,8 +129,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
 
     sizes: dict[int, tuple[int, int]] = {}
     p = root / "image_sizes.txt"
-    for line_no, line in _lines(p):
-        fields = line.split()
+    for line_no, fields in _records(p):
         if len(fields) != 3:
             raise MalformedLine(p, line_no, "expected '<image_id> <width> <height>'")
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
@@ -65,8 +143,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
 
     class_names: dict[int, str] = {}
     p = root / "classes.txt"
-    for line_no, line in _lines(p):
-        fields = line.split(maxsplit=1)
+    for line_no, fields in _records(p, maxsplit=1):
         if len(fields) != 2:
             raise MalformedLine(p, line_no, "expected '<class_id> <class_name>'")
         class_id = _parse_int(p, line_no, fields[0], "class_id", minimum=1)
@@ -76,8 +153,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
 
     labels: dict[int, int] = {}
     p = root / "image_class_labels.txt"
-    for line_no, line in _lines(p):
-        fields = line.split()
+    for line_no, fields in _records(p):
         if len(fields) != 2:
             raise MalformedLine(p, line_no, "expected '<image_id> <class_id>'")
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
@@ -92,8 +168,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
 
     part_names: dict[int, str] = {}
     p = root / "parts" / "parts.txt"
-    for line_no, line in _lines(p):
-        fields = line.split(maxsplit=1)
+    for line_no, fields in _records(p, maxsplit=1):
         if len(fields) != 2:
             raise MalformedLine(p, line_no, "expected '<part_id> <part_name>'")
         part_id = _parse_int(p, line_no, fields[0], "part_id", minimum=1)
@@ -117,8 +192,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
 
     keypoints: dict[int, dict[int, KeyPoint]] = {image_id: {} for image_id in paths}
     p = root / "parts" / "part_locs.txt"
-    for line_no, line in _lines(p):
-        fields = line.split()
+    for line_no, fields in _records(p):
         if len(fields) != 5:
             raise MalformedLine(p, line_no, "expected '<image_id> <part_id> <x> <y> <visible>'")
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
@@ -163,8 +237,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
 def read_region_sets_reference(path) -> dict[int, PartRegionSet]:
     path = Path(path)
     result: dict[int, PartRegionSet] = {}
-    for line_no, line in _lines(path):
-        fields = line.split()
+    for line_no, fields in _records(path):
         if len(fields) != 6:
             raise MalformedLine(path, line_no, "expected '<image_id> <part_name> <x1> <y1> <x2> <y2>'")
         image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)

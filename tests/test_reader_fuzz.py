@@ -3,19 +3,25 @@
 Bytes inserted into, written over or cut from a valid file must never let
 a ``KeyError``, ``IndexError``, bare ``ValueError`` or
 ``UnicodeDecodeError`` escape: the CLI turns a ``ToolkitError`` into one
-``error:`` line and an exit code, anything else into a traceback.
+``error:`` line and an exit code, anything else into a traceback.  The
+files of an annotation tree are damaged one at a time and read through
+``partkit validate``.
 """
 
 from __future__ import annotations
 
+import io
 import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import build_tree, toy_images
+from partkit.cli import main
 from partkit.config import load_config
 from partkit.dataset_io import parse_detections, read_labels, read_split
 from partkit.errors import InvertedBox, MalformedLine, ToolkitError
@@ -35,6 +41,16 @@ READERS = {
     "load_model": (load_model, "svm v1 2 3 1 5 0\n1 -0.5 0.1 0.2 0.3\n2 0.25 1e-3 -2 0\n"),
     "load_config": (load_config, "seed = 3\nscore_min = 0.4  # strict\nsynth_signal_groups = head,wing\n"),
 }
+
+# the files of an annotation tree, each damaged alone
+DATASET_FILES = [
+    "images.txt",
+    "image_sizes.txt",
+    "classes.txt",
+    "image_class_labels.txt",
+    "parts/parts.txt",
+    "parts/part_locs.txt",
+]
 
 # pieces a damaged file tends to hold: separators, signs, bytes that are not
 # UTF-8, numbers that overflow or are not finite, names of the wrong kind
@@ -103,6 +119,26 @@ def test_the_valid_files_read(name):
 @example(changes=[("cut", 0, b"", 1000), ("insert", 0, HUGE_MODEL, 1)])  # HUGE_MODEL alone
 def test_damaged_bytes_give_a_result_or_a_toolkit_error(name, changes):
     read(name, damaged(READERS[name][1], changes))
+
+
+@pytest.mark.parametrize("name", DATASET_FILES)
+@settings(max_examples=150, deadline=None)
+@given(changes=edits())
+def test_a_damaged_dataset_file_exits_with_at_most_one_error_line(name, changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = build_tree(Path(tmp), toy_images(3))
+        path = root / name
+        path.write_bytes(damaged(path.read_text(encoding="utf-8"), changes))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["validate", str(root)])
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert out.getvalue() == ""
 
 
 def test_a_model_header_too_large_to_allocate_is_a_malformed_line(tmp_path):

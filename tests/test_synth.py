@@ -307,7 +307,7 @@ class TestSynthFeatures:
 class TestSynthCorpus:
     def test_outputs_exist_and_parse(self, tmp_path):
         cfg = SynthConfig(num_classes=4, images_per_class=10, seed=0)
-        paths = synth_corpus(cfg, tmp_path / "corpus")
+        paths = synth_corpus(cfg, tmp_path / "corpus", RegionConfig(), (0.5, 0.2, 0.3))
         assert set(paths) == {
             "dataset",
             "split",
@@ -342,16 +342,23 @@ class TestSynthCorpus:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = SynthConfig(num_classes=2, images_per_class=5, jitter_px=2.0, score_noise=0.4, seed=3)
-        synth_corpus(cfg, tmp_path / "a")
-        synth_corpus(cfg, tmp_path / "b")
+        synth_corpus(cfg, tmp_path / "a", RegionConfig(), (0.5, 0.2, 0.3))
+        synth_corpus(cfg, tmp_path / "b", RegionConfig(), (0.5, 0.2, 0.3))
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
     def test_seed_changes_outputs(self, tmp_path):
-        synth_corpus(SynthConfig(seed=0), tmp_path / "a")
-        synth_corpus(SynthConfig(seed=1), tmp_path / "b")
+        synth_corpus(SynthConfig(seed=0), tmp_path / "a", RegionConfig(), (0.5, 0.2, 0.3))
+        synth_corpus(SynthConfig(seed=1), tmp_path / "b", RegionConfig(), (0.5, 0.2, 0.3))
         a = (tmp_path / "a" / "gt_regions.txt").read_bytes()
         b = (tmp_path / "b" / "gt_regions.txt").read_bytes()
         assert a != b
+
+    def test_region_config_and_ratios_have_no_defaults(self, tmp_path):
+        # a default once drew leg ties from the corpus seed, where
+        # `partkit synth` draws them from tie_seed
+        with pytest.raises(TypeError):
+            synth_corpus(SynthConfig(seed=3), tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
 
 
 def test_template_covers_all_parts():

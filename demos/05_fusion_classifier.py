@@ -50,7 +50,10 @@ print(f"\nsplit: {len(train_ids)} train / {len(test_ids)} test")
 
 train = fuse(store, train_ids, GROUP_ORDER)
 test = fuse(store, test_ids, GROUP_ORDER)
-print(f"fused matrices: train {train.vectors.shape}, test {test.vectors.shape}")
+# a fused split is an index into the store: one store row (or -1, absent)
+# per block, each row gathered only while the classifier uses it
+print(f"fused splits: train {len(train)} x {train.dim}, test {len(test)} x {test.dim}, "
+      f"indexed by store rows {train.blocks.shape} and {test.blocks.shape}")
 model = train_svm(train, labels, c=0.1, epochs=50, seed=0)
 print(f"accuracy with every group fused: {evaluate_accuracy(model, test, labels):.4f}")
 

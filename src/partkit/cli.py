@@ -119,8 +119,8 @@ def cmd_eval_pcp(args, config: ToolkitConfig) -> int:
     return 0
 
 
-def _load_classification_inputs(args):
-    store = FeatureStore.load(args.features)
+def _load_classification_inputs(args, config: ToolkitConfig):
+    store = FeatureStore.load(args.features, l2_normalize=config.l2_normalize)
     labels = read_labels(args.labels)
     split = read_split(args.split)
     unlabeled = sorted(i for i in store.image_ids if i not in labels)
@@ -130,7 +130,7 @@ def _load_classification_inputs(args):
 
 
 def cmd_classify(args, config: ToolkitConfig) -> int:
-    store, labels, split = _load_classification_inputs(args)
+    store, labels, split = _load_classification_inputs(args, config)
     groups = GROUP_ORDER
     if args.groups is not None:
         try:
@@ -139,9 +139,9 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
             raise ConfigError(str(exc)) from None
     train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
     test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
-    # one fused split at a time: the train matrix is dropped before the
-    # test matrix is built
-    train = fuse(store, train_ids, groups, l2_normalize=config.l2_normalize)
+    # one fused split at a time: the train index is dropped before the
+    # test index is built
+    train = fuse(store, train_ids, groups)
     model = train_svm(
         train,
         labels,
@@ -151,7 +151,7 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
     )
     train_rows = len(train)
     del train
-    test = fuse(store, test_ids, groups, l2_normalize=config.l2_normalize)
+    test = fuse(store, test_ids, groups)
     accuracy = evaluate_accuracy(model, test, labels)
     out = _resolve_out(args, config)
     save_model(model, out / "model.svm")
@@ -164,7 +164,7 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
 
 
 def cmd_combination(args, config: ToolkitConfig) -> int:
-    store, labels, split = _load_classification_inputs(args)
+    store, labels, split = _load_classification_inputs(args, config)
     result = run_combination_experiment(
         store,
         labels,
@@ -172,7 +172,6 @@ def cmd_combination(args, config: ToolkitConfig) -> int:
         c=config.svm_c,
         epochs=config.svm_epochs,
         seed=derive_seed(config.seed, "svm"),
-        l2_normalize=config.l2_normalize,
     )
     tsv = result.to_tsv()
     out = _resolve_out(args, config, required=False)

@@ -3,9 +3,10 @@
 Per-image feature vectors exist per group (the two whole-image views plus
 the five parts).  Fusion concatenates the selected groups' vectors in a
 fixed order, substituting exact-zero blocks for groups with no stored
-vector, so missing parts never shift block offsets.  Classification is a
-one-vs-rest linear SVM trained by seeded epoch-wise subgradient descent on
-the L2-regularized hinge loss.
+vector, so missing parts never shift block offsets; a fused matrix is an
+index into the store, and each row is gathered only when it is used.
+Classification is a one-vs-rest linear SVM trained by seeded epoch-wise
+subgradient descent on the L2-regularized hinge loss.
 """
 
 from __future__ import annotations
@@ -41,18 +42,39 @@ BASELINE_GROUPS: tuple[PartKind, ...] = (PartKind.ORIGINAL, PartKind.CROPPED)
 
 class FeatureStore:
     """Read-only feature vectors keyed by (image_id, group), one shared
-    dimension, held as the rows of one read-only (records, dim) matrix."""
+    dimension, held as the rows of one read-only (records + 1, dim) matrix.
 
-    def __init__(self, records: Mapping[tuple[int, PartKind], np.ndarray], dim: int):
+    The last row is all zero: it is the block ``fuse`` gives an absent
+    group, and ``len``, ``get`` and ``image_ids`` never show it.  With
+    ``l2_normalize`` every stored vector is rescaled to unit length once,
+    before the matrix is frozen.
+    """
+
+    def __init__(
+        self,
+        records: Mapping[tuple[int, PartKind], np.ndarray],
+        dim: int,
+        l2_normalize: bool = False,
+    ):
         import numpy as np
 
         rows: dict[int, list[Optional[int]]] = {}
         for row, (image_id, group) in enumerate(records):
             rows.setdefault(image_id, [None] * len(GROUP_ORDER))[GROUP_ORDER.index(group)] = row
-        matrix = np.array(list(records.values()), dtype=np.float64)
-        self._adopt(rows, matrix.reshape(len(records), dim))
+        matrix = np.array([*records.values(), np.zeros(dim)], dtype=np.float64)
+        self._adopt(rows, matrix.reshape(len(records) + 1, dim), l2_normalize)
 
-    def _adopt(self, rows: dict[int, list[Optional[int]]], matrix: np.ndarray) -> None:
+    def _adopt(
+        self, rows: dict[int, list[Optional[int]]], matrix: np.ndarray, l2_normalize: bool
+    ) -> None:
+        if l2_normalize:
+            import numpy as np
+
+            for row in matrix:  # the zero row has norm 0 and stays zero
+                # the 1-D norm of each row: a norm along an axis sums in another order
+                norm = np.linalg.norm(row)
+                if norm > 0:
+                    row /= norm
         matrix.flags.writeable = False
         # image_id -> the matrix row of each group, at its GROUP_ORDER position
         self._rows = rows
@@ -61,7 +83,7 @@ class FeatureStore:
         self._image_ids = frozenset(rows)
 
     def __len__(self) -> int:
-        return int(self._matrix.shape[0])
+        return int(self._matrix.shape[0]) - 1
 
     @property
     def image_ids(self) -> frozenset[int]:
@@ -75,7 +97,7 @@ class FeatureStore:
         return None if row is None else self._matrix[row]
 
     @classmethod
-    def load(cls, path) -> "FeatureStore":
+    def load(cls, path, l2_normalize: bool = False) -> "FeatureStore":
         """Parse a feature TSV: '<image_id>\\t<group>\\t<v1> <v2> ...'.
 
         The keys are checked line by line and the value fields are streamed
@@ -84,7 +106,8 @@ class FeatureStore:
         raises or returns another row count, or a value is not finite), the
         whole file goes through ``_load_per_line`` instead, which raises
         the error of the first bad line or reads the syntax only ``float()``
-        accepts, such as ``1_0``.
+        accepts, such as ``1_0``.  The stream ends with a line of zeros, so
+        ``loadtxt`` writes the store's zero row itself.
         """
         import numpy as np
 
@@ -98,16 +121,16 @@ class FeatureStore:
                     _value_fields(path, fh, rows), dtype=np.float64, ndmin=2, comments=None
                 )
         except (ToolkitError, ValueError):  # UnicodeDecodeError is a ValueError
-            return cls._load_per_line(path)
+            return cls._load_per_line(path, l2_normalize)
         records = sum(len(slots) - slots.count(None) for slots in rows.values())
-        if matrix.shape[0] != records or not np.isfinite(matrix).all():
-            return cls._load_per_line(path)
+        if matrix.shape[0] != records + 1 or not np.isfinite(matrix).all():
+            return cls._load_per_line(path, l2_normalize)
         store = cls.__new__(cls)
-        store._adopt(rows, matrix)
+        store._adopt(rows, matrix, l2_normalize)
         return store
 
     @classmethod
-    def _load_per_line(cls, path: Path) -> "FeatureStore":
+    def _load_per_line(cls, path: Path, l2_normalize: bool = False) -> "FeatureStore":
         import numpy as np
 
         records: dict[tuple[int, PartKind], np.ndarray] = {}
@@ -145,7 +168,7 @@ class FeatureStore:
             raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
         if dim is None:
             raise InputError(f"{path}: feature store is empty")
-        return cls(records, dim)
+        return cls(records, dim, l2_normalize)
 
 
 def _record_key(path: Path, line_no: int, fields: list[str]) -> tuple[int, PartKind]:
@@ -167,13 +190,17 @@ def _record_key(path: Path, line_no: int, fields: list[str]) -> tuple[int, PartK
 def _value_fields(
     path: Path, lines: Iterable[str], rows: dict[int, list[Optional[int]]]
 ) -> Iterator[str]:
-    """Yield each record's value field, recording its matrix row in ``rows``.
+    """Yield each record's value field, recording its matrix row in ``rows``,
+    then one line of zeros as long as the first record's field.
 
     Raises on any line the per-line reader rejects for its key, on an
     empty value field (``loadtxt`` skips it, and warns when no data is
     left) and on a file with no records; the caller then reads per line.
+    A record whose length ``loadtxt`` counts otherwise than ``str.split``
+    differs from the zero line, so ``loadtxt`` raises for it too.
     """
     records = 0
+    zeros = ""
     for line_no, raw in enumerate(lines, start=1):
         if raw.isspace():
             continue
@@ -186,10 +213,13 @@ def _value_fields(
         if slots[slot] is not None:
             raise DuplicateKey(f"{path}:{line_no}: repeated record for {image_id}/{group}")
         slots[slot] = records
+        if not records:
+            zeros = " ".join(["0"] * len(fields[2].split()))
         records += 1
         yield fields[2]
     if not records:
         raise InputError(f"{path}: feature store is empty")
+    yield zeros
 
 
 def write_feature_records(
@@ -208,28 +238,60 @@ def write_feature_records(
 
 @dataclass(frozen=True, eq=False)
 class FusedMatrix:
-    """The fused vectors of a set of images, one row per image.
+    """The fused vectors of a set of images, one row per image, held as an
+    index into a feature store's matrix rather than as a copy.
 
     Row r holds image ``image_ids[r]``; its block i covers columns
-    [i*D, (i+1)*D) for the i-th group of ``groups`` and is exact zero where
-    ``present[r, i]`` is False.  Ids are strictly ascending, so anything
-    computed row by row is a function of the id set, not of an input order.
+    [i*D, (i+1)*D) for the i-th group of ``groups`` and is the store row
+    ``blocks[r, i]``, or exact zero where that is -1 (the group is absent):
+    ``source``'s last row is all zero, and ``mode="wrap"`` maps -1 to it.
+    Ids are strictly ascending, so anything computed row by row is a
+    function of the id set, not of an input order.
     """
 
     image_ids: tuple[int, ...]
     groups: tuple[PartKind, ...]
-    vectors: np.ndarray  # (images, len(groups) * dim)
-    present: np.ndarray  # (images, len(groups)) bool
+    source: np.ndarray  # (store records + 1, D), the last row all zero
+    blocks: np.ndarray  # (images, len(groups)) store rows, -1 for an absent group
 
     def __post_init__(self):
         ids = self.image_ids
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise InputError("fused image ids must be strictly ascending")
-        if len(self.vectors) != len(ids):
-            raise InputError(f"{len(self.vectors)} fused rows for {len(ids)} image ids")
+        if len(self.blocks) != len(ids):
+            raise InputError(f"{len(self.blocks)} fused rows for {len(ids)} image ids")
 
     def __len__(self) -> int:
         return len(self.image_ids)
+
+    @property
+    def dim(self) -> int:
+        return len(self.groups) * int(self.source.shape[1])
+
+    @property
+    def present(self) -> np.ndarray:
+        """(images, len(groups)) bool: which blocks come from a stored vector."""
+        return self.blocks >= 0
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """A new (images, dim) array of every fused row, for inspection;
+        training and scoring gather one row at a time instead."""
+        return self.source.take(self.blocks, axis=0, mode="wrap").reshape(len(self), self.dim)
+
+    def gathered(self, rows: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(r, vector)`` for each row index r of ``rows``, the fused
+        vector gathered into one buffer that the next step overwrites."""
+        import numpy as np
+
+        buffer = np.empty((len(self.groups), self.source.shape[1]), dtype=np.float64)
+        vector = buffer.reshape(-1)  # the same memory, as one contiguous row
+        source, blocks = self.source, self.blocks
+        for r in rows:
+            # "wrap" maps -1 to the zero row and, unlike "raise", does not
+            # buffer ``out``
+            source.take(blocks[r], axis=0, out=buffer, mode="wrap")
+            yield r, vector
 
 
 def normalize_groups(groups: Sequence[PartKind]) -> tuple[PartKind, ...]:
@@ -244,52 +306,30 @@ def normalize_groups(groups: Sequence[PartKind]) -> tuple[PartKind, ...]:
     return tuple([g for g in GROUP_ORDER if g in groups])
 
 
-def fuse(
-    store: FeatureStore,
-    image_ids: Iterable[int],
-    groups: Sequence[PartKind],
-    *,
-    l2_normalize: bool = False,
-) -> FusedMatrix:
-    """Concatenate each image's group vectors, zero-filling absent groups.
+def fuse(store: FeatureStore, image_ids: Iterable[int], groups: Sequence[PartKind]) -> FusedMatrix:
+    """Index each image's group vectors in the store, zero-filling absent groups.
 
     Rows follow ascending image id.  Block i of a row covers offsets
-    [i*D, (i+1)*D) for the i-th selected group in ``GROUP_ORDER``.
-    ``l2_normalize`` rescales each stored vector to unit length before
-    concatenation (zero blocks stay zero).  Raises UnknownImage when the
-    store holds nothing at all for an image.
+    [i*D, (i+1)*D) for the i-th selected group in ``GROUP_ORDER``.  No
+    vector is copied: the result holds one store row index per block.
+    Raises UnknownImage when the store holds nothing at all for an image.
     """
     import numpy as np
 
     selected = normalize_groups(groups)
     ids = sorted(image_ids)
     slots = [GROUP_ORDER.index(group) for group in selected]
-    rows = []
+    blocks = []
     for image_id in ids:
         image_rows = store._rows.get(image_id)
         if image_rows is None:
             raise UnknownImage(f"image {image_id} has no feature records")
-        rows.append([-1 if image_rows[s] is None else image_rows[s] for s in slots])
-    rows = np.array(rows, dtype=np.intp).reshape(len(ids), len(selected))
-    present = rows >= 0
-    vectors = np.zeros((len(ids), len(selected), store.dim), dtype=np.float64)
-    # one block column at a time: the only intermediate is one group's
-    # gathered rows, freed before the next group's are gathered
-    for column in range(len(selected)):
-        have = present[:, column]
-        vectors[have, column] = store._matrix[rows[have, column]]
-    if l2_normalize:
-        for i, j in zip(*present.nonzero()):
-            block = vectors[i, j]
-            # the 1-D norm of each block: a norm along an axis sums in another order
-            norm = np.linalg.norm(block)
-            if norm > 0:
-                block /= norm
+        blocks.append([-1 if image_rows[s] is None else image_rows[s] for s in slots])
     return FusedMatrix(
         image_ids=tuple(ids),
         groups=selected,
-        vectors=vectors.reshape(len(ids), len(selected) * store.dim),
-        present=present,
+        source=store._matrix,
+        blocks=np.array(blocks, dtype=np.intp).reshape(len(ids), len(selected)),
     )
 
 
@@ -352,7 +392,8 @@ def train_svm(
     Every per-class problem shares the samples, the seeded epoch orders and
     the step schedule, so all classes train in one pass over a
     (classes, dim) weight matrix; each class's rows get exactly the
-    arithmetic a separate per-class Pegasos run would give them.
+    arithmetic a separate per-class Pegasos run would give them.  Each
+    visited sample is gathered from the store into one reused buffer.
     """
     import numpy as np
 
@@ -360,13 +401,12 @@ def train_svm(
     if not len(samples):
         raise EmptyTrainingSet("no training samples")
     _check_labels(samples, labels)
-    x = samples.vectors
     y_ids = [labels[image_id] for image_id in samples.image_ids]
     classes = tuple(sorted(set(int(v) for v in y_ids)))
     if len(classes) < 2:
         raise SingleClass(f"training set has {len(classes)} class(es); need at least 2")
 
-    n, dim = x.shape
+    n, dim = len(samples), samples.dim
     if not math.isfinite(c * n):
         raise ConfigError(f"svm regularization parameter {c} times {n} training samples overflows")
     class_index = {class_id: k for k, class_id in enumerate(classes)}
@@ -380,8 +420,7 @@ def train_svm(
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
-        for i in order:
-            xi = x[i]
+        for i, xi in samples.gathered(order):
             step = 1.0 / (reg * t)
             k_pos = positive[i]
             np.dot(weights, xi, out=scores)
@@ -419,14 +458,16 @@ def predict(model: SvmModel, vector: np.ndarray) -> int:
 def evaluate_accuracy(
     model: SvmModel, samples: FusedMatrix, labels: Mapping[int, int]
 ) -> float:
-    """Share of rows whose prediction matches the label, one ``predict`` per row."""
+    """Share of rows whose prediction matches the label, one ``predict`` per
+    row, each row gathered from the store into one reused buffer."""
     if not len(samples):
         raise EmptyTestSet("no test samples")
     _check_labels(samples, labels)
+    ids = samples.image_ids
     correct = sum(
         1
-        for image_id, vector in zip(samples.image_ids, samples.vectors)
-        if predict(model, vector) == labels[image_id]
+        for r, vector in samples.gathered(range(len(samples)))
+        if predict(model, vector) == labels[ids[r]]
     )
     return correct / len(samples)
 
@@ -443,13 +484,13 @@ def _check_labels(samples: FusedMatrix, labels: Mapping[int, int]) -> None:
 def save_model(model: SvmModel, path) -> None:
     """Text format: 'svm v1 <classes> <dim> <C> <epochs> <seed>' header, then
     one '<class_id> <bias> <w...>' line per class at 9 significant digits."""
+    values = " ".join(["%.9g"] * (model.dim + 1))  # a class line's bias and weights
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"svm v1 {len(model.classes)} {model.dim} {model.c:.9g} {model.epochs} {model.seed}\n"
         )
-        for idx, class_id in enumerate(model.classes):
-            weights = " ".join(map("{:.9g}".format, model.weights[idx].tolist()))
-            fh.write(f"{class_id} {model.biases[idx]:.9g} {weights}\n")
+        for class_id, bias, weights in zip(model.classes, model.biases.tolist(), model.weights):
+            fh.write(f"{class_id} {values % (bias, *weights.tolist())}\n")
 
 
 def load_model(path) -> SvmModel:
@@ -540,7 +581,6 @@ def run_combination_experiment(
     c: float = 1.0,
     epochs: int = 50,
     seed: int = 0,
-    l2_normalize: bool = False,
 ) -> ExperimentResult:
     """Incremental part-combination study.
 
@@ -556,13 +596,8 @@ def run_combination_experiment(
     part_groups = [g for g in GROUP_ORDER if g not in BASELINE_GROUPS]
 
     def accuracy_for(groups: Sequence[PartKind]) -> float:
-        # one fused split at a time
-        model = train_svm(
-            fuse(store, train_ids, groups, l2_normalize=l2_normalize),
-            labels, c=c, epochs=epochs, seed=seed,
-        )
-        test = fuse(store, test_ids, groups, l2_normalize=l2_normalize)
-        return evaluate_accuracy(model, test, labels)
+        model = train_svm(fuse(store, train_ids, groups), labels, c=c, epochs=epochs, seed=seed)
+        return evaluate_accuracy(model, fuse(store, test_ids, groups), labels)
 
     single = {kind: accuracy_for((kind,)) for kind in part_groups}
     ranked = sorted(part_groups, key=lambda k: -single[k])

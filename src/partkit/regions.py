@@ -402,6 +402,10 @@ def read_yolo_labels(path, image_width: float, image_height: float) -> list[tupl
     boxes: list[tuple[int, Box]] = []
     for line_no, fields in _records(path, "<class> <cx> <cy> <w> <h>"):
         class_index = _parse_int(path, line_no, fields[0], "class_index", minimum=0)
+        if class_index >= len(REGION_KINDS):  # the writer's indices, one per region kind
+            raise MalformedLine(
+                path, line_no, f"class_index must be < {len(REGION_KINDS)}, got {class_index}"
+            )
         cx, cy, w, h = (_parse_float(path, line_no, f, n) for f, n in zip(fields[1:], "cx cy w h".split()))
         # the writer's normalized range, which also keeps the products below
         # finite; a width or height of 0 or less is the box rule's

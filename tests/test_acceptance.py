@@ -23,7 +23,6 @@ from partkit.detection import Detection, compute_pcp, select_all, select_valid_p
 from partkit.features import (
     BASELINE_GROUPS,
     FeatureStore,
-    FusedMatrix,
     evaluate_accuracy,
     fuse,
     load_model,
@@ -67,13 +66,10 @@ def store_of(records, dim):
 
 
 def samples_of(rows):
-    """A FusedMatrix of (image_id, values) rows under the single group ORIGINAL."""
-    return FusedMatrix(
-        image_ids=tuple(image_id for image_id, _ in rows),
-        groups=(PartKind.ORIGINAL,),
-        vectors=np.array([values for _, values in rows], dtype=np.float64),
-        present=np.ones((len(rows), 1), dtype=bool),
-    )
+    """The FusedMatrix of (image_id, values) rows under the single group
+    ORIGINAL, fused from a store that holds each row."""
+    store = store_of([(i, PartKind.ORIGINAL, v) for i, v in rows], len(rows[0][1]))
+    return fuse(store, [image_id for image_id, _ in rows], (PartKind.ORIGINAL,))
 
 
 def tree_digest(root):

@@ -53,7 +53,7 @@ def store_from_rows(rows, path):
     return FeatureStore.load(path)
 
 
-def full_store(tmp_path, image_ids=(1, 2), dim=DIM, skip=()):
+def full_store(tmp_path, image_ids=(1, 2), dim=DIM, skip=(), l2_normalize=False):
     """One record per (image, group) with distinctive values."""
     records = []
     for image_id in image_ids:
@@ -64,7 +64,22 @@ def full_store(tmp_path, image_ids=(1, 2), dim=DIM, skip=()):
             records.append((image_id, group, vector))
     path = tmp_path / "features.tsv"
     write_feature_records(records, path)
-    return FeatureStore.load(path)
+    return FeatureStore.load(path, l2_normalize=l2_normalize)
+
+
+def random_store(images, dim, seed, l2_normalize=False):
+    """Images 1..images with standard normal vectors, one group in five absent."""
+    rng = np.random.default_rng(seed)
+    return FeatureStore(
+        {
+            (image_id, group): rng.standard_normal(dim)
+            for image_id in range(1, images + 1)
+            for group in GROUP_ORDER
+            if (image_id + GROUP_ORDER.index(group)) % 5
+        },
+        dim,
+        l2_normalize,
+    )
 
 
 class TestWriteFeatureRecords:
@@ -186,16 +201,18 @@ class TestFeatureStore:
         assert "2" in str(exc_info.value)
 
     def test_rows_are_read_only_and_fused_vectors_writeable(self, tmp_path):
-        loaded = full_store(tmp_path)
-        built = FeatureStore({(1, PartKind.HEAD): np.ones(DIM)}, DIM)
-        for store in (loaded, built):
-            row = store.get(1, PartKind.HEAD)
-            with pytest.raises(ValueError):
-                row[0] = 5.0
-            for l2 in (False, True):
-                fused = fuse(store, [1], GROUP_ORDER, l2_normalize=l2)
+        for l2 in (False, True):
+            loaded = full_store(tmp_path, l2_normalize=l2)
+            built = FeatureStore({(1, PartKind.HEAD): np.ones(DIM)}, DIM, l2_normalize=l2)
+            for store in (loaded, built):
+                row = store.get(1, PartKind.HEAD)
+                with pytest.raises(ValueError):
+                    row[0] = 5.0
+                fused = fuse(store, [1], GROUP_ORDER)
+                with pytest.raises(ValueError):
+                    fused.source[-1, 0] = 5.0  # the zero row
                 fused.vectors[:] = 7.0
-            assert store.get(1, PartKind.HEAD)[0] != 7.0
+                assert store.get(1, PartKind.HEAD)[0] != 7.0
 
     def test_valid_file_never_reads_per_line(self, tmp_path, monkeypatch):
         def per_line(path):
@@ -390,9 +407,8 @@ class TestFuse:
             )
 
     def test_no_ids_give_an_empty_matrix(self, tmp_path):
-        store = full_store(tmp_path)
         for l2 in (False, True):
-            fused = fuse(store, [], BASELINE_GROUPS, l2_normalize=l2)
+            fused = fuse(full_store(tmp_path, l2_normalize=l2), [], BASELINE_GROUPS)
             assert len(fused) == 0
             assert fused.vectors.shape == (0, 2 * DIM)
             assert fused.present.shape == (0, 2)
@@ -403,12 +419,13 @@ class TestFuse:
             [(1, PartKind.ORIGINAL, np.array([3.0, 4.0])), (1, PartKind.HEAD, np.array([0.0, 5.0]))],
             path,
         )
-        store = FeatureStore.load(path)
-        fused = fuse(store, [1], (PartKind.ORIGINAL, PartKind.HEAD), l2_normalize=True)
+        store = FeatureStore.load(path, l2_normalize=True)
+        np.testing.assert_allclose(store.get(1, PartKind.ORIGINAL), [0.6, 0.8])
+        fused = fuse(store, [1], (PartKind.ORIGINAL, PartKind.HEAD))
         np.testing.assert_allclose(block(fused, 0, PartKind.ORIGINAL), [0.6, 0.8])
         np.testing.assert_allclose(block(fused, 0, PartKind.HEAD), [0.0, 1.0])
         # zero fill stays zero under normalization
-        fused2 = fuse(store, [1], (PartKind.ORIGINAL, PartKind.TAIL), l2_normalize=True)
+        fused2 = fuse(store, [1], (PartKind.ORIGINAL, PartKind.TAIL))
         assert np.all(block(fused2, 0, PartKind.TAIL) == 0.0)
 
     def test_presence_pattern_offsets(self, tmp_path):
@@ -428,25 +445,18 @@ class TestFuse:
     @pytest.mark.parametrize("l2", [False, True])
     def test_peak_is_output_plus_one_block_column(self, l2):
         images, dim = 200, 512
-        rng = np.random.default_rng(0)
-        store = FeatureStore(
-            {
-                (image_id, group): rng.standard_normal(dim)
-                for image_id in range(1, images + 1)
-                for group in GROUP_ORDER
-                if (image_id + GROUP_ORDER.index(group)) % 5
-            },
-            dim,
-        )
+        store = random_store(images, dim, seed=0, l2_normalize=l2)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            fused = fuse(store, range(1, images + 1), GROUP_ORDER, l2_normalize=l2)
+            fused = fuse(store, range(1, images + 1), GROUP_ORDER)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        column = images * dim * 8
-        # the per-image index lists and arrays take well under 64 KiB here
+        column = images * dim * 8  # one group's vectors of every image
+        # the per-image index lists and arrays take well under 64 KiB here;
+        # the output is the block index, so no block column is needed at all
+        assert peak <= fused.blocks.nbytes + 64 * 1024 < column
         assert peak <= fused.vectors.nbytes + column + 64 * 1024
 
     @settings(max_examples=200, deadline=None)
@@ -468,7 +478,8 @@ class TestFuse:
         requested = data.draw(st.permutations(image_ids), label="requested")
         l2 = data.draw(st.booleans(), label="l2")
 
-        fused = fuse(store, requested, groups, l2_normalize=l2)
+        # the reference normalizes a copy of each raw block as it fuses
+        fused = fuse(FeatureStore(records, dim, l2_normalize=l2), requested, groups)
         assert fused.image_ids == tuple(sorted(image_ids))
         assert fused.groups == normalize_groups(groups)
         assert fused.vectors.shape == (len(image_ids), len(fused.groups) * dim)
@@ -482,10 +493,10 @@ class TestFuse:
 class TestFusedMatrix:
     @pytest.mark.parametrize("ids", [(2, 1), (1, 1), (1, 3, 2)])
     def test_rejects_unsorted_or_repeated_ids(self, ids):
-        vectors = np.zeros((len(ids), DIM))
-        present = np.ones((len(ids), 1), dtype=bool)
+        source = np.zeros((len(ids) + 1, DIM))
+        blocks = np.arange(len(ids), dtype=np.intp).reshape(len(ids), 1)
         with pytest.raises(InputError):
-            FusedMatrix(ids, (PartKind.ORIGINAL,), vectors, present)
+            FusedMatrix(ids, (PartKind.ORIGINAL,), source, blocks)
 
     def test_fuse_rejects_repeated_ids(self, tmp_path):
         store = full_store(tmp_path)
@@ -521,17 +532,25 @@ class TestGroupSelection:
 
 
 def matrix_of(rows, groups=(PartKind.ORIGINAL,), present=None) -> FusedMatrix:
-    """A FusedMatrix of (image_id, vector) rows; every group present by default."""
-    ids = tuple(image_id for image_id, _ in rows)
-    vectors = np.array([values for _, values in rows], dtype=np.float64)
-    if present is None:
-        present = np.ones((len(ids), len(groups)), dtype=bool)
-    return FusedMatrix(ids, tuple(groups), vectors, np.asarray(present, dtype=bool))
+    """The FusedMatrix of ascending (image_id, vector) rows, fused from a
+    store that holds each present block; every group present by default.
+    An absent block must be zero in ``rows``, as fusion leaves it."""
+    dim = len(rows[0][1]) // len(groups)
+    records = {}
+    for r, (image_id, values) in enumerate(rows):
+        blocks = np.asarray(values, dtype=np.float64).reshape(len(groups), dim)
+        for i, group in enumerate(groups):
+            if present is None or present[r][i]:
+                records[(image_id, group)] = blocks[i]
+    samples = fuse(FeatureStore(records, dim), [image_id for image_id, _ in rows], groups)
+    assert samples.groups == tuple(groups)
+    assert np.array_equal(samples.vectors, [values for _, values in rows])
+    return samples
 
 
 def rows_of(samples: FusedMatrix, index: slice) -> FusedMatrix:
     return FusedMatrix(
-        samples.image_ids[index], samples.groups, samples.vectors[index], samples.present[index]
+        samples.image_ids[index], samples.groups, samples.source, samples.blocks[index]
     )
 
 
@@ -735,17 +754,38 @@ class TestTrainSvm:
         """Dimensions that are zero in every sample never acquire weight, so
         a zero-filled group contributes nothing to any decision score."""
         samples, labels = four_class_problem()
-        padded = FusedMatrix(
-            samples.image_ids,
-            samples.groups,
-            np.hstack([samples.vectors, np.zeros((len(samples), 3))]),
-            samples.present,
+        padded = matrix_of(
+            list(zip(samples.image_ids, np.hstack([samples.vectors, np.zeros((len(samples), 3))])))
         )
         model = train_svm(padded, labels, seed=0)
         assert np.all(model.weights[:, 4:] == 0.0)
         base = train_svm(samples, labels, seed=0)
         for s, p in zip(samples.vectors, padded.vectors):
             np.testing.assert_array_equal(decision_scores(base, s), decision_scores(model, p))
+
+
+def test_training_and_scoring_allocate_no_fused_copy():
+    """Fusing, training on and scoring a split allocates the model, one
+    (groups, D) gather buffer per pass and O(n) indices: never a fused copy
+    of n * groups * D values."""
+    images, dim, num_classes = 600, 64, 4
+    store = random_store(images, dim, seed=1)
+    labels = {image_id: (image_id - 1) % num_classes + 1 for image_id in range(1, images + 1)}
+    train_ids, test_ids = range(1, images + 1, 2), range(2, images + 1, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = train_svm(fuse(store, train_ids, GROUP_ORDER), labels, epochs=2, seed=0)
+        evaluate_accuracy(model, fuse(store, test_ids, GROUP_ORDER), labels)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = len(train_ids)
+    fused_copy = n * len(GROUP_ORDER) * dim * 8
+    buffers = 2 * len(GROUP_ORDER) * dim * 8
+    # the shuffled order, labels and block index: a few hundred bytes a sample
+    allowed = model.weights.nbytes + model.biases.nbytes + buffers + 256 * n + 64 * 1024
+    assert peak <= allowed < fused_copy / 2
 
 
 class TestPredictAndAccuracy:

@@ -5,7 +5,8 @@ a ``KeyError``, ``IndexError``, bare ``ValueError`` or
 ``UnicodeDecodeError`` escape: the CLI turns a ``ToolkitError`` into one
 ``error:`` line and an exit code, anything else into a traceback.  The
 files of an annotation tree are damaged one at a time and read through
-``partkit validate``.
+``partkit validate``.  A damaged feature file must load as the per-line
+reader reads it, or raise.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from partkit.cli import main
 from partkit.config import load_config
 from partkit.dataset_io import parse_detections, read_labels, read_split
 from partkit.errors import InvertedBox, MalformedLine, ToolkitError
-from partkit.features import load_model
+from partkit.features import FeatureStore, load_model
+from partkit.parts import GROUP_ORDER
 from partkit.regions import read_region_sets, read_yolo_labels
 
 # reader -> a valid file it reads
@@ -41,6 +43,14 @@ READERS = {
     "load_model": (load_model, "svm v1 2 3 1 5 0\n1 -0.5 0.1 0.2 0.3\n2 0.25 1e-3 -2 0\n"),
     "load_config": (load_config, "seed = 3\nscore_min = 0.4  # strict\nsynth_signal_groups = head,wing\n"),
 }
+
+# a valid feature file; long value fields, so that most damage lands in one
+FEATURES = (
+    "1\toriginal\t0.5 -1 2e-3 4.75 -0.0 6 1e-7 88\n"
+    "1\thead\t0 0 0 0 0 0 0 0\n"
+    "2\twing\t1.25 3 -0.0 .5 7. +2 3E2 -9\n"
+    "3\ttail\t7 8 9 10 11 12 13 14\n"
+)
 
 # the files of an annotation tree, each damaged alone
 DATASET_FILES = [
@@ -60,18 +70,25 @@ PIECES = [
     b"svm", b"\xe2\x80\xa8",
 ]
 
+# pieces that keep a feature file loadable more often: whitespace of every
+# kind, digits, signs, exponents and float syntax only ``float()`` reads
+FEATURE_PIECES = [
+    b" ", b"\t", b"\n", b"\r", b"\x0c", b"\x0b", b"\xc2\xa0", b"\xe2\x80\xa8", b"0", b"7", b"-", b"+",
+    b".", b"e", b"E", b"_", b"1e5", b"inf", b"nan", b"#",
+]
+
 # the header of a model that claims more weights than numpy can allocate
 HUGE_MODEL = b"svm v1 2 399999999999999999999 1 5 0\n1 0 0\n2 0 0\n"
 
 
 @st.composite
-def edits(draw) -> list[tuple[str, int, bytes, int]]:
+def edits(draw, pieces=PIECES) -> list[tuple[str, int, bytes, int]]:
     return draw(
         st.lists(
             st.tuples(
                 st.sampled_from(["insert", "overwrite", "cut"]),
                 st.integers(0, 200),
-                st.sampled_from(PIECES) | st.binary(min_size=1, max_size=3),
+                st.sampled_from(pieces) | st.binary(min_size=1, max_size=3),
                 st.integers(1, 12),
             ),
             min_size=1,
@@ -139,6 +156,45 @@ def test_a_damaged_dataset_file_exits_with_at_most_one_error_line(name, changes)
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         assert out.getvalue() == ""
+
+
+def _at(piece: str) -> int:
+    return FEATURES.index(piece)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=edits(FEATURE_PIECES), l2_normalize=st.booleans())
+# damage both readers accept: a blank line, a CR line end, no final newline,
+# separators only one of them splits on, and digits only float() reads
+@example(changes=[("insert", 0, b" \n", 1)], l2_normalize=True)
+@example(changes=[("insert", _at("\n1\thead"), b"\r", 1)], l2_normalize=False)
+@example(changes=[("cut", len(FEATURES) - 1, b"", 1)], l2_normalize=True)
+@example(changes=[("overwrite", _at(" 88"), b"\x0c", 1)], l2_normalize=False)
+@example(changes=[("overwrite", _at(" 88"), b"\xc2\xa0", 1)], l2_normalize=True)
+@example(changes=[("insert", _at("88") + 1, b"_", 1)], l2_normalize=False)
+def test_a_damaged_feature_file_loads_as_the_per_line_reader_reads_it(changes, l2_normalize):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.tsv"
+        path.write_bytes(damaged(FEATURES, changes))
+        try:
+            store = FeatureStore.load(path, l2_normalize=l2_normalize)
+        except ToolkitError:
+            return
+        reference = FeatureStore._load_per_line(path, l2_normalize)
+        # universal newlines, as both readers open the file
+        records = sum(1 for line in path.read_text(encoding="utf-8").split("\n") if line.strip())
+    assert len(store) == len(reference) == records
+    assert store.image_ids == reference.image_ids
+    rows = {
+        (image_id, group): (store.get(image_id, group), reference.get(image_id, group))
+        for image_id in store.image_ids
+        for group in GROUP_ORDER
+    }
+    for got, want in rows.values():
+        assert (got is None) == (want is None)
+        assert got is None or got.tobytes() == want.tobytes()
+    # the zero row is never one of the store's records
+    assert sum(got is not None for got, _ in rows.values()) == records
 
 
 def test_a_model_header_too_large_to_allocate_is_a_malformed_line(tmp_path):

@@ -437,6 +437,16 @@ class TestYoloExport:
         with pytest.raises(MalformedLine, match=rf"^{re.escape(str(path))}:2: {field} must be "):
             read_yolo_labels(path, 200, 100)
 
+    @pytest.mark.parametrize("class_index", [5, 9])
+    def test_a_class_index_with_no_region_kind_is_malformed(self, tmp_path, class_index):
+        # the writer's indices are 0..4; 9 was read back as a box of class 9
+        path = tmp_path / "im.txt"
+        path.write_text(f"4 0.5 0.5 0.2 0.1\n{class_index} 0.5 0.5 0.2 0.1\n", encoding="utf-8")
+        with pytest.raises(
+            MalformedLine, match=rf"^{re.escape(str(path))}:2: class_index must be < 5, got "
+        ):
+            read_yolo_labels(path, 200, 100)
+
     def test_boxes_on_the_image_edges_read_back(self, tmp_path):
         boxes = {PartKind.HEAD: Box(0.0, 0.0, 200.0, 100.0), PartKind.LEG: Box(150.0, 0.0, 200.0, 20.0)}
         images = {1: ImageRecord(1, "im.jpg", 1, 200, 100)}

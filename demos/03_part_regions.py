@@ -43,5 +43,5 @@ print(f"\ncenter crop of image 1 ({image.width}x{image.height}): "
 with tempfile.TemporaryDirectory() as tmp:
     written = export_yolo_labels(region_sets, dataset.images, Path(tmp) / "labels")
     print(f"\nexported {len(written)} label files; first file:")
-    for line in written[0].read_text(encoding="utf-8").splitlines():
+    for line in Path(written[0]).read_text(encoding="utf-8").splitlines():
         print(f"  {line}")

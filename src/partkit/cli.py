@@ -107,9 +107,12 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
 
 
 def cmd_eval_pcp(args, config: ToolkitConfig) -> int:
-    ground_truth = read_region_sets(args.gt_regions)
+    # select first and drop the candidates: the ground truth then reuses
+    # the memory of the losing ones, which lowers the command's peak
     detections = parse_detections(args.detections)
     selected = select_all(detections, config.score_min)
+    del detections
+    ground_truth = read_region_sets(args.gt_regions)
     report = compute_pcp(selected, ground_truth, config.pcp_iou_min)
     tsv = report.to_tsv()
     out = _resolve_out(args, config, required=False)

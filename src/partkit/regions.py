@@ -10,6 +10,7 @@ regions the least is kept.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from itertools import pairwise
@@ -355,31 +356,33 @@ def write_crop_manifest(dataset, region_sets: Mapping[int, PartRegionSet], cfg: 
 
 def export_yolo_labels(
     region_sets: Mapping[int, PartRegionSet], images: Mapping[int, object], out_dir
-) -> list[Path]:
+) -> list[str]:
     """One detector label file per image, next to its relative path.
 
     The label file is the image's relative path under ``out_dir`` with its
-    suffix replaced by ``.txt``.  Two images mapping to one label file (as
-    ``a/x.jpg`` and ``a/x.png`` do) raise InputError before any file is
-    written.  Lines are '<class_index> <x_center/W> <y_center/H> <w/W>
-    <h/H>' with class indices 0..4 for head, breast, tail, wing, leg and
-    6-decimal fixed rendering; images without regions produce empty files.
+    suffix replaced by ``.txt``, as pathlib maps it (``a/x.tar.gz`` to
+    ``a/x.tar.txt``, ``a/x.`` to ``a/x..txt``).  Two images mapping to one
+    label file (as ``a/x.jpg`` and ``a/x.png`` do), or one image's label
+    file that is a directory of another's (``a/x.jpg`` and ``a/x.txt/y.jpg``),
+    raise InputError before any file is written.  Lines are '<class_index>
+    <x_center/W> <y_center/H> <w/W> <h/H>' with class indices 0..4 for head,
+    breast, tail, wing, leg and 6-decimal fixed rendering; images without
+    regions produce empty files.  Returns the label file paths as strings,
+    in ascending image id order.
     """
     out = Path(out_dir)
     image_ids = sorted(images)
-    label_paths = [(out / images[i].relative_path).with_suffix(".txt") for i in image_ids]
-    # sorting brings equal paths side by side; a dict or set of the paths
-    # would add about 0.6 MB to the peak of a 6000-image gen-regions
-    for name, following in pairwise(sorted(map(str, label_paths))):
-        if name == following:
-            first, second, *_ = [i for i, p in zip(image_ids, label_paths) if str(p) == name]
-            raise InputError(f"images {first} and {second} map to one label file {name}")
-    made: set[Path] = set()
+    # a string per image, not a Path: 6000 Paths held through the export
+    # add about 2.4 MB to the peak of gen-regions
+    label_paths = [str((out / images[i].relative_path).with_suffix(".txt")) for i in image_ids]
+    _check_label_paths(image_ids, label_paths)
+    made: set[str] = set()
     for image_id, label_path in zip(image_ids, label_paths):
         image = images[image_id]
-        if label_path.parent not in made:
-            label_path.parent.mkdir(parents=True, exist_ok=True)
-            made.add(label_path.parent)
+        parent = os.path.dirname(label_path) or os.curdir
+        if parent not in made:
+            os.makedirs(parent, exist_ok=True)
+            made.add(parent)
         lines = []
         regions = region_sets.get(image_id)
         if regions is not None:
@@ -392,8 +395,34 @@ def export_yolo_labels(
                     f"{class_index} {cx / image.width:.6f} {cy / image.height:.6f} "
                     f"{box.width / image.width:.6f} {box.height / image.height:.6f}"
                 )
-        label_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with open(label_path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
     return label_paths
+
+
+def _check_label_paths(image_ids: Sequence[int], label_paths: Sequence[str]) -> None:
+    """Raise InputError unless every label path can be its own file."""
+    # sorting brings equal paths side by side; a dict or set of the paths
+    # would add about 0.6 MB to the peak of a 6000-image gen-regions
+    for name, following in pairwise(sorted(label_paths)):
+        if name == following:
+            first, second, *_ = [i for i, p in zip(image_ids, label_paths) if p == name]
+            raise InputError(f"images {first} and {second} map to one label file {name}")
+    # every directory above a label file: a few hundred at CUB scale
+    directories: set[str] = set()
+    for path in label_paths:
+        directory = os.path.dirname(path)
+        while directory not in directories:
+            directories.add(directory)
+            directory = os.path.dirname(directory)
+    for image_id, path in zip(image_ids, label_paths):
+        if path in directories:
+            inside = path + os.sep
+            other = next(i for i, p in zip(image_ids, label_paths) if p.startswith(inside))
+            raise InputError(
+                f"label file {path} of image {image_id} is also a directory"
+                f" holding the label file of image {other}"
+            )
 
 
 def read_yolo_labels(path, image_width: float, image_height: float) -> list[tuple[int, Box]]:

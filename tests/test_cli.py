@@ -414,6 +414,8 @@ class TestLabelPathCollisions:
         [
             (["1 a/x.jpg", "2 a/x.png", "3 a/y.jpg"], "1 and 2"),  # only the suffixes differ
             (["1 a/x.jpg", "2 b/y.jpg", "3 a/x.jpg"], "1 and 3"),  # one path twice
+            (["1 a//x.jpg", "2 b/y.jpg", "3 a/x.jpg"], "1 and 3"),  # pathlib drops the empty part
+            (["1 a/y.jpg", "2 a/x.jpg", "3 a/./x.jpg"], "2 and 3"),  # and the "." part
         ],
     )
     @pytest.mark.parametrize("command", ["gen-regions", "export-yolo"])
@@ -426,6 +428,30 @@ class TestLabelPathCollisions:
         label = out / "labels" / "a" / "x.txt"
         assert capsys.readouterr().err == f"error: images {ids} map to one label file {label}\n"
         assert not list(out.glob("labels/**/*.txt"))
+
+    @pytest.mark.parametrize(
+        "image_lines, file_id, other_id",
+        [
+            (["1 a/x.jpg", "2 a/x.txt/y.jpg", "3 a/y.jpg"], 1, 2),
+            (["1 a/x.txt/y.jpg", "2 a/y.jpg", "3 a/x.jpg"], 3, 1),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["gen-regions", "export-yolo"])
+    def test_a_label_file_that_is_another_labels_directory(
+        self, tmp_path, capsys, command, image_lines, file_id, other_id
+    ):
+        # once ended in "error: [Errno 17] File exists" after one label file
+        root = tmp_path / "data"
+        build_tree(root, toy_images(3))
+        (root / "images.txt").write_text("".join(f"{line}\n" for line in image_lines))
+        out = tmp_path / "out"
+        assert main([command, str(root), "--out", str(out)]) == 1
+        label = out / "labels" / "a" / "x.txt"
+        assert capsys.readouterr().err == (
+            f"error: label file {label} of image {file_id} is also a directory"
+            f" holding the label file of image {other_id}\n"
+        )
+        assert list(out.iterdir()) == []
 
     def test_gen_regions_writes_no_output(self, tmp_path, capsys):
         root = tmp_path / "data"
@@ -537,6 +563,49 @@ class TestEvalPcp:
     def test_missing_detection_file(self, corpus, tmp_path, capsys):
         assert main(["eval-pcp", str(corpus["gt_regions"]), str(tmp_path / "none.txt")]) == 1
         capsys.readouterr()
+
+    def test_missing_ground_truth_file(self, corpus, tmp_path, capsys):
+        gt = tmp_path / "none.txt"
+        assert main(["eval-pcp", str(gt), str(corpus["detections"])]) == 1
+        assert capsys.readouterr().err == f"error: missing required file: {gt}\n"
+
+    def test_the_detections_are_read_first(self, tmp_path, capsys):
+        # when both inputs are bad, the error names the detections file
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1 head 0 0 10 10\n1 tail 5 0 5 10\n", encoding="utf-8")
+        dets = tmp_path / "dets.txt"
+        dets.write_text("1 head 1.5 0 0 10 10\n", encoding="utf-8")
+        assert main(["eval-pcp", str(gt), str(dets)]) == 1
+        assert capsys.readouterr().err == f"error: {dets}:1: score 1.5 outside [0, 1]\n"
+        assert main(["eval-pcp", str(tmp_path / "no_gt.txt"), str(tmp_path / "no_dets.txt")]) == 1
+        assert capsys.readouterr().err == f"error: missing required file: {tmp_path / 'no_dets.txt'}\n"
+
+    def test_candidates_are_freed_before_the_ground_truth_is_read(self, corpus, monkeypatch, capsys):
+        argv = ["eval-pcp", str(corpus["gt_regions"]), str(corpus["detections"])]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        class Candidates(list):  # a plain list takes no weak reference
+            pass
+
+        parsed = []
+        alive_at_read = []
+        real_parse, real_read = partkit.cli.parse_detections, partkit.cli.read_region_sets
+
+        def parse_detections(path):
+            candidates = Candidates(real_parse(path))
+            parsed.append(weakref.ref(candidates))
+            return candidates
+
+        def read_region_sets(path):
+            alive_at_read.append([ref() is not None for ref in parsed])
+            return real_read(path)
+
+        monkeypatch.setattr(partkit.cli, "parse_detections", parse_detections)
+        monkeypatch.setattr(partkit.cli, "read_region_sets", read_region_sets)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert alive_at_read == [[False]]  # parsed once, and already freed
 
 
 class TestClassify:

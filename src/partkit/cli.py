@@ -43,6 +43,7 @@ from .regions import (
     generate_all,
     generate_region_set,  # noqa: F401  bench/tracing.py check_cli needs this name here
     read_region_sets,
+    region_outside_image,
     write_crop_manifest,
     write_region_sets,
 )
@@ -86,8 +87,7 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     export_yolo_labels(region_sets, dataset.images, out / "labels")
     write_region_sets(region_sets, out / "gt_regions.txt")
     write_crop_manifest(dataset, region_sets, region_cfg, out / "crop_manifest.txt")
-    total = sum(len(rs.regions) for rs in region_sets.values())
-    print(f"images={len(dataset.images)} regions={total}")
+    print(f"images={len(dataset.images)} regions={region_sets.num_regions}")
     return 0
 
 
@@ -99,6 +99,15 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
         unknown = sorted(set(region_sets) - set(dataset.images))
         if unknown:
             raise InputError(f"{args.regions}: regions of images not in the dataset: {unknown[:5]}")
+        # a label of such a region falls outside the normalized range
+        outside = region_outside_image(region_sets, dataset.images)
+        if outside is not None:
+            image_id, kind = outside
+            image = dataset.images[image_id]
+            raise InputError(
+                f"{args.regions}: the {kind} region of image {image_id} reaches beyond"
+                f" its {image.width} x {image.height} image"
+            )
     else:
         region_sets = generate_all(dataset, config.region_config())
     written = export_yolo_labels(region_sets, dataset.images, out / "labels")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .detection import Detection
+from .detection import Detection, PackedDetections
 from .errors import (
     BadRatios,
     DanglingReference,
@@ -27,8 +27,15 @@ from .errors import (
     KeypointOutOfBounds,
     MalformedLine,
 )
-from .geometry import Box
-from .parsing import _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind, _records
+from .parsing import (
+    MAX_IMAGE_ID,
+    _memo_float,
+    _memo_int,
+    _parse_float,
+    _parse_int,
+    _parse_region_kind,
+    _records,
+)
 from .parts import CUB_PART_NAMES
 
 
@@ -98,7 +105,7 @@ def parse_dataset(root_dir) -> Dataset:
     paths: dict[int, str] = {}
     p = root / "images.txt"
     for line_no, fields in _records(p, "<image_id> <relative_path>", maxsplit=1):
-        image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
+        image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1, maximum=MAX_IMAGE_ID)
         if image_id in paths:
             raise DuplicateId(p, line_no, "image", image_id)
         # label files are written at <out>/labels/<relative_path>.txt, and no
@@ -324,12 +331,16 @@ def read_labels(path) -> dict[int, int]:
 # --- detection files ----------------------------------------------------------
 
 
-def parse_detections(path) -> list[Detection]:
-    """Parse '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>' lines."""
+def parse_detections(path) -> PackedDetections:
+    """Parse '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>' lines.
+
+    The records are packed into columns; iterating the result yields one
+    ``Detection`` per line, in file order, and ``len()`` counts them.
+    """
     path = Path(path)
-    detections: list[Detection] = []
+    detections = PackedDetections()
     for line_no, fields in _records(path, "<image_id> <part_name> <score> <x1> <y1> <x2> <y2>"):
-        image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1)
+        image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1, maximum=MAX_IMAGE_ID)
         kind = _parse_region_kind(path, line_no, fields[1])
         score = _parse_float(path, line_no, fields[2], "score")
         x1 = _parse_float(path, line_no, fields[3], "x1")
@@ -337,7 +348,7 @@ def parse_detections(path) -> list[Detection]:
         x2 = _parse_float(path, line_no, fields[5], "x2")
         y2 = _parse_float(path, line_no, fields[6], "y2")
         try:
-            detections.append(Detection(image_id, kind, score, Box(x1, y1, x2, y2)))
+            detections.append(image_id, kind, score, x1, y1, x2, y2)
         except InputError as exc:  # a score or box range rule
             raise type(exc)(f"{path}:{line_no}: {exc}") from None
     return detections

@@ -8,8 +8,9 @@ selected box overlaps ground truth at or above an IoU cutoff.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ConfigError, InputError, ScoreOutOfRange
 from .geometry import Box, iou
@@ -29,6 +30,43 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ScoreOutOfRange(f"score {self.score} outside [0, 1]")
+
+
+class PackedDetections:
+    """Detections held as columns: image id, kind index, score and the four
+    corners.  ``len()`` is the record count; each iteration builds the
+    ``Detection``s one at a time, in the order they were appended."""
+
+    __slots__ = ("_image_ids", "_kinds", "_scores", "_x1", "_y1", "_x2", "_y2")
+
+    def __init__(self) -> None:
+        self._image_ids = array("q")
+        self._kinds = array("B")  # positions in REGION_KINDS
+        self._scores = array("d")
+        self._x1, self._y1, self._x2, self._y2 = array("d"), array("d"), array("d"), array("d")
+
+    def append(
+        self, image_id: int, kind: PartKind, score: float, x1: float, y1: float, x2: float, y2: float
+    ) -> None:
+        """Add one record of a region kind; raises the error ``Detection``
+        and ``Box`` raise for a score outside [0, 1] or corners without area."""
+        if not (x1 < x2 and y1 < y2 and 0.0 <= score <= 1.0):
+            Detection(image_id, kind, score, Box(x1, y1, x2, y2))  # raises
+        self._image_ids.append(image_id)
+        self._kinds.append(REGION_KINDS.index(kind))
+        self._scores.append(score)
+        self._x1.append(x1)
+        self._y1.append(y1)
+        self._x2.append(x2)
+        self._y2.append(y2)
+
+    def __len__(self) -> int:
+        return len(self._image_ids)
+
+    def __iter__(self) -> Iterator[Detection]:
+        columns = self._image_ids, self._kinds, self._scores, self._x1, self._y1, self._x2, self._y2
+        for image_id, k, score, x1, y1, x2, y2 in zip(*columns):
+            yield Detection(image_id, REGION_KINDS[k], score, Box(x1, y1, x2, y2))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ from typing import Iterator
 from .errors import MalformedLine, MissingFile
 from .parts import REGION_KIND_OF_NAME, PartKind
 
+#: The largest image id: region sets and detections hold ids as signed 64-bit
+#: integers
+MAX_IMAGE_ID = 2**63 - 1
+
 
 def _records(path: Path, fmt: str | None = None, maxsplit: int = -1) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_no, fields)`` for each non-blank line of ``path``, split
@@ -51,13 +55,17 @@ def _first_non_utf8_line(path: Path) -> int:
     return 1  # the file changed after the failed read
 
 
-def _parse_int(path: Path, line_no: int, token: str, what: str, minimum: int | None = None) -> int:
+def _parse_int(
+    path: Path, line_no: int, token: str, what: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     try:
         value = int(token)
     except ValueError:
         raise MalformedLine(path, line_no, f"{what} is not an integer: {token!r}") from None
     if minimum is not None and value < minimum:
         raise MalformedLine(path, line_no, f"{what} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise MalformedLine(path, line_no, f"{what} must be <= {maximum}, got {value}")
     return value
 
 

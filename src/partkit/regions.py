@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -26,7 +28,7 @@ from .errors import (
     MalformedLine,
 )
 from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
-from .parsing import _memo_float, _memo_int, _parse_float, _parse_int, _parse_region_kind, _records
+from .parsing import MAX_IMAGE_ID, _parse_float, _parse_int, _parse_region_kind, _records
 from .parts import CUB_PART_NAMES, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
 from .seeding import derive_seed
 
@@ -79,6 +81,115 @@ class PartRegionSet:
 
     image_id: int
     regions: dict[PartKind, Box] = field(default_factory=dict)
+
+
+_WIDTH = 4 * len(REGION_KINDS)  # the corners of every region kind
+_NO_CORNERS = array("d", bytes(8 * _WIDTH))
+# for each presence bitmask, the REGION_KINDS positions of its kinds
+_PRESENT = [
+    tuple(k for k in range(len(REGION_KINDS)) if mask >> k & 1) for mask in range(1 << len(REGION_KINDS))
+]
+
+
+class PackedRegionSets(Mapping[int, PartRegionSet]):
+    """Read-only region sets of many images, keyed by image id.
+
+    Each image is one row of three columns, in ascending image id order:
+    its id, a bitmask of the region kinds it has (bit k for
+    ``REGION_KINDS[k]``) and 20 doubles, the corners of each kind in
+    ``REGION_KINDS`` order (0.0 where a kind is absent).  A lookup builds
+    that image's ``PartRegionSet``; iteration yields ascending ids, and
+    ``corners`` reads a row without building a box.
+    """
+
+    __slots__ = ("_ids", "_masks", "_corners")
+
+    def __init__(self) -> None:
+        self._ids = array("q")
+        self._masks = array("B")
+        self._corners = array("d")
+
+    @classmethod
+    def pack(cls, region_sets: Mapping[int, PartRegionSet]) -> PackedRegionSets:
+        """``region_sets`` itself if packed, else a packed copy; kinds outside
+        ``REGION_KINDS`` are left out."""
+        if isinstance(region_sets, cls):
+            return region_sets
+        packed = cls()
+        for image_id, region_set in region_sets.items():
+            packed._hold(image_id, region_set.regions)
+        return packed
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __contains__(self, image_id) -> bool:
+        return self._find(image_id) >= 0
+
+    def __getitem__(self, image_id) -> PartRegionSet:
+        row = self._find(image_id)
+        if row < 0:
+            raise KeyError(image_id)
+        regions = {REGION_KINDS[k]: Box(x1, y1, x2, y2) for k, x1, y1, x2, y2 in self._row(row)}
+        return PartRegionSet(self._ids[row], regions)
+
+    @property
+    def num_regions(self) -> int:
+        return sum(mask.bit_count() for mask in self._masks)
+
+    def corners(self, image_id: int) -> list[tuple[int, float, float, float, float]]:
+        """``(k, x1, y1, x2, y2)`` for each region of one image, where
+        ``REGION_KINDS[k]`` is its kind, in that order; empty for an image
+        not held."""
+        row = self._find(image_id)
+        return self._row(row) if row >= 0 else []
+
+    def _row(self, row: int) -> list[tuple[int, float, float, float, float]]:
+        at = row * _WIDTH
+        c = self._corners[at : at + _WIDTH].tolist()
+        return [(k, c[4 * k], c[4 * k + 1], c[4 * k + 2], c[4 * k + 3]) for k in _PRESENT[self._masks[row]]]
+
+    def _find(self, image_id) -> int:
+        # the row of image_id, or -1
+        ids = self._ids
+        try:
+            row = bisect_left(ids, image_id)
+        except TypeError:  # a key no int equals
+            return -1
+        return row if row < len(ids) and ids[row] == image_id else -1
+
+    def _slot(self, image_id: int) -> int:
+        # the row of image_id, inserted without regions when new
+        ids = self._ids
+        row = bisect_left(ids, image_id)
+        if row == len(ids) or ids[row] != image_id:
+            ids.insert(row, image_id)
+            self._masks.insert(row, 0)
+            self._corners[row * _WIDTH : row * _WIDTH] = _NO_CORNERS
+        return row
+
+    def _add(self, row: int, k: int, x1: float, y1: float, x2: float, y2: float) -> bool:
+        # hold the corners of a region of kind REGION_KINDS[k] in a row;
+        # False, holding nothing, when the row already has one
+        bit = 1 << k
+        if self._masks[row] & bit:
+            return False
+        self._masks[row] |= bit
+        at = row * _WIDTH + 4 * k
+        corners = self._corners
+        corners[at], corners[at + 1], corners[at + 2], corners[at + 3] = x1, y1, x2, y2
+        return True
+
+    def _hold(self, image_id: int, regions: Mapping[PartKind, Box]) -> None:
+        # an image and its regions; a key even without any
+        row = self._slot(image_id)
+        for k, kind in enumerate(REGION_KINDS):
+            box = regions.get(kind)
+            if box is not None:
+                self._add(row, k, box.x1, box.y1, box.x2, box.y2)
 
 
 def padded_rect(points: Sequence[tuple[float, float]], pad_w: float, pad_h: float) -> Box:
@@ -267,17 +378,20 @@ def generate_region_set(
     return PartRegionSet(image_id=image.image_id, regions=regions)
 
 
-def generate_all(dataset, cfg: RegionConfig) -> dict[int, PartRegionSet]:
-    """Region sets for every image, keyed by image id."""
-    return {
-        image_id: generate_region_set(
+def generate_all(dataset, cfg: RegionConfig) -> PackedRegionSets:
+    """Region sets for every image, packed and keyed by image id; an image
+    without regions is a key too.  Only one image's ``PartRegionSet``
+    exists at a time."""
+    packed = PackedRegionSets()
+    for image_id in dataset.image_ids():
+        region_set = generate_region_set(
             dataset.images[image_id],
             dataset.keypoints_of(image_id),
             cfg,
             dataset.part_names,
         )
-        for image_id in dataset.image_ids()
-    }
+        packed._hold(image_id, region_set.regions)
+    return packed
 
 
 def center_crop_box(image, cfg: RegionConfig) -> Box:
@@ -289,9 +403,9 @@ def center_crop_box(image, cfg: RegionConfig) -> Box:
 # --- file formats ---------------------------------------------------------
 
 
-def _write_region_line(fh, image_id: int, name: str, box: Box) -> bool:
+def _write_region_line(fh, image_id: int, name: str, x1: float, y1: float, x2: float, y2: float) -> bool:
     # 2-decimal fixed format; slivers below its resolution are omitted
-    x1, y1, x2, y2 = round(box.x1, 2), round(box.y1, 2), round(box.x2, 2), round(box.y2, 2)
+    x1, y1, x2, y2 = round(x1, 2), round(y1, 2), round(x2, 2), round(y2, 2)
     if x1 >= x2 or y1 >= y2:
         return False
     fh.write("%s %s %.2f %.2f %.2f %.2f\n" % (image_id, name, x1, y1, x2, y2))
@@ -300,38 +414,48 @@ def _write_region_line(fh, image_id: int, name: str, box: Box) -> bool:
 
 def write_region_sets(region_sets: Mapping[int, PartRegionSet], path) -> None:
     """Write '<image_id> <part_name> <x1> <y1> <x2> <y2>' region lines."""
+    packed = PackedRegionSets.pack(region_sets)
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id in sorted(region_sets):
-            regions = region_sets[image_id].regions
-            for kind in REGION_KINDS:
-                if kind in regions:
-                    _write_region_line(fh, image_id, kind.value, regions[kind])
+        for image_id in packed:
+            for k, x1, y1, x2, y2 in packed.corners(image_id):
+                _write_region_line(fh, image_id, REGION_KINDS[k].value, x1, y1, x2, y2)
 
 
-def read_region_sets(path) -> dict[int, PartRegionSet]:
-    """Read region lines; boxes built from equal tokens share one float."""
+def read_region_sets(path) -> PackedRegionSets:
+    """Read region lines into packed region sets, keyed by image id; an
+    image id is a key only if some line names it."""
     path = Path(path)
-    result: dict[int, PartRegionSet] = {}
-    ids: dict[str, int] = {}
-    coords: dict[str, float] = {}
+    packed = PackedRegionSets()
     for line_no, fields in _records(path, "<image_id> <part_name> <x1> <y1> <x2> <y2>"):
-        image_id = _memo_int(ids, path, line_no, fields[0], "image_id", minimum=1)
+        image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1, maximum=MAX_IMAGE_ID)
         kind = _parse_region_kind(path, line_no, fields[1])
-        x1 = _memo_float(coords, path, line_no, fields[2], "x1")
-        y1 = _memo_float(coords, path, line_no, fields[3], "y1")
-        x2 = _memo_float(coords, path, line_no, fields[4], "x2")
-        y2 = _memo_float(coords, path, line_no, fields[5], "y2")
-        try:
-            box = Box(x1, y1, x2, y2)
-        except InputError as exc:  # the box range rule
-            raise type(exc)(f"{path}:{line_no}: {exc}") from None
-        entry = result.get(image_id)
-        if entry is None:
-            entry = result[image_id] = PartRegionSet(image_id)
-        elif kind in entry.regions:
+        x1 = _parse_float(path, line_no, fields[2], "x1")
+        y1 = _parse_float(path, line_no, fields[3], "y1")
+        x2 = _parse_float(path, line_no, fields[4], "x2")
+        y2 = _parse_float(path, line_no, fields[5], "y2")
+        if not (x1 < x2 and y1 < y2):
+            try:
+                Box(x1, y1, x2, y2)  # raises the box range rule's error
+            except InputError as exc:
+                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+        if not packed._add(packed._slot(image_id), REGION_KINDS.index(kind), x1, y1, x2, y2):
             raise DuplicateId(path, line_no, "region", (image_id, kind.value))
-        entry.regions[kind] = box
-    return result
+    return packed
+
+
+def region_outside_image(
+    region_sets: Mapping[int, PartRegionSet], images: Mapping[int, object]
+) -> Optional[tuple[int, PartKind]]:
+    """The first region, by ascending image id and then ``REGION_KINDS``
+    order, that reaches beyond its image's ``[0, width] x [0, height]``, or
+    None.  Every image id of ``region_sets`` must be a key of ``images``."""
+    packed = PackedRegionSets.pack(region_sets)
+    for image_id in packed:
+        image = images[image_id]
+        for k, x1, y1, x2, y2 in packed.corners(image_id):
+            if x1 < 0 or y1 < 0 or x2 > image.width or y2 > image.height:
+                return image_id, REGION_KINDS[k]
+    return None
 
 
 def write_crop_manifest(dataset, region_sets: Mapping[int, PartRegionSet], cfg: RegionConfig, path) -> None:
@@ -341,17 +465,16 @@ def write_crop_manifest(dataset, region_sets: Mapping[int, PartRegionSet], cfg: 
     Downstream tooling applies the crops and resizes them to the network
     input size; no pixels are touched here.
     """
+    packed = PackedRegionSets.pack(region_sets)
     with open(path, "w", encoding="utf-8") as fh:
         for image_id in dataset.image_ids():
             image = dataset.images[image_id]
-            full = Box(0.0, 0.0, float(image.width), float(image.height))
-            _write_region_line(fh, image_id, PartKind.ORIGINAL.value, full)
-            _write_region_line(fh, image_id, PartKind.CROPPED.value, center_crop_box(image, cfg))
-            regions = region_sets.get(image_id)
-            if regions is not None:
-                for kind in REGION_KINDS:
-                    if kind in regions.regions:
-                        _write_region_line(fh, image_id, kind.value, regions.regions[kind])
+            width, height = float(image.width), float(image.height)
+            _write_region_line(fh, image_id, PartKind.ORIGINAL.value, 0.0, 0.0, width, height)
+            crop = center_crop_box(image, cfg)
+            _write_region_line(fh, image_id, PartKind.CROPPED.value, crop.x1, crop.y1, crop.x2, crop.y2)
+            for k, x1, y1, x2, y2 in packed.corners(image_id):
+                _write_region_line(fh, image_id, REGION_KINDS[k].value, x1, y1, x2, y2)
 
 
 def export_yolo_labels(
@@ -370,6 +493,7 @@ def export_yolo_labels(
     regions produce empty files.  Returns the label file paths as strings,
     in ascending image id order.
     """
+    packed = PackedRegionSets.pack(region_sets)
     out = Path(out_dir)
     image_ids = sorted(images)
     # a string per image, not a Path: 6000 Paths held through the export
@@ -383,20 +507,14 @@ def export_yolo_labels(
         if parent not in made:
             os.makedirs(parent, exist_ok=True)
             made.add(parent)
-        lines = []
-        regions = region_sets.get(image_id)
-        if regions is not None:
-            for class_index, kind in enumerate(REGION_KINDS):
-                box = regions.regions.get(kind)
-                if box is None:
-                    continue
-                cx, cy = box.center
-                lines.append(
-                    f"{class_index} {cx / image.width:.6f} {cy / image.height:.6f} "
-                    f"{box.width / image.width:.6f} {box.height / image.height:.6f}"
-                )
+        w, h = image.width, image.height
+        lines = [
+            f"{k} {(x1 + x2) / 2.0 / w:.6f} {(y1 + y2) / 2.0 / h:.6f} "
+            f"{(x2 - x1) / w:.6f} {(y2 - y1) / h:.6f}\n"
+            for k, x1, y1, x2, y2 in packed.corners(image_id)
+        ]
         with open(label_path, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+            fh.write("".join(lines))
     return label_paths
 
 

@@ -30,7 +30,15 @@ from .errors import ConfigError
 from .features import write_feature_records
 from .geometry import Box
 from .parts import CUB_PART_NAMES, GROUP_ORDER, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
-from .regions import PartRegionSet, RegionConfig, generate_all, read_region_sets, write_crop_manifest, write_region_sets
+from .regions import (
+    PackedRegionSets,
+    PartRegionSet,
+    RegionConfig,
+    generate_all,
+    read_region_sets,
+    write_crop_manifest,
+    write_region_sets,
+)
 from .seeding import derive_seed
 
 if TYPE_CHECKING:
@@ -207,27 +215,21 @@ def synth_detections(
         raise ConfigError("distractor_score must be in [0, 1]")
     rng = random.Random(seed)
     detections: list[Detection] = []
-    for image_id in sorted(region_sets):
-        regions = region_sets[image_id].regions
-        for kind in REGION_KINDS:
-            gt = regions.get(kind)
-            if gt is None:
-                continue
+    packed = PackedRegionSets.pack(region_sets)
+    for image_id in packed:
+        for k, x1, y1, x2, y2 in packed.corners(image_id):
+            kind = REGION_KINDS[k]
             dx1 = rng.uniform(-jitter_px, jitter_px)
             dy1 = rng.uniform(-jitter_px, jitter_px)
             dx2 = rng.uniform(-jitter_px, jitter_px)
             dy2 = rng.uniform(-jitter_px, jitter_px)
             u = rng.random()
             score = round(min(max(1.0 - u * score_noise, 0.0), 1.0), 6)
-            box = _quantized_box(gt.x1 + dx1, gt.y1 + dy1, gt.x2 + dx2, gt.y2 + dy2)
+            box = _quantized_box(x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2)
             detections.append(Detection(image_id, kind, score, box))
             if distractor_score is not None:
-                decoy = Box(
-                    gt.x1 + 0.5 * gt.width,
-                    gt.y1 + 0.5 * gt.height,
-                    gt.x2 + 0.5 * gt.width,
-                    gt.y2 + 0.5 * gt.height,
-                )
+                half_w, half_h = 0.5 * (x2 - x1), 0.5 * (y2 - y1)
+                decoy = Box(x1 + half_w, y1 + half_h, x2 + half_w, y2 + half_h)
                 detections.append(Detection(image_id, kind, distractor_score, decoy))
     return detections
 

@@ -11,6 +11,8 @@ import pytest
 import partkit.cli
 import partkit.features
 from partkit.cli import main
+from partkit.geometry import Box
+from partkit.regions import read_yolo_labels
 from conftest import build_tree, default_part_rows, toy_images
 
 
@@ -501,6 +503,34 @@ class TestExportYolo:
         )
         assert rc == 1
         assert "999" in capsys.readouterr().err
+
+    def test_a_region_beyond_its_image_is_an_error_before_any_label(self, corpus, tmp_path, capsys):
+        # this region became the label "0 1.025000 1.050000 0.550000 0.600000",
+        # which read_yolo_labels rejects
+        regions = tmp_path / "regions.txt"
+        regions.write_text(
+            "2 leg 1.00 1.00 5.00 5.00\n1 head 150.00 150.00 260.00 270.00\n", encoding="utf-8"
+        )
+        out = tmp_path / "yolo"
+        argv = ["export-yolo", str(corpus["dataset"]), "--regions", str(regions), "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {regions}: the head region of image 1 reaches beyond its 200 x 200 image\n"
+        )
+        assert captured.out == ""
+        assert not (out / "labels").exists()
+
+    def test_a_region_on_the_image_edges_reads_back(self, corpus, tmp_path, capsys):
+        regions = tmp_path / "regions.txt"
+        regions.write_text("1 head 0.00 0.00 200.00 200.00\n", encoding="utf-8")
+        out = tmp_path / "yolo"
+        argv = ["export-yolo", str(corpus["dataset"]), "--regions", str(regions), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "label_files=40\n"
+        relative = (corpus["dataset"] / "images.txt").read_text(encoding="utf-8").split("\n")[0].split()[1]
+        label = (out / "labels" / relative).with_suffix(".txt")
+        assert read_yolo_labels(label, 200, 200) == [(0, Box(0.0, 0.0, 200.0, 200.0))]
 
 
 class TestEvalPcp:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,14 @@ class TestParseDataset:
             parse_dataset(root)
         assert err.value.line_no == 2
         assert err.value.path == root / "images.txt"
+
+    def test_an_image_id_beyond_64_bits_is_malformed(self, tmp_path):
+        # region sets hold image ids as signed 64-bit integers
+        root = build_tree(tmp_path, toy_images(3))
+        (root / "images.txt").write_text("1 a.jpg\n9223372036854775808 b.jpg\n3 c.jpg\n")
+        message = r"images\.txt:2: image_id must be <= 9223372036854775807, got "
+        with pytest.raises(MalformedLine, match=message):
+            parse_dataset(root)
 
     def test_visible_keypoint_out_of_bounds(self, tmp_path):
         rows = default_part_rows([1, 2, 3])
@@ -295,7 +304,49 @@ class TestDetectionFiles:
                 )
             )
         write_detections(dets, tmp_path / "det.txt")
-        assert parse_detections(tmp_path / "det.txt") == dets
+        assert list(parse_detections(tmp_path / "det.txt")) == dets
+
+    def test_sized_and_iterable_again_in_file_order(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("9 leg 0.5 1 2 3 4\n2 head 1 0 0 10 10\n9 leg 0.75 1 2 3 5\n", encoding="utf-8")
+        detections = parse_detections(path)
+        expected = [
+            Detection(9, PartKind.LEG, 0.5, Box(1, 2, 3, 4)),
+            Detection(2, PartKind.HEAD, 1.0, Box(0, 0, 10, 10)),
+            Detection(9, PartKind.LEG, 0.75, Box(1, 2, 3, 5)),
+        ]
+        assert len(detections) == 3
+        assert list(detections) == expected
+        assert list(detections) == expected
+
+    def test_an_image_id_beyond_64_bits_is_malformed(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("9223372036854775807 head 0.5 0 0 1 1\n9223372036854775808 head 0.5 0 0 1 1\n")
+        with pytest.raises(MalformedLine, match=r":2: image_id must be <= 9223372036854775807, got "):
+            parse_detections(path)
+
+    def test_holds_no_object_per_detection(self, tmp_path):
+        # a Detection, a Box and five floats per line held about 280 bytes
+        n = 10000
+        rng = random.Random(7)
+        lines = []
+        for i in range(n):
+            x1, y1 = rng.uniform(0, 100), rng.uniform(0, 100)
+            x2, y2 = x1 + rng.uniform(1, 50), y1 + rng.uniform(1, 50)
+            kind = ("head", "breast", "tail", "wing", "leg")[i % 5]
+            lines.append(f"{i // 5 + 1} {kind} {rng.random()!r} {x1!r} {y1!r} {x2!r} {y2!r}\n")
+        path = tmp_path / "det.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            detections = parse_detections(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(detections) == n
+        # 49 bytes of columns per detection, with room for their growth
+        # and the reading of one line
+        assert peak <= n * 64
 
     def test_read_labels(self, tmp_path):
         (tmp_path / "labels.txt").write_text("1 4\n2 2\n")

@@ -1,9 +1,9 @@
 """Shared record reading and token memos.
 
 Every line-format reader rejects a line with the wrong field count with
-its format.  The memos in the keypoint and region readers give the same
-records or the same first error as the per-token parsing they replaced,
-with equal tokens shared.
+its format.  The memo in the keypoint reader and the packed columns of the
+region reader give the same records or the same first error as plain
+per-token parsing; the keypoint reader shares equal tokens.
 """
 
 from __future__ import annotations
@@ -387,15 +387,6 @@ class TestSharing:
         first, other = ds.keypoints[1000][1], ds.keypoints[1001][2]
         assert first.x is other.x and first.y is other.y
         assert first.image_id is ds.keypoints[1000][15].image_id
-
-    def test_regions(self, tmp_path):
-        path = tmp_path / "regions.txt"
-        path.write_text("1000 head 2.5 2.5 30.75 30.75\n1001 leg 2.5 0 30.75 12\n")
-        sets = read_region_sets(path)
-        head = sets[1000].regions[kind_from_name("head")]
-        leg = sets[1001].regions[kind_from_name("leg")]
-        assert head.x1 is leg.x1 is head.y1
-        assert head.x2 is leg.x2
 
 
 class TestMemo:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_tree, toy_images
+from conftest import build_tree, default_part_rows, toy_images
 from partkit.dataset_io import ImageRecord, KeyPoint, parse_dataset
 from partkit.errors import ConfigError, DuplicateId, EmptyCandidates, MalformedLine
 from partkit.geometry import Box
@@ -25,6 +25,7 @@ from partkit.parts import (
     kind_from_name,
 )
 from partkit.regions import (
+    PackedRegionSets,
     PartRegionSet,
     RegionConfig,
     breast_region,
@@ -409,6 +410,85 @@ class TestRegionFiles:
         assert lines[1].startswith("1 cropped ")
         per_image = sum(1 for line in lines if line.startswith("1 "))
         assert per_image == 7  # original + cropped + five parts
+
+
+def _distinct_region_lines(n_images: int) -> str:
+    # every region of every image, each corner a distinct full-precision float
+    rng = random.Random(5)
+    lines = []
+    for image_id in range(1, n_images + 1):
+        for kind in REGION_KINDS:
+            x1, y1 = rng.uniform(0, 100), rng.uniform(0, 100)
+            x2, y2 = x1 + rng.uniform(1, 100), y1 + rng.uniform(1, 100)
+            lines.append(f"{image_id} {kind.value} {x1!r} {y1!r} {x2!r} {y2!r}\n")
+    return "".join(lines)
+
+
+class TestPackedRegionSets:
+    def test_reads_as_the_mapping_it_was_built_from(self, tmp_path):
+        # ids out of order and one image's lines apart
+        path = tmp_path / "regions.txt"
+        path.write_text("7 leg 1 2 3 4\n2 head 0 0 5.5 5\n7 head 10 10 20 30\n", encoding="utf-8")
+        sets = read_region_sets(path)
+        expected = {
+            2: PartRegionSet(2, {PartKind.HEAD: Box(0.0, 0.0, 5.5, 5.0)}),
+            7: PartRegionSet(
+                7, {PartKind.HEAD: Box(10.0, 10.0, 20.0, 30.0), PartKind.LEG: Box(1.0, 2.0, 3.0, 4.0)}
+            ),
+        }
+        assert sets == expected
+        assert list(sets) == [2, 7] and len(sets) == 2
+        assert sets.num_regions == 3
+        assert sets.corners(7) == [(0, 10.0, 10.0, 20.0, 30.0), (4, 1.0, 2.0, 3.0, 4.0)]
+        assert sets.corners(3) == []
+        assert 7 in sets and 3 not in sets and "7" not in sets
+        assert sets.get(3) is None and sets.get("x") is None
+        with pytest.raises(KeyError):
+            sets[3]
+        assert PackedRegionSets.pack(sets) is sets
+        assert PackedRegionSets.pack(expected) == sets
+
+    def test_generate_all_keys_every_image(self, tmp_path):
+        rows = [row for row in default_part_rows([1, 2]) if not row.startswith("2 ")]
+        rows += [f"2 {p} 0.0 0.0 0" for p in range(1, len(CUB_PART_NAMES) + 1)]
+        ds = parse_dataset(build_tree(tmp_path, toy_images(2), part_rows=rows))
+        sets = generate_all(ds, RegionConfig())
+        assert list(sets) == [1, 2]
+        assert sets[2] == PartRegionSet(2, {})
+        assert sets.num_regions == len(sets[1].regions) == 5
+
+    def test_read_holds_no_object_per_region(self, tmp_path):
+        # with a memo of tokens, Box and float objects, the reader held
+        # about 500 bytes per region of such a file
+        n = 2000
+        path = tmp_path / "regions.txt"
+        path.write_text(_distinct_region_lines(n), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            sets = read_region_sets(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sets.num_regions == n * len(REGION_KINDS)
+        # four doubles per region and a fifth of an image's id and mask,
+        # with room for the columns' growth and the reading of one line
+        assert peak <= n * len(REGION_KINDS) * 48
+
+    def test_generate_all_holds_no_object_per_image(self, tmp_path):
+        # one PartRegionSet, dict and five boxes per image held about 1 kB
+        n = 1000
+        images = [(i, f"{i % 10:03d}.Class/img_{i:04d}.jpg", 1, 200, 200) for i in range(1, n + 1)]
+        ds = parse_dataset(build_tree(tmp_path, images))
+        tracemalloc.start()
+        try:
+            sets = generate_all(ds, RegionConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sets.num_regions == n * len(REGION_KINDS)
+        # 169 bytes of columns per image, a sorted id list of the dataset
+        # and one image's regions in the making
+        assert peak <= n * 256
 
 
 class TestYoloExport:

@@ -132,9 +132,11 @@ def cmd_eval_pcp(args, config: ToolkitConfig) -> int:
 
 
 def _load_classification_inputs(args, config: ToolkitConfig):
-    store = FeatureStore.load(args.features, l2_normalize=config.l2_normalize)
-    labels = read_labels(args.labels)
+    # the split first: only the vectors of TRAIN and TEST images are held
     split = read_split(args.split)
+    hold = {i for i, s in split.items() if s != Split.VAL}
+    store = FeatureStore.load(args.features, l2_normalize=config.l2_normalize, hold=hold)
+    labels = read_labels(args.labels)
     unlabeled = sorted(i for i in store.image_ids if i not in labels)
     if unlabeled:
         raise InputError(f"{args.labels}: no class label for feature store images {unlabeled[:5]}")

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import ConfigError, InputError, ScoreOutOfRange
 from .geometry import Box, iou
 from .parts import REGION_KINDS, PartKind
-from .regions import PartRegionSet
+from .regions import PackedRegionSets, PartRegionSet
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,13 +141,15 @@ def compute_pcp(
         raise ConfigError("iou_threshold must be in (0, 1)")
     localized = {kind: 0 for kind in REGION_KINDS}
     visible = {kind: 0 for kind in REGION_KINDS}
-    for image_id in sorted(ground_truth):
-        regions = ground_truth[image_id].regions
+    packed = PackedRegionSets.pack(ground_truth)
+    for image_id in packed:
         chosen = selected.get(image_id, {})
-        for kind, reference in regions.items():
+        # the corners of each region: a Box only where a detection meets it
+        for k, x1, y1, x2, y2 in packed.corners(image_id):
+            kind = REGION_KINDS[k]
             visible[kind] += 1
             det = chosen.get(kind)
-            if det is not None and iou(det.box, reference) >= iou_threshold:
+            if det is not None and iou(det.box, Box(x1, y1, x2, y2)) >= iou_threshold:
                 localized[kind] += 1
     report = PcpReport(iou_threshold=iou_threshold)
     for kind in REGION_KINDS:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -42,42 +43,53 @@ BASELINE_GROUPS: tuple[PartKind, ...] = (PartKind.ORIGINAL, PartKind.CROPPED)
 
 class FeatureStore:
     """Read-only feature vectors keyed by (image_id, group), one shared
-    dimension, held as the rows of one read-only (records + 1, dim) matrix.
+    dimension, held as the rows of one read-only (held records + 1, dim) matrix.
 
     The last row is all zero: it is the block ``fuse`` gives an absent
     group, and ``len``, ``get`` and ``image_ids`` never show it.  With
     ``l2_normalize`` every stored vector is rescaled to unit length once,
-    before the matrix is frozen.
+    before the matrix is frozen.  A record may be checked but not held (a
+    ``None`` vector, or an image outside ``load``'s ``hold``): ``image_ids``
+    lists its image, ``get`` raises for the record and ``fuse`` for the
+    image.
     """
 
     def __init__(
         self,
-        records: Mapping[tuple[int, PartKind], np.ndarray],
+        records: Mapping[tuple[int, PartKind], Optional[np.ndarray]],
         dim: int,
         l2_normalize: bool = False,
     ):
         import numpy as np
 
-        rows: dict[int, list[Optional[int]]] = {}
-        for row, (image_id, group) in enumerate(records):
-            rows.setdefault(image_id, [None] * len(GROUP_ORDER))[GROUP_ORDER.index(group)] = row
-        matrix = np.array([*records.values(), np.zeros(dim)], dtype=np.float64)
-        self._adopt(rows, matrix.reshape(len(records) + 1, dim), l2_normalize)
+        rows: dict[int, int] = {}
+        index = array("i")
+        vectors = []
+        for (image_id, group), vector in records.items():
+            at = _index_row(rows, index, image_id) * len(GROUP_ORDER) + GROUP_ORDER.index(group)
+            index[at] = _NOT_HELD if vector is None else len(vectors)
+            if vector is not None:
+                vectors.append(vector)
+        matrix = np.array([*vectors, np.zeros(dim)], dtype=np.float64)
+        self._adopt(rows, index, matrix.reshape(len(vectors) + 1, dim), l2_normalize)
 
     def _adopt(
-        self, rows: dict[int, list[Optional[int]]], matrix: np.ndarray, l2_normalize: bool
+        self, rows: dict[int, int], index: array, matrix: np.ndarray, l2_normalize: bool
     ) -> None:
-        if l2_normalize:
-            import numpy as np
+        import numpy as np
 
+        if l2_normalize:
             for row in matrix:  # the zero row has norm 0 and stays zero
                 # the 1-D norm of each row: a norm along an axis sums in another order
                 norm = np.linalg.norm(row)
                 if norm > 0:
                     row /= norm
         matrix.flags.writeable = False
-        # image_id -> the matrix row of each group, at its GROUP_ORDER position
+        # image_id -> its row of the index; index[row, GROUP_ORDER position]
+        # is the matrix row of that group, -1 if absent, _NOT_HELD if not held
         self._rows = rows
+        self._index = np.frombuffer(index, dtype=np.intc).reshape(len(rows), len(GROUP_ORDER))
+        self._index.flags.writeable = False
         self._matrix = matrix
         self.dim = int(matrix.shape[1])
         self._image_ids = frozenset(rows)
@@ -90,50 +102,59 @@ class FeatureStore:
         return self._image_ids
 
     def get(self, image_id: int, group: PartKind) -> Optional[np.ndarray]:
-        slots = self._rows.get(image_id)
-        if slots is None or group not in GROUP_ORDER:
+        row = self._rows.get(image_id)
+        if row is None or group not in GROUP_ORDER:
             return None
-        row = slots[GROUP_ORDER.index(group)]
-        return None if row is None else self._matrix[row]
+        at = int(self._index[row, GROUP_ORDER.index(group)])
+        if at == _NOT_HELD:
+            raise UnknownImage(f"the feature records of image {image_id} were not held")
+        return None if at < 0 else self._matrix[at]
 
     @classmethod
-    def load(cls, path, l2_normalize: bool = False) -> "FeatureStore":
+    def load(
+        cls, path, l2_normalize: bool = False, hold: Optional[Container[int]] = None
+    ) -> "FeatureStore":
         """Parse a feature TSV: '<image_id>\\t<group>\\t<v1> <v2> ...'.
 
-        The keys are checked line by line and the value fields are streamed
-        to one ``np.loadtxt`` call.  Whenever that cannot be trusted to
-        match ``float()`` on every component (a key check fails, ``loadtxt``
-        raises or returns another row count, or a value is not finite), the
-        whole file goes through ``_load_per_line`` instead, which raises
-        the error of the first bad line or reads the syntax only ``float()``
-        accepts, such as ``1_0``.  The stream ends with a line of zeros, so
-        ``loadtxt`` writes the store's zero row itself.
+        Only the vectors of the images in ``hold`` are kept (all when it
+        is None), but every record is checked.  The keys are checked line
+        by line and the held value fields are streamed to one
+        ``np.loadtxt`` call; the others are checked by ``float()``.
+        Whenever that cannot be trusted to match ``float()`` on every
+        component (a check fails, ``loadtxt`` raises or returns another row
+        count, or a value is not finite), the whole file goes through
+        ``_load_per_line`` instead, which raises the error of the first bad
+        line or reads the syntax only ``float()`` accepts, such as ``1_0``.
+        The stream ends with a line of zeros, so ``loadtxt`` writes the
+        store's zero row itself.
         """
         import numpy as np
 
         path = Path(path)
         if not path.is_file():
             raise MissingFile(path)
-        rows: dict[int, list[Optional[int]]] = {}
+        rows: dict[int, int] = {}
+        index = array("i")
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                matrix = np.loadtxt(
-                    _value_fields(path, fh, rows), dtype=np.float64, ndmin=2, comments=None
-                )
+                fields = _value_fields(path, fh, rows, index, hold)
+                matrix = np.loadtxt(fields, dtype=np.float64, ndmin=2, comments=None)
         except (ToolkitError, ValueError):  # UnicodeDecodeError is a ValueError
-            return cls._load_per_line(path, l2_normalize)
-        records = sum(len(slots) - slots.count(None) for slots in rows.values())
-        if matrix.shape[0] != records + 1 or not np.isfinite(matrix).all():
-            return cls._load_per_line(path, l2_normalize)
+            return cls._load_per_line(path, l2_normalize, hold)
+        held = len(index) - index.count(-1) - index.count(_NOT_HELD)
+        if matrix.shape[0] != held + 1 or not np.isfinite(matrix).all():
+            return cls._load_per_line(path, l2_normalize, hold)
         store = cls.__new__(cls)
-        store._adopt(rows, matrix, l2_normalize)
+        store._adopt(rows, index, matrix, l2_normalize)
         return store
 
     @classmethod
-    def _load_per_line(cls, path: Path, l2_normalize: bool = False) -> "FeatureStore":
+    def _load_per_line(
+        cls, path: Path, l2_normalize: bool = False, hold: Optional[Container[int]] = None
+    ) -> "FeatureStore":
         import numpy as np
 
-        records: dict[tuple[int, PartKind], np.ndarray] = {}
+        records: dict[tuple[int, PartKind], Optional[np.ndarray]] = {}
         dim: Optional[int] = None
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -163,12 +184,26 @@ class FeatureStore:
                         raise DuplicateKey(
                             f"{path}:{line_no}: repeated record for {key[0]}/{key[1]}"
                         )
-                    records[key] = vector
+                    records[key] = vector if hold is None or key[0] in hold else None
         except UnicodeDecodeError:
             raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
         if dim is None:
             raise InputError(f"{path}: feature store is empty")
         return cls(records, dim, l2_normalize)
+
+
+# index entries: a group absent, and a record checked but not held
+_ABSENT = array("i", [-1] * len(GROUP_ORDER))
+_NOT_HELD = -2
+
+
+def _index_row(rows: dict[int, int], index: array, image_id: int) -> int:
+    """The index row of ``image_id``, appended (every group absent) if new."""
+    row = rows.get(image_id)
+    if row is None:
+        row = rows[image_id] = len(rows)
+        index.extend(_ABSENT)
+    return row
 
 
 def _record_key(path: Path, line_no: int, fields: list[str]) -> tuple[int, PartKind]:
@@ -188,19 +223,22 @@ def _record_key(path: Path, line_no: int, fields: list[str]) -> tuple[int, PartK
 
 
 def _value_fields(
-    path: Path, lines: Iterable[str], rows: dict[int, list[Optional[int]]]
+    path: Path, lines: Iterable[str], rows: dict[int, int], index: array, hold: Optional[Container]
 ) -> Iterator[str]:
-    """Yield each record's value field, recording its matrix row in ``rows``,
-    then one line of zeros as long as the first record's field.
+    """Yield the value field of each held record, recording its matrix row
+    in ``index`` (``_NOT_HELD`` for the others), then one line of zeros as
+    long as the first record's field.
 
     Raises on any line the per-line reader rejects for its key, on an
     empty value field (``loadtxt`` skips it, and warns when no data is
-    left) and on a file with no records; the caller then reads per line.
-    A record whose length ``loadtxt`` counts otherwise than ``str.split``
-    differs from the zero line, so ``loadtxt`` raises for it too.
+    left), on a record not held that ``float()`` rejects, whose length
+    differs from the first record's or that holds a value that is not
+    finite, and on a file with no records; the caller then reads per line.
+    A held record whose length ``loadtxt`` counts otherwise than
+    ``str.split`` differs from the zero line, so ``loadtxt`` raises for it.
     """
-    records = 0
-    zeros = ""
+    held = 0
+    zeros = None
     for line_no, raw in enumerate(lines, start=1):
         if raw.isspace():
             continue
@@ -208,18 +246,23 @@ def _value_fields(
         image_id, group = _record_key(path, line_no, fields)
         if not fields[2] or fields[2].isspace():
             raise MalformedLine(path, line_no, "empty feature vector")
-        slots = rows.setdefault(image_id, [None] * len(GROUP_ORDER))
-        slot = GROUP_ORDER.index(group)
-        if slots[slot] is not None:
+        at = _index_row(rows, index, image_id) * len(GROUP_ORDER) + GROUP_ORDER.index(group)
+        if index[at] != -1:
             raise DuplicateKey(f"{path}:{line_no}: repeated record for {image_id}/{group}")
-        slots[slot] = records
-        if not records:
-            zeros = " ".join(["0"] * len(fields[2].split()))
-        records += 1
-        yield fields[2]
-    if not records:
+        if zeros is None:
+            zeros = ["0"] * len(fields[2].split())
+        if hold is None or image_id in hold:
+            index[at] = held
+            held += 1
+            yield fields[2]
+        else:
+            index[at] = _NOT_HELD
+            values = fields[2].split()
+            if len(values) != len(zeros) or not all(map(math.isfinite, map(float, values))):
+                raise MalformedLine(path, line_no, "not a finite vector of the store's length")
+    if zeros is None:
         raise InputError(f"{path}: feature store is empty")
-    yield zeros
+    yield " ".join(zeros)
 
 
 def write_feature_records(
@@ -312,24 +355,26 @@ def fuse(store: FeatureStore, image_ids: Iterable[int], groups: Sequence[PartKin
     Rows follow ascending image id.  Block i of a row covers offsets
     [i*D, (i+1)*D) for the i-th selected group in ``GROUP_ORDER``.  No
     vector is copied: the result holds one store row index per block.
-    Raises UnknownImage when the store holds nothing at all for an image.
+    Raises UnknownImage when the store has no record of an image or did
+    not hold its records.
     """
     import numpy as np
 
     selected = normalize_groups(groups)
     ids = sorted(image_ids)
+    rows = [store._rows.get(image_id, -1) for image_id in ids]
+    if -1 in rows:
+        raise UnknownImage(f"image {ids[rows.index(-1)]} has no feature records")
+    index = store._index[np.array(rows, dtype=np.intp)]
+    not_held = (index == _NOT_HELD).any(axis=1).nonzero()[0]
+    if len(not_held):
+        raise UnknownImage(f"the feature records of image {ids[not_held[0]]} were not held")
     slots = [GROUP_ORDER.index(group) for group in selected]
-    blocks = []
-    for image_id in ids:
-        image_rows = store._rows.get(image_id)
-        if image_rows is None:
-            raise UnknownImage(f"image {image_id} has no feature records")
-        blocks.append([-1 if image_rows[s] is None else image_rows[s] for s in slots])
     return FusedMatrix(
         image_ids=tuple(ids),
         groups=selected,
         source=store._matrix,
-        blocks=np.array(blocks, dtype=np.intp).reshape(len(ids), len(selected)),
+        blocks=index[:, slots].astype(np.intp),
     )
 
 

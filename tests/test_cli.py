@@ -11,7 +11,10 @@ import pytest
 import partkit.cli
 import partkit.features
 from partkit.cli import main
+from partkit.dataset_io import Split, read_split
+from partkit.features import FeatureStore
 from partkit.geometry import Box
+from partkit.parts import GROUP_ORDER
 from partkit.regions import read_yolo_labels
 from conftest import build_tree, default_part_rows, toy_images
 
@@ -728,6 +731,109 @@ class TestClassify:
         ]
         assert main(argv) == 1
         capsys.readouterr()
+
+
+class TestHeldFeatureStore:
+    """``classify`` holds only TRAIN and TEST vectors, but checks every
+    record of the feature file as before: a damaged VAL record gives the
+    same located error line."""
+
+    def val_record(self, corpus):
+        """(the feature file's lines, the index of the first VAL record, its image id)."""
+        split = corpus["split"].read_text(encoding="utf-8").split()
+        val = {int(i) for i, s in zip(split[::2], split[1::2]) if s == "1"}
+        lines = corpus["features"].read_text(encoding="utf-8").splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines) if int(line.split("\t")[0]) in val)
+        return lines, at, int(lines[at].split("\t")[0])
+
+    def classify(self, corpus, tmp_path, features=None, labels=None, split=None):
+        argv = [
+            "classify",
+            str(features or corpus["features"]),
+            str(labels or corpus["labels"]),
+            str(split or corpus["split"]),
+            "--out",
+            str(tmp_path / "clf"),
+        ]
+        return main(argv)
+
+    @pytest.mark.parametrize("damage", ["non-numeric", "short", "non-finite", "repeated"])
+    def test_a_damaged_val_record_gives_the_located_error(self, corpus, tmp_path, capsys, damage):
+        lines, at, image_id = self.val_record(corpus)
+        key, group, values = lines[at].rstrip("\n").split("\t")
+        values = values.split()
+        line_no = at + 1
+        if damage == "non-numeric":
+            lines[at] = f"{key}\t{group}\t{' '.join(['x1', *values[1:]])}\n"
+            message = f"{line_no}: non-numeric feature component"
+        elif damage == "short":
+            lines[at] = f"{key}\t{group}\t{' '.join(values[:-1])}\n"
+            message = f"{line_no}: vector length {len(values) - 1}, store dimension {len(values)}"
+        elif damage == "non-finite":
+            lines[at] = f"{key}\t{group}\t{' '.join([*values[:-1], 'inf'])}\n"
+            message = f"{line_no}: non-finite feature component"
+        else:
+            lines.insert(at + 1, lines[at])
+            message = f"{line_no + 1}: repeated record for {image_id}/{group}"
+        features = tmp_path / "features.tsv"
+        features.write_text("".join(lines), encoding="utf-8")
+        assert self.classify(corpus, tmp_path, features=features) == 1
+        assert capsys.readouterr().err == f"error: {features}:{message}\n"
+
+    def test_underscore_digits_in_a_val_record_load(self, corpus, tmp_path, capsys):
+        lines, at, _ = self.val_record(corpus)
+        key, group, values = lines[at].rstrip("\n").split("\t")
+        lines[at] = f"{key}\t{group}\t{' '.join(['1_0', *values.split()[1:]])}\n"
+        features = tmp_path / "features.tsv"
+        features.write_text("".join(lines), encoding="utf-8")
+        assert self.classify(corpus, tmp_path, features=features) == 0
+        assert capsys.readouterr().out == "accuracy=1.0000\n"
+
+    def test_an_unlabeled_val_image_is_an_error(self, corpus, tmp_path, capsys):
+        _, _, image_id = self.val_record(corpus)
+        lines = corpus["labels"].read_text(encoding="utf-8").splitlines(keepends=True)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(l for l in lines if int(l.split()[0]) != image_id), "utf-8")
+        assert self.classify(corpus, tmp_path, labels=labels) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels}: no class label for feature store images [{image_id}]\n"
+        )
+
+    @pytest.mark.parametrize("command", ["classify", "combination"])
+    def test_a_bad_split_file_is_reported_before_a_bad_feature_file(
+        self, corpus, tmp_path, capsys, command
+    ):
+        features = tmp_path / "features.tsv"
+        features.write_text("1\toriginal\tbogus\n", encoding="utf-8")
+        split = tmp_path / "split.txt"
+        split.write_text("1 0\n2 7\n", encoding="utf-8")
+        argv = [command, str(features), str(corpus["labels"]), str(split)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {split}:2: split must be 0, 1 or 2, got '7'\n"
+        )
+
+    def test_val_vectors_are_not_held(self, corpus, monkeypatch, tmp_path, capsys):
+        split = read_split(corpus["split"])
+        full = FeatureStore.load(corpus["features"])
+        loaded = []
+        real_load = FeatureStore.load.__func__
+
+        def load(cls, *args, **kwargs):
+            loaded.append(real_load(cls, *args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(FeatureStore, "load", classmethod(load))
+        assert self.classify(corpus, tmp_path) == 0
+        capsys.readouterr()
+        (store,) = loaded
+        assert store.image_ids == full.image_ids
+        assert len(store) == sum(
+            1
+            for image_id in full.image_ids
+            for group in GROUP_ORDER
+            if split[image_id] != Split.VAL and full.get(image_id, group) is not None
+        ) < len(full)
 
 
 class TestCombination:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partkit import detection
 from partkit.cli import main
 from partkit.config import ToolkitConfig
 from partkit.detection import (
@@ -21,7 +22,7 @@ from partkit.detection import (
 from partkit.errors import ConfigError, InputError, ScoreOutOfRange
 from partkit.geometry import Box, iou
 from partkit.parts import REGION_KINDS, PartKind
-from partkit.regions import PartRegionSet
+from partkit.regions import PackedRegionSets, PartRegionSet
 
 
 def det(image_id, kind, score, box):
@@ -250,6 +251,41 @@ class TestComputePcp:
             if previous is not None:
                 assert value <= previous
             previous = value
+
+    def test_packed_ground_truth_is_read_by_corners(self, monkeypatch):
+        """On packed ground truth, ``compute_pcp`` builds no region set: it
+        reads each image's corners and calls ``iou`` once per region that a
+        selected detection of its kind meets."""
+        rng = random.Random(7)
+        gt, selected, meetings = {}, {}, 0
+        for i in range(1, 30):
+            regions, chosen = {}, {}
+            for kind in REGION_KINDS:
+                x1, y1 = rng.uniform(0, 40), rng.uniform(0, 40)
+                box = Box(x1, y1, x1 + rng.uniform(2, 20), y1 + rng.uniform(2, 20))
+                if rng.random() < 0.7:
+                    regions[kind] = box
+                if rng.random() < 0.7:
+                    chosen[kind] = det(i, kind, 0.9, Box(box.x1 + 1, box.y1, box.x2 + 1, box.y2))
+                    meetings += kind in regions
+            gt[i] = PartRegionSet(i, regions)
+            selected[i] = chosen
+        expected = compute_pcp(selected, gt, 0.5)
+        packed = PackedRegionSets.pack(gt)
+
+        def no_lookup(self, image_id):
+            raise AssertionError("built a PartRegionSet")
+
+        calls = []
+
+        def counted_iou(a, b):
+            calls.append(b)
+            return iou(a, b)
+
+        monkeypatch.setattr(PackedRegionSets, "__getitem__", no_lookup)
+        monkeypatch.setattr(detection, "iou", counted_iou)
+        assert compute_pcp(selected, packed, 0.5) == expected
+        assert len(calls) == meetings
 
 
 class TestReportAndHelpers:

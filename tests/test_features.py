@@ -233,6 +233,57 @@ class TestFeatureStore:
         store = store_from_rows([row], tmp_path / "f.tsv")
         assert store.get(1, PartKind.ORIGINAL).tolist() == expected
 
+    def test_held_images_keep_their_vectors_and_the_rest_are_listed(self, tmp_path):
+        path = tmp_path / "features.tsv"
+        full_store(tmp_path, image_ids=(1, 2, 3), skip={(2, PartKind.HEAD)})
+        store = FeatureStore.load(path, hold={2, 9})
+        assert store.image_ids == frozenset({1, 2, 3})
+        assert len(store) == 6
+        assert store.get(2, PartKind.HEAD) is None
+        tail = np.arange(DIM) + 20 + 100 * GROUP_ORDER.index(PartKind.TAIL)
+        np.testing.assert_array_equal(store.get(2, PartKind.TAIL), tail)
+        with pytest.raises(UnknownImage, match="image 3 were not held"):
+            store.get(3, PartKind.TAIL)
+        assert len(FeatureStore.load(path, hold=set())) == 0
+
+    def test_fuse_raises_for_an_image_not_held(self, tmp_path):
+        full_store(tmp_path, image_ids=(1, 2, 3))
+        store = FeatureStore.load(tmp_path / "features.tsv", hold={1, 3})
+        assert fuse(store, [3, 1], GROUP_ORDER).image_ids == (1, 3)
+        for groups in (GROUP_ORDER, (PartKind.HEAD,)):
+            with pytest.raises(UnknownImage, match="image 2 were not held"):
+                fuse(store, [1, 2, 3], groups)
+        with pytest.raises(UnknownImage, match="image 4 has no feature records"):
+            fuse(store, [1, 4], GROUP_ORDER)
+
+    def test_held_load_allocates_only_the_held_vectors(self, tmp_path):
+        """Of 2000 images, ``load`` keeps the vectors of the 1000 held: the
+        peak is their matrix plus a few hundred bytes an image, less than
+        the matrix of every record."""
+        images, dim = 2000, 32
+        rng = np.random.default_rng(0)
+        records = [
+            (image_id, group, rng.standard_normal(dim))
+            for image_id in range(1, images + 1)
+            for group in GROUP_ORDER
+            if (image_id + GROUP_ORDER.index(group)) % 5
+        ]
+        path = tmp_path / "f.tsv"
+        write_feature_records(records, path)
+        hold = set(range(1, images + 1, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = FeatureStore.load(path, hold=hold)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(1 for image_id, _, _ in records if image_id in hold)
+        assert len(store) == held
+        # the index, the id lookups and loadtxt's growth: about 200 B an image
+        allowed = (held + 1) * dim * 8 + 384 * images
+        assert peak <= allowed < (len(records) + 1) * dim * 8
+
 
 def _mutate(lines, kind, at, pick):
     """Apply one mutation to line ``at`` of a valid feature TSV."""
@@ -272,12 +323,19 @@ def _load_outcome(loader, path):
     except Exception as exc:  # compared as an outcome; the test checks its class
         return type(exc), str(exc)
     rows = {
-        (image_id, group): None if row is None else row.tobytes()
+        (image_id, group): _row_bytes(store, image_id, group)
         for image_id in sorted(store.image_ids)
         for group in GROUP_ORDER
-        for row in [store.get(image_id, group)]
     }
     return len(store), store.dim, rows
+
+
+def _row_bytes(store, image_id, group):
+    try:
+        row = store.get(image_id, group)
+    except UnknownImage:
+        return "not held"
+    return None if row is None else row.tobytes()
 
 
 MUTATIONS = (
@@ -310,8 +368,9 @@ class TestLoadMatchesPerLineReader:
             st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 5), st.integers(0, 100)),
             max_size=3,
         ),
+        st.one_of(st.none(), st.sets(st.integers(1, 3))),
     )
-    def test_same_rows_or_same_error(self, values, mutations):
+    def test_same_rows_or_same_error(self, values, mutations, hold):
         keys = [(1, PartKind.ORIGINAL), (1, PartKind.HEAD), (2, PartKind.WING), (3, PartKind.LEG)]
         lines = []
         for n, (image_id, group) in enumerate(keys):
@@ -326,8 +385,8 @@ class TestLoadMatchesPerLineReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "features.tsv"
             path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
-            fast = _load_outcome(FeatureStore.load, path)
-            reference = _load_outcome(FeatureStore._load_per_line, path)
+            fast = _load_outcome(lambda p: FeatureStore.load(p, hold=hold), path)
+            reference = _load_outcome(lambda p: FeatureStore._load_per_line(p, hold=hold), path)
         assert fast == reference
         assert not isinstance(fast[0], type) or issubclass(fast[0], ToolkitError)
 

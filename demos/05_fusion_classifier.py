@@ -3,19 +3,13 @@
 
 Builds a synthetic feature store where only the head group carries class
 signal, shows zero filling for a missing part, trains the classifier on
-the fused matrix of each split, and walks the incremental part-combination
-schedule.
+the fused matrix of each split, then runs the CLI's classification driver
+on single parts and on the incremental part-combination schedule.
 """
 
+from partkit.cli import combination_study, combination_tsv, fit_group_sets
 from partkit.dataset_io import Split, split_dataset
-from partkit.features import (
-    BASELINE_GROUPS,
-    FeatureStore,
-    evaluate_accuracy,
-    fuse,
-    run_combination_experiment,
-    train_svm,
-)
+from partkit.features import BASELINE_GROUPS, FeatureStore, evaluate_accuracy, fuse, train_svm
 from partkit.parts import GROUP_ORDER, PartKind
 from partkit.synth import SynthConfig, synth_dataset, synth_features
 
@@ -57,19 +51,21 @@ print(f"fused splits: train {len(train)} x {train.dim}, test {len(test)} x {test
 model = train_svm(train, labels, c=0.1, epochs=50, seed=0)
 print(f"accuracy with every group fused: {evaluate_accuracy(model, test, labels):.4f}")
 
-baseline_train = fuse(store, train_ids, BASELINE_GROUPS)
-baseline_test = fuse(store, test_ids, BASELINE_GROUPS)
-baseline_model = train_svm(baseline_train, labels, c=0.1, epochs=50, seed=0)
-print(f"accuracy on whole-image groups only: "
-      f"{evaluate_accuracy(baseline_model, baseline_test, labels):.4f}")
+# the driver behind `partkit classify` and `partkit combination`: one
+# fit per group set, trained on TRAIN and scored on TEST
+svm = {"c": 0.1, "epochs": 50, "seed": 0}
+(baseline,) = fit_group_sets(store, labels, split, [BASELINE_GROUPS], **svm)
+print(f"accuracy on whole-image groups only: {baseline.accuracy:.4f}")
 
-result = run_combination_experiment(store, labels, split, c=0.1, epochs=50, seed=0)
+parts = [(g,) for g in GROUP_ORDER if g not in BASELINE_GROUPS]
+solo = {fit.groups[0]: fit.accuracy for fit in fit_group_sets(store, labels, split, parts, **svm)}
 print("\nsingle-group accuracies used for ranking:")
-for kind, acc in sorted(result.single_group_accuracy.items(), key=lambda kv: -kv[1]):
+for kind, acc in sorted(solo.items(), key=lambda kv: -kv[1]):
     print(f"  {kind.value:<8} {acc:.4f}")
+rows = combination_study(store, labels, split, **svm)
 print("\ncombination schedule:")
-for row in result.rows:
-    names = "+".join(g.value for g in row.spec.groups)
-    print(f"  {names:<48} {row.accuracy:.4f}")
+for groups, accuracy in rows:
+    names = "+".join(g.value for g in groups)
+    print(f"  {names:<48} {accuracy:.4f}")
 print("\nas TSV:")
-print(result.to_tsv(), end="")
+print(combination_tsv(rows), end="")

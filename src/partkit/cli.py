@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .config import ToolkitConfig, load_config, parse_group_list
 from .dataset_io import (
@@ -30,14 +30,16 @@ from .dataset_io import (
 from .detection import compute_pcp, select_all
 from .errors import ConfigError, InputError, ToolkitError
 from .features import (
+    BASELINE_GROUPS,
     FeatureStore,
+    SvmModel,
     evaluate_accuracy,
     fuse,
-    run_combination_experiment,
+    normalize_groups,
     save_model,
     train_svm,
 )
-from .parts import GROUP_ORDER
+from .parts import GROUP_ORDER, PartKind
 from .regions import (
     export_yolo_labels,
     generate_all,
@@ -143,6 +145,64 @@ def _load_classification_inputs(args, config: ToolkitConfig):
     return store, labels, split
 
 
+class Fit(NamedTuple):
+    """One group set's classifier, trained on TRAIN and scored on TEST."""
+
+    groups: tuple[PartKind, ...]  # in GROUP_ORDER
+    model: SvmModel
+    accuracy: float
+    train_rows: int
+    test_rows: int
+
+
+def fit_group_sets(
+    store: FeatureStore, labels: Mapping[int, int], split: Mapping[int, Split],
+    group_sets: Iterable[Sequence[PartKind]],
+    c: float = 1.0, epochs: int = 50, seed: int = 0,
+) -> Iterator[Fit]:
+    """Fuse the TRAIN images, train, fuse the TEST images and score, once
+    per group set, yielding each set's ``Fit`` in turn.  Images of
+    ``split`` with no feature records are left out."""
+    train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
+    test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
+    for groups in map(normalize_groups, group_sets):
+        # one fused split at a time: each dies with the call it is passed
+        # to, so none is alive beside the next set's TRAIN matrix
+        model = train_svm(fuse(store, train_ids, groups), labels, c=c, epochs=epochs, seed=seed)
+        accuracy = evaluate_accuracy(model, fuse(store, test_ids, groups), labels)
+        yield Fit(groups, model, accuracy, len(train_ids), len(test_ids))
+
+
+def combination_study(
+    store: FeatureStore, labels: Mapping[int, int], split: Mapping[int, Split],
+    c: float = 1.0, epochs: int = 50, seed: int = 0,
+) -> list[tuple[tuple[PartKind, ...], float]]:
+    """The (groups, accuracy) rows of the whole-image baseline grown one
+    part at a time, in descending order of each part's solo accuracy (ties
+    keep canonical group order)."""
+    parts = [g for g in GROUP_ORDER if g not in BASELINE_GROUPS]
+    fits = fit_group_sets(store, labels, split, [(g,) for g in parts], c, epochs, seed)
+    solo = {fit.groups[0]: fit.accuracy for fit in fits}
+    ranked = sorted(parts, key=lambda g: -solo[g])
+    grown = [BASELINE_GROUPS + tuple(ranked[:n]) for n in range(len(ranked) + 1)]
+    fits = fit_group_sets(store, labels, split, grown, c, epochs, seed)
+    return [(fit.groups, fit.accuracy) for fit in fits]
+
+
+def combination_tsv(rows: Iterable[tuple[Sequence[PartKind], float]]) -> str:
+    """A header, then per row its number, a 0/1 flag per group in
+    ``GROUP_ORDER`` and its accuracy."""
+    lines = ["seq\t" + "\t".join(g.value for g in GROUP_ORDER) + "\taccuracy"]
+    for seq, (groups, accuracy) in enumerate(rows, start=1):
+        flags = "\t".join(str(int(g in groups)) for g in GROUP_ORDER)
+        lines.append(f"{seq}\t{flags}\t{accuracy:.4f}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _svm_settings(config: ToolkitConfig) -> dict:
+    return {"c": config.svm_c, "epochs": config.svm_epochs, "seed": derive_seed(config.seed, "svm")}
+
+
 def cmd_classify(args, config: ToolkitConfig) -> int:
     store, labels, split = _load_classification_inputs(args, config)
     groups = GROUP_ORDER
@@ -151,44 +211,21 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
             groups = parse_group_list(args.groups)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
-    test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
-    # one fused split at a time: the train index is dropped before the
-    # test index is built
-    train = fuse(store, train_ids, groups)
-    model = train_svm(
-        train,
-        labels,
-        c=config.svm_c,
-        epochs=config.svm_epochs,
-        seed=derive_seed(config.seed, "svm"),
-    )
-    train_rows = len(train)
-    del train
-    test = fuse(store, test_ids, groups)
-    accuracy = evaluate_accuracy(model, test, labels)
+    # before training: a usage error must not wait for the fit
     out = _resolve_out(args, config)
-    save_model(model, out / "model.svm")
-    (out / "accuracy.tsv").write_text(
-        f"train\t{train_rows}\ntest\t{len(test)}\naccuracy\t{accuracy:.4f}\n",
-        encoding="utf-8",
-    )
-    print(f"accuracy={accuracy:.4f}")
+    (fit,) = fit_group_sets(store, labels, split, [groups], **_svm_settings(config))
+    save_model(fit.model, out / "model.svm")
+    report = f"train\t{fit.train_rows}\ntest\t{fit.test_rows}\naccuracy\t{fit.accuracy:.4f}\n"
+    (out / "accuracy.tsv").write_text(report, encoding="utf-8")
+    print(f"accuracy={fit.accuracy:.4f}")
     return 0
 
 
 def cmd_combination(args, config: ToolkitConfig) -> int:
     store, labels, split = _load_classification_inputs(args, config)
-    result = run_combination_experiment(
-        store,
-        labels,
-        split,
-        c=config.svm_c,
-        epochs=config.svm_epochs,
-        seed=derive_seed(config.seed, "svm"),
-    )
-    tsv = result.to_tsv()
     out = _resolve_out(args, config, required=False)
+    rows = combination_study(store, labels, split, **_svm_settings(config))
+    tsv = combination_tsv(rows)
     if out is not None:
         (out / "combination.tsv").write_text(tsv, encoding="utf-8")
     sys.stdout.write(tsv)

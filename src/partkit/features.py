@@ -31,7 +31,6 @@ from .errors import (
     ToolkitError,
     UnknownImage,
 )
-from .dataset_io import Split
 from .parsing import _first_non_utf8_line, _records
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 
@@ -378,23 +377,6 @@ def fuse(store: FeatureStore, image_ids: Iterable[int], groups: Sequence[PartKin
     )
 
 
-@dataclass(frozen=True)
-class CombinationSpec:
-    """A row of the incremental-combination experiment; always contains the
-    whole-image baseline groups."""
-
-    groups: tuple[PartKind, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "groups", normalize_groups(self.groups))
-        for required in BASELINE_GROUPS:
-            if required not in self.groups:
-                raise ConfigError(f"combination must include baseline group {required}")
-
-    def flags(self) -> dict[PartKind, int]:
-        return {g: int(g in self.groups) for g in GROUP_ORDER}
-
-
 # --- linear SVM ---------------------------------------------------------------
 
 
@@ -593,64 +575,3 @@ def load_model(path) -> SvmModel:
     return SvmModel(
         classes=tuple(classes), weights=weights, biases=biases, c=c, epochs=epochs, seed=seed
     )
-
-
-# --- incremental combination experiment ----------------------------------------
-
-
-@dataclass
-class ExperimentRow:
-    spec: CombinationSpec
-    accuracy: float
-
-
-@dataclass
-class ExperimentResult:
-    rows: list[ExperimentRow]
-    single_group_accuracy: dict[PartKind, float]
-
-    def to_tsv(self) -> str:
-        header = "seq\t" + "\t".join(g.value for g in GROUP_ORDER) + "\taccuracy"
-        lines = [header]
-        for seq, row in enumerate(self.rows, start=1):
-            flags = row.spec.flags()
-            cells = "\t".join(str(flags[g]) for g in GROUP_ORDER)
-            lines.append(f"{seq}\t{cells}\t{row.accuracy:.4f}")
-        return "".join(line + "\n" for line in lines)
-
-
-def run_combination_experiment(
-    store: FeatureStore,
-    labels: Mapping[int, int],
-    split: Mapping[int, object],
-    c: float = 1.0,
-    epochs: int = 50,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Incremental part-combination study.
-
-    Each part is first classified on its own to rank its usefulness; the
-    whole-image baseline is then grown one part at a time in descending
-    single-part accuracy order (ties keep canonical group order), training
-    and evaluating a fresh model per combination.  ``split`` maps image ids
-    to Split values; training uses TRAIN, evaluation uses TEST.
-    """
-    train_ids = sorted(i for i, s in split.items() if s == Split.TRAIN and i in store.image_ids)
-    test_ids = sorted(i for i, s in split.items() if s == Split.TEST and i in store.image_ids)
-
-    part_groups = [g for g in GROUP_ORDER if g not in BASELINE_GROUPS]
-
-    def accuracy_for(groups: Sequence[PartKind]) -> float:
-        model = train_svm(fuse(store, train_ids, groups), labels, c=c, epochs=epochs, seed=seed)
-        return evaluate_accuracy(model, fuse(store, test_ids, groups), labels)
-
-    single = {kind: accuracy_for((kind,)) for kind in part_groups}
-    ranked = sorted(part_groups, key=lambda k: -single[k])
-
-    rows: list[ExperimentRow] = []
-    current: list[PartKind] = list(BASELINE_GROUPS)
-    rows.append(ExperimentRow(CombinationSpec(tuple(current)), accuracy_for(current)))
-    for kind in ranked:
-        current.append(kind)
-        rows.append(ExperimentRow(CombinationSpec(tuple(current)), accuracy_for(current)))
-    return ExperimentResult(rows=rows, single_group_accuracy=single)

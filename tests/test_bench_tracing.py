@@ -70,3 +70,26 @@ def test_preparation_commands_count_through_the_tracer(tmp_path):
     counters = traced(tmp_path, "eval-pcp", "--out", out, out / "gt_regions.txt", paths["detections"])
     assert counters["dataset_io.detection_lines"] == counters["detection.candidates"] == len(lines)
     assert counters["detection.selected"] == len(winners)
+
+
+def test_classification_commands_count_through_the_tracer(tmp_path):
+    # the tracer times fuse and train_svm under their names in partkit.cli,
+    # so the one classification driver must call them by those names
+    paths = synth_corpus(SynthConfig(), tmp_path / "corpus", region_cfg=RegionConfig(), ratios=(0.5, 0.2, 0.3))
+    labels_path = paths["dataset"] / "image_class_labels.txt"
+    split = dict(line.split() for line in paths["split"].read_text(encoding="utf-8").splitlines())
+    labels = dict(line.split() for line in labels_path.read_text(encoding="utf-8").splitlines())
+    train = [i for i, s in split.items() if s == "0"]
+    classes = {labels[i] for i in train}
+    inputs = (paths["features"], labels_path, paths["split"])
+
+    counters = traced(tmp_path, "classify", *inputs, "--out", tmp_path / "clf")
+    assert counters["features.fuse_calls"] == 2
+    assert counters["features.train_svm_calls"] == 1
+    epochs = load_config(None).svm_epochs
+    assert counters["features.svm_updates"] == epochs * len(train) * len(classes)
+
+    # five single parts, then the baseline and its five grown combinations
+    counters = traced(tmp_path, "combination", *inputs)
+    assert counters["features.fuse_calls"] == 22
+    assert counters["features.train_svm_calls"] == 11

@@ -66,6 +66,21 @@ def spy_on_splits(monkeypatch, module):
     return events
 
 
+def count_training(monkeypatch) -> list:
+    """Note each ``train_svm`` call in the returned list, whether it is
+    looked up in ``partkit.cli`` or in ``partkit.features``."""
+    calls = []
+    real_train = partkit.features.train_svm
+
+    def train_svm(*args, **kwargs):
+        calls.append(1)
+        return real_train(*args, **kwargs)
+
+    for module in (partkit.cli, partkit.features):
+        monkeypatch.setattr(module, "train_svm", train_svm)
+    return calls
+
+
 class TestUsageAndConfig:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -670,6 +685,21 @@ class TestClassify:
         capsys.readouterr()
         assert events == [("fuse", True), "trained", ("fuse", True)]
 
+    def test_missing_out_is_reported_before_training(self, corpus, capsys, monkeypatch):
+        calls = count_training(monkeypatch)
+        argv = ["classify", str(corpus["features"]), str(corpus["labels"]), str(corpus["split"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no output directory given: pass --out or set out_dir\n"
+        assert calls == []
+
+    def test_unusable_out_is_reported_before_training(self, corpus, tmp_path, capsys, monkeypatch):
+        calls = count_training(monkeypatch)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        assert self.run_classify(corpus, tmp_path / "file" / "clf") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
     def test_model_file_reproducible(self, corpus, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert self.run_classify(corpus, out_a) == 0
@@ -838,7 +868,7 @@ class TestHeldFeatureStore:
 
 class TestCombination:
     def test_one_fused_split_at_a_time(self, corpus, capsys, monkeypatch):
-        events = spy_on_splits(monkeypatch, partkit.features)
+        events = spy_on_splits(monkeypatch, partkit.cli)
         argv = ["combination", str(corpus["features"]), str(corpus["labels"]), str(corpus["split"])]
         assert main(argv) == 0
         capsys.readouterr()
@@ -863,6 +893,14 @@ class TestCombination:
         for line in lines[1:]:
             assert len(line.split("\t")) == 9
         assert (out / "combination.tsv").read_text(encoding="utf-8") == stdout
+
+    def test_unusable_out_is_reported_before_training(self, corpus, tmp_path, capsys, monkeypatch):
+        calls = count_training(monkeypatch)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        argv = ["combination", str(corpus["features"]), str(corpus["labels"]), str(corpus["split"])]
+        assert main([*argv, "--out", str(tmp_path / "file" / "comb")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
 
     def test_stdout_reproducible(self, corpus, capsys):
         argv = [

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partkit.cli import combination_study, combination_tsv, fit_group_sets
 from partkit.dataset_io import Split
 from partkit.errors import (
     ConfigError,
@@ -28,7 +29,6 @@ from partkit.errors import (
 )
 from partkit.features import (
     BASELINE_GROUPS,
-    CombinationSpec,
     FeatureStore,
     FusedMatrix,
     SvmModel,
@@ -38,7 +38,6 @@ from partkit.features import (
     load_model,
     normalize_groups,
     predict,
-    run_combination_experiment,
     save_model,
     train_svm,
     write_feature_records,
@@ -576,19 +575,6 @@ class TestGroupSelection:
         with pytest.raises(ConfigError):
             normalize_groups((PartKind.HEAD, "beak"))
 
-    def test_combination_requires_baseline(self):
-        with pytest.raises(ConfigError):
-            CombinationSpec((PartKind.ORIGINAL, PartKind.HEAD))
-        spec = CombinationSpec((PartKind.HEAD, PartKind.CROPPED, PartKind.ORIGINAL))
-        assert spec.groups == (PartKind.ORIGINAL, PartKind.CROPPED, PartKind.HEAD)
-
-    def test_flags_cover_every_group(self):
-        spec = CombinationSpec((PartKind.ORIGINAL, PartKind.CROPPED, PartKind.WING))
-        flags = spec.flags()
-        assert set(flags) == set(GROUP_ORDER)
-        assert flags[PartKind.WING] == 1
-        assert flags[PartKind.TAIL] == 0
-
 
 def matrix_of(rows, groups=(PartKind.ORIGINAL,), present=None) -> FusedMatrix:
     """The FusedMatrix of ascending (image_id, vector) rows, fused from a
@@ -1021,28 +1007,30 @@ def signal_store(tmp_path, per_class=4, dim=DIM, signal_group=PartKind.HEAD, see
 class TestCombinationExperiment:
     def test_structure_and_signal_part_added_first(self, tmp_path):
         store, labels, split = signal_store(tmp_path)
-        result = run_combination_experiment(store, labels, split, epochs=30, seed=0)
-        assert len(result.rows) == 6
-        assert result.rows[0].spec.groups == BASELINE_GROUPS
-        assert PartKind.HEAD in result.rows[1].spec.groups
-        for k, row in enumerate(result.rows):
-            assert len(row.spec.groups) == 2 + k
-            assert set(BASELINE_GROUPS) <= set(row.spec.groups)
-        assert set(result.rows[5].spec.groups) == set(GROUP_ORDER)
-        assert result.single_group_accuracy[PartKind.HEAD] == 1.0
-        for row in result.rows[1:]:
-            assert row.accuracy == 1.0
+        rows = combination_study(store, labels, split, epochs=30, seed=0)
+        groups = [g for g, _ in rows]
+        assert len(rows) == 6
+        assert groups[0] == BASELINE_GROUPS
+        assert PartKind.HEAD in groups[1]
+        for k, row_groups in enumerate(groups):
+            assert len(row_groups) == 2 + k
+            assert set(BASELINE_GROUPS) <= set(row_groups)
+        assert set(groups[5]) == set(GROUP_ORDER)
+        (head,) = fit_group_sets(store, labels, split, [(PartKind.HEAD,)], epochs=30, seed=0)
+        assert head.accuracy == 1.0
+        for _, accuracy in rows[1:]:
+            assert accuracy == 1.0
 
     def test_deterministic(self, tmp_path):
         store, labels, split = signal_store(tmp_path)
-        a = run_combination_experiment(store, labels, split, epochs=10, seed=4)
-        b = run_combination_experiment(store, labels, split, epochs=10, seed=4)
-        assert a.to_tsv() == b.to_tsv()
+        a = combination_study(store, labels, split, epochs=10, seed=4)
+        b = combination_study(store, labels, split, epochs=10, seed=4)
+        assert combination_tsv(a) == combination_tsv(b)
 
     def test_tsv_format(self, tmp_path):
         store, labels, split = signal_store(tmp_path)
-        result = run_combination_experiment(store, labels, split, epochs=5, seed=0)
-        lines = result.to_tsv().splitlines()
+        rows = combination_study(store, labels, split, epochs=5, seed=0)
+        lines = combination_tsv(rows).splitlines()
         assert lines[0] == "seq\t" + "\t".join(g.value for g in GROUP_ORDER) + "\taccuracy"
         assert len(lines) == 7
         for seq, line in enumerate(lines[1:], start=1):

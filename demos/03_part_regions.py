@@ -24,16 +24,16 @@ print(f"padding: +{cfg.pad_w:.0%} width, +{cfg.pad_h:.0%} height")
 print(f"envelope scales: {dict((k.value, v) for k, v in cfg.envelope_scales.items())}")
 
 region_sets = generate_all(dataset, cfg)
-for image_id in sorted(region_sets):
-    regions = region_sets[image_id].regions
+for image_id in region_sets:  # ascending ids
+    corners = {k: (x1, y1, x2, y2) for k, x1, y1, x2, y2 in region_sets.corners(image_id)}
     print(f"\nimage {image_id}:")
-    for kind in REGION_KINDS:
-        box = regions.get(kind)
-        if box is None:
+    for k, kind in enumerate(REGION_KINDS):
+        if k not in corners:
             print(f"  {kind.value:<8} (absent)")
         else:
-            print(f"  {kind.value:<8} ({box.x1:7.2f}, {box.y1:7.2f}) "
-                  f"to ({box.x2:7.2f}, {box.y2:7.2f})  {box.width:6.2f} x {box.height:6.2f}")
+            x1, y1, x2, y2 = corners[k]
+            print(f"  {kind.value:<8} ({x1:7.2f}, {y1:7.2f}) "
+                  f"to ({x2:7.2f}, {y2:7.2f})  {x2 - x1:6.2f} x {y2 - y1:6.2f}")
 
 image = dataset.images[1]
 crop = center_crop_box(image, cfg)

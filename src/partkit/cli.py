@@ -95,8 +95,11 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
 
 def cmd_export_yolo(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
-    out = _resolve_out(args, config)
-    if args.regions is not None:
+    if args.regions is None:
+        # before generating: a usage error must not wait for it
+        out = _resolve_out(args, config)
+        region_sets = generate_all(dataset, config.region_config())
+    else:
         region_sets = read_region_sets(args.regions)
         unknown = sorted(set(region_sets) - set(dataset.images))
         if unknown:
@@ -110,8 +113,8 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
                 f"{args.regions}: the {kind} region of image {image_id} reaches beyond"
                 f" its {image.width} x {image.height} image"
             )
-    else:
-        region_sets = generate_all(dataset, config.region_config())
+        # after the checks: a bad region file leaves no output directory
+        out = _resolve_out(args, config)
     written = export_yolo_labels(region_sets, dataset.images, out / "labels")
     print(f"label_files={len(written)}")
     return 0
@@ -204,14 +207,16 @@ def _svm_settings(config: ToolkitConfig) -> dict:
 
 
 def cmd_classify(args, config: ToolkitConfig) -> int:
-    store, labels, split = _load_classification_inputs(args, config)
+    # the groups first: a bad selection neither waits for the inputs nor
+    # leaves an output directory
     groups = GROUP_ORDER
     if args.groups is not None:
         try:
-            groups = parse_group_list(args.groups)
+            groups = normalize_groups(parse_group_list(args.groups))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    # before training: a usage error must not wait for the fit
+    store, labels, split = _load_classification_inputs(args, config)
+    # before training: a missing output directory must not wait for the fit
     out = _resolve_out(args, config)
     (fit,) = fit_group_sets(store, labels, split, [groups], **_svm_settings(config))
     save_model(fit.model, out / "model.svm")

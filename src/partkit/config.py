@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import get_type_hints
 
 from .errors import BadRatios, ConfigError, MissingFile
 from .features import _check_svm_settings
@@ -37,12 +37,6 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_optional_float(raw: str) -> Optional[float]:
-    if raw.lower() == "none":
-        return None
-    return _parse_float(raw)
-
-
 def parse_group_list(raw: str) -> tuple[PartKind, ...]:
     if not raw.strip():
         return ()
@@ -61,8 +55,6 @@ class ToolkitConfig:
     # region generation
     pad_w: float = 0.2
     pad_h: float = 0.2
-    breast_pad_w: Optional[float] = None
-    breast_pad_h: Optional[float] = None
     envelope_scale_tail: float = 1.0
     envelope_scale_wing: float = 1.0
     envelope_scale_leg: float = 0.6
@@ -111,8 +103,6 @@ class ToolkitConfig:
         return RegionConfig(
             pad_w=self.pad_w,
             pad_h=self.pad_h,
-            breast_pad_w=self.breast_pad_w,
-            breast_pad_h=self.breast_pad_h,
             envelope_scales={
                 PartKind.TAIL: self.envelope_scale_tail,
                 PartKind.WING: self.envelope_scale_wing,
@@ -146,7 +136,6 @@ class ToolkitConfig:
 # each key's value is parsed by the parser of its field type
 _PARSER_OF_TYPE = {
     float: _parse_float,
-    Optional[float]: _parse_optional_float,
     int: int,
     bool: _parse_bool,
     tuple[PartKind, ...]: parse_group_list,

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import ConfigError, InputError, ScoreOutOfRange
 from .geometry import Box, iou
 from .parts import REGION_KINDS, PartKind
-from .regions import PackedRegionSets, PartRegionSet
+from .regions import PackedRegionSets
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,22 +111,23 @@ def select_valid_parts(
 
 
 def filter_training_boxes(
-    predicted: Sequence[Detection], ground_truth: PartRegionSet, train_iou_min: float
+    predicted: Sequence[Detection], ground_truth: PackedRegionSets, train_iou_min: float
 ) -> list[Detection]:
-    """Keep predictions overlapping same-kind ground truth at IoU >= the
-    threshold; predictions of kinds without ground truth are dropped."""
+    """Keep predictions overlapping same-kind ground truth of their own
+    image at IoU >= the threshold; predictions of kinds without ground
+    truth there are dropped."""
     _require_single_image(predicted)
     kept = []
     for det in predicted:
-        reference = ground_truth.regions.get(det.kind)
-        if reference is not None and iou(det.box, reference) >= train_iou_min:
-            kept.append(det)
+        for k, x1, y1, x2, y2 in ground_truth.corners(det.image_id):
+            if REGION_KINDS[k] == det.kind and iou(det.box, Box(x1, y1, x2, y2)) >= train_iou_min:
+                kept.append(det)
     return kept
 
 
 def compute_pcp(
     selected: Mapping[int, Mapping[PartKind, Detection]],
-    ground_truth: Mapping[int, PartRegionSet],
+    ground_truth: PackedRegionSets,
     iou_threshold: float = 0.5,
 ) -> PcpReport:
     """Percentage of correctly localized parts, per part kind.
@@ -141,11 +142,10 @@ def compute_pcp(
         raise ConfigError("iou_threshold must be in (0, 1)")
     localized = {kind: 0 for kind in REGION_KINDS}
     visible = {kind: 0 for kind in REGION_KINDS}
-    packed = PackedRegionSets.pack(ground_truth)
-    for image_id in packed:
+    for image_id in ground_truth:
         chosen = selected.get(image_id, {})
         # the corners of each region: a Box only where a detection meets it
-        for k, x1, y1, x2, y2 in packed.corners(image_id):
+        for k, x1, y1, x2, y2 in ground_truth.corners(image_id):
             kind = REGION_KINDS[k]
             visible[kind] += 1
             det = chosen.get(kind)

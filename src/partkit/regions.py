@@ -39,8 +39,8 @@ _DEFAULT_ENVELOPE_SCALES = {PartKind.TAIL: 1.0, PartKind.WING: 1.0, PartKind.LEG
 class RegionConfig:
     """Tunables for region generation.
 
-    pad_w / pad_h widen the head (and breast) minimal rectangle about its
-    center by a factor (1 + pad); envelope_scales size the square envelopes
+    pad_w / pad_h widen the head and breast minimal rectangles about their
+    centers by a factor (1 + pad); envelope_scales size the square envelopes
     as multiples of the larger head dimension; head_fallback_fraction sizes
     the substitute square (as a fraction of the smaller image dimension)
     used when a keypoint cluster collapses to a point or line, or when no
@@ -49,8 +49,6 @@ class RegionConfig:
 
     pad_w: float = 0.2
     pad_h: float = 0.2
-    breast_pad_w: Optional[float] = None  # None: follow pad_w
-    breast_pad_h: Optional[float] = None
     envelope_scales: Mapping[PartKind, float] = field(
         default_factory=lambda: dict(_DEFAULT_ENVELOPE_SCALES)
     )
@@ -61,10 +59,6 @@ class RegionConfig:
     def __post_init__(self):
         if self.pad_w < 0 or self.pad_h < 0:
             raise ConfigError("pad factors must be >= 0")
-        for name in ("breast_pad_w", "breast_pad_h"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0")
         for kind in (PartKind.TAIL, PartKind.WING, PartKind.LEG):
             scale = self.envelope_scales.get(kind)
             if scale is None or scale <= 0:
@@ -91,15 +85,14 @@ _PRESENT = [
 ]
 
 
-class PackedRegionSets(Mapping[int, PartRegionSet]):
-    """Read-only region sets of many images, keyed by image id.
+class PackedRegionSets:
+    """Region sets of many images, keyed by image id.
 
     Each image is one row of three columns, in ascending image id order:
     its id, a bitmask of the region kinds it has (bit k for
     ``REGION_KINDS[k]``) and 20 doubles, the corners of each kind in
-    ``REGION_KINDS`` order (0.0 where a kind is absent).  A lookup builds
-    that image's ``PartRegionSet``; iteration yields ascending ids, and
-    ``corners`` reads a row without building a box.
+    ``REGION_KINDS`` order (0.0 where a kind is absent).  ``add`` holds an
+    image, iteration yields ascending ids, and ``corners`` reads a row.
     """
 
     __slots__ = ("_ids", "_masks", "_corners")
@@ -109,32 +102,24 @@ class PackedRegionSets(Mapping[int, PartRegionSet]):
         self._masks = array("B")
         self._corners = array("d")
 
-    @classmethod
-    def pack(cls, region_sets: Mapping[int, PartRegionSet]) -> PackedRegionSets:
-        """``region_sets`` itself if packed, else a packed copy; kinds outside
-        ``REGION_KINDS`` are left out."""
-        if isinstance(region_sets, cls):
-            return region_sets
-        packed = cls()
-        for image_id, region_set in region_sets.items():
-            packed._hold(image_id, region_set.regions)
-        return packed
+    def add(self, image_id: int, regions: Mapping[PartKind, Box]) -> None:
+        """Hold an image and its regions, a key even without any; kinds
+        outside ``REGION_KINDS`` are left out.  Raises InputError when the
+        image is already held."""
+        held = len(self._ids)
+        row = self._slot(image_id)
+        if len(self._ids) == held:
+            raise InputError(f"the regions of image {image_id} are already held")
+        for k, kind in enumerate(REGION_KINDS):
+            box = regions.get(kind)
+            if box is not None:
+                self._add(row, k, box.x1, box.y1, box.x2, box.y2)
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ids)
-
-    def __contains__(self, image_id) -> bool:
-        return self._find(image_id) >= 0
-
-    def __getitem__(self, image_id) -> PartRegionSet:
-        row = self._find(image_id)
-        if row < 0:
-            raise KeyError(image_id)
-        regions = {REGION_KINDS[k]: Box(x1, y1, x2, y2) for k, x1, y1, x2, y2 in self._row(row)}
-        return PartRegionSet(self._ids[row], regions)
 
     @property
     def num_regions(self) -> int:
@@ -144,22 +129,13 @@ class PackedRegionSets(Mapping[int, PartRegionSet]):
         """``(k, x1, y1, x2, y2)`` for each region of one image, where
         ``REGION_KINDS[k]`` is its kind, in that order; empty for an image
         not held."""
-        row = self._find(image_id)
-        return self._row(row) if row >= 0 else []
-
-    def _row(self, row: int) -> list[tuple[int, float, float, float, float]]:
+        ids = self._ids
+        row = bisect_left(ids, image_id)
+        if row == len(ids) or ids[row] != image_id:
+            return []
         at = row * _WIDTH
         c = self._corners[at : at + _WIDTH].tolist()
         return [(k, c[4 * k], c[4 * k + 1], c[4 * k + 2], c[4 * k + 3]) for k in _PRESENT[self._masks[row]]]
-
-    def _find(self, image_id) -> int:
-        # the row of image_id, or -1
-        ids = self._ids
-        try:
-            row = bisect_left(ids, image_id)
-        except TypeError:  # a key no int equals
-            return -1
-        return row if row < len(ids) and ids[row] == image_id else -1
 
     def _slot(self, image_id: int) -> int:
         # the row of image_id, inserted without regions when new
@@ -183,14 +159,6 @@ class PackedRegionSets(Mapping[int, PartRegionSet]):
         corners[at], corners[at + 1], corners[at + 2], corners[at + 3] = x1, y1, x2, y2
         return True
 
-    def _hold(self, image_id: int, regions: Mapping[PartKind, Box]) -> None:
-        # an image and its regions; a key even without any
-        row = self._slot(image_id)
-        for k, kind in enumerate(REGION_KINDS):
-            box = regions.get(kind)
-            if box is not None:
-                self._add(row, k, box.x1, box.y1, box.x2, box.y2)
-
 
 def padded_rect(points: Sequence[tuple[float, float]], pad_w: float, pad_h: float) -> Box:
     """Minimal rectangle widened about its center to (1+pad_w) x (1+pad_h).
@@ -212,44 +180,21 @@ def _extent_center(points: Sequence[tuple[float, float]]) -> tuple[float, float]
     return (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
 
 
-def _fallback_square(
-    points: Sequence[tuple[float, float]], image_bounds: Box, fraction: float
-) -> Box:
-    # degenerate clusters get a square sized from the image, centered on the
-    # cluster's extent midpoint; this replaces the padded rectangle entirely
-    side = fraction * min(image_bounds.width, image_bounds.height)
-    return centered_square(_extent_center(points), side)
-
-
-def _cluster_region(
-    points: Sequence[tuple[float, float]],
-    image_bounds: Box,
-    pad_w: float,
-    pad_h: float,
-    fallback_fraction: float,
+def cluster_region(
+    points: Sequence[tuple[float, float]], image_bounds: Box, cfg: RegionConfig
 ) -> Optional[Box]:
+    """Region around the visible keypoints of the head or the breast, or
+    None when there are none."""
     if not points:
         return None
     try:
-        region = padded_rect(points, pad_w, pad_h)
+        region = padded_rect(points, cfg.pad_w, cfg.pad_h)
     except DegeneratePointSet:
-        region = _fallback_square(points, image_bounds, fallback_fraction)
+        # degenerate clusters get a square sized from the image, centered on
+        # the cluster's extent midpoint, in place of the padded rectangle
+        side = cfg.head_fallback_fraction * min(image_bounds.width, image_bounds.height)
+        region = centered_square(_extent_center(points), side)
     return clip(region, image_bounds)
-
-
-def head_region(
-    points: Sequence[tuple[float, float]], image_bounds: Box, cfg: RegionConfig
-) -> Optional[Box]:
-    """Region around the visible head keypoints, or None when there are none."""
-    return _cluster_region(points, image_bounds, cfg.pad_w, cfg.pad_h, cfg.head_fallback_fraction)
-
-
-def breast_region(
-    points: Sequence[tuple[float, float]], image_bounds: Box, cfg: RegionConfig
-) -> Optional[Box]:
-    pad_w = cfg.pad_w if cfg.breast_pad_w is None else cfg.breast_pad_w
-    pad_h = cfg.pad_h if cfg.breast_pad_h is None else cfg.breast_pad_h
-    return _cluster_region(points, image_bounds, pad_w, pad_h, cfg.head_fallback_fraction)
 
 
 def envelope_side(kind: PartKind, head_box: Optional[Box], image_bounds: Box, cfg: RegionConfig) -> float:
@@ -358,14 +303,12 @@ def generate_region_set(
 
     regions: dict[PartKind, Box] = {}
     fixed: list[Box] = []  # the regions fixed so far, in REGION_KINDS order
-    head = head_region(head_points, bounds, cfg)
-    if head is not None:
-        regions[PartKind.HEAD] = head
-        fixed.append(head)
-    breast = breast_region(breast_points, bounds, cfg)
-    if breast is not None:
-        regions[PartKind.BREAST] = breast
-        fixed.append(breast)
+    for kind, points in zip(REGION_KINDS[:2], (head_points, breast_points)):
+        region = cluster_region(points, bounds, cfg)
+        if region is not None:
+            regions[kind] = region
+            fixed.append(region)
+    head = regions.get(PartKind.HEAD)
 
     tie_rng = random.Random(derive_seed(cfg.tie_seed, f"tie:{image.image_id}"))
     for kind, points in zip(REGION_KINDS[2:], envelope_points):
@@ -390,7 +333,7 @@ def generate_all(dataset, cfg: RegionConfig) -> PackedRegionSets:
             cfg,
             dataset.part_names,
         )
-        packed._hold(image_id, region_set.regions)
+        packed.add(image_id, region_set.regions)
     return packed
 
 
@@ -412,12 +355,11 @@ def _write_region_line(fh, image_id: int, name: str, x1: float, y1: float, x2: f
     return True
 
 
-def write_region_sets(region_sets: Mapping[int, PartRegionSet], path) -> None:
+def write_region_sets(region_sets: PackedRegionSets, path) -> None:
     """Write '<image_id> <part_name> <x1> <y1> <x2> <y2>' region lines."""
-    packed = PackedRegionSets.pack(region_sets)
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id in packed:
-            for k, x1, y1, x2, y2 in packed.corners(image_id):
+        for image_id in region_sets:
+            for k, x1, y1, x2, y2 in region_sets.corners(image_id):
                 _write_region_line(fh, image_id, REGION_KINDS[k].value, x1, y1, x2, y2)
 
 
@@ -444,28 +386,26 @@ def read_region_sets(path) -> PackedRegionSets:
 
 
 def region_outside_image(
-    region_sets: Mapping[int, PartRegionSet], images: Mapping[int, object]
+    region_sets: PackedRegionSets, images: Mapping[int, object]
 ) -> Optional[tuple[int, PartKind]]:
     """The first region, by ascending image id and then ``REGION_KINDS``
     order, that reaches beyond its image's ``[0, width] x [0, height]``, or
     None.  Every image id of ``region_sets`` must be a key of ``images``."""
-    packed = PackedRegionSets.pack(region_sets)
-    for image_id in packed:
+    for image_id in region_sets:
         image = images[image_id]
-        for k, x1, y1, x2, y2 in packed.corners(image_id):
+        for k, x1, y1, x2, y2 in region_sets.corners(image_id):
             if x1 < 0 or y1 < 0 or x2 > image.width or y2 > image.height:
                 return image_id, REGION_KINDS[k]
     return None
 
 
-def write_crop_manifest(dataset, region_sets: Mapping[int, PartRegionSet], cfg: RegionConfig, path) -> None:
+def write_crop_manifest(dataset, region_sets: PackedRegionSets, cfg: RegionConfig, path) -> None:
     """Region-format manifest of every crop to take: the full image
     ('original'), the center crop ('cropped'), and each part region.
 
     Downstream tooling applies the crops and resizes them to the network
     input size; no pixels are touched here.
     """
-    packed = PackedRegionSets.pack(region_sets)
     with open(path, "w", encoding="utf-8") as fh:
         for image_id in dataset.image_ids():
             image = dataset.images[image_id]
@@ -473,12 +413,12 @@ def write_crop_manifest(dataset, region_sets: Mapping[int, PartRegionSet], cfg: 
             _write_region_line(fh, image_id, PartKind.ORIGINAL.value, 0.0, 0.0, width, height)
             crop = center_crop_box(image, cfg)
             _write_region_line(fh, image_id, PartKind.CROPPED.value, crop.x1, crop.y1, crop.x2, crop.y2)
-            for k, x1, y1, x2, y2 in packed.corners(image_id):
+            for k, x1, y1, x2, y2 in region_sets.corners(image_id):
                 _write_region_line(fh, image_id, REGION_KINDS[k].value, x1, y1, x2, y2)
 
 
 def export_yolo_labels(
-    region_sets: Mapping[int, PartRegionSet], images: Mapping[int, object], out_dir
+    region_sets: PackedRegionSets, images: Mapping[int, object], out_dir
 ) -> list[str]:
     """One detector label file per image, next to its relative path.
 
@@ -493,7 +433,6 @@ def export_yolo_labels(
     regions produce empty files.  Returns the label file paths as strings,
     in ascending image id order.
     """
-    packed = PackedRegionSets.pack(region_sets)
     out = Path(out_dir)
     image_ids = sorted(images)
     # a string per image, not a Path: 6000 Paths held through the export
@@ -511,7 +450,7 @@ def export_yolo_labels(
         lines = [
             f"{k} {(x1 + x2) / 2.0 / w:.6f} {(y1 + y2) / 2.0 / h:.6f} "
             f"{(x2 - x1) / w:.6f} {(y2 - y1) / h:.6f}\n"
-            for k, x1, y1, x2, y2 in packed.corners(image_id)
+            for k, x1, y1, x2, y2 in region_sets.corners(image_id)
         ]
         with open(label_path, "w", encoding="utf-8") as fh:
             fh.write("".join(lines))

@@ -32,7 +32,6 @@ from .geometry import Box
 from .parts import CUB_PART_NAMES, GROUP_ORDER, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
 from .regions import (
     PackedRegionSets,
-    PartRegionSet,
     RegionConfig,
     generate_all,
     read_region_sets,
@@ -192,7 +191,7 @@ def _quantized_box(x1: float, y1: float, x2: float, y2: float) -> Box:
 
 
 def synth_detections(
-    region_sets: Mapping[int, PartRegionSet],
+    region_sets: PackedRegionSets,
     jitter_px: float = 0.0,
     score_noise: float = 0.0,
     seed: int = 0,
@@ -215,9 +214,8 @@ def synth_detections(
         raise ConfigError("distractor_score must be in [0, 1]")
     rng = random.Random(seed)
     detections: list[Detection] = []
-    packed = PackedRegionSets.pack(region_sets)
-    for image_id in packed:
-        for k, x1, y1, x2, y2 in packed.corners(image_id):
+    for image_id in region_sets:
+        for k, x1, y1, x2, y2 in region_sets.corners(image_id):
             kind = REGION_KINDS[k]
             dx1 = rng.uniform(-jitter_px, jitter_px)
             dy1 = rng.uniform(-jitter_px, jitter_px)

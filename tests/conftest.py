@@ -1,11 +1,27 @@
-"""Shared builders for on-disk annotation trees used across test modules."""
+"""Shared builders for on-disk annotation trees and region sets used
+across test modules."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from partkit.parts import CUB_PART_NAMES
+from partkit.geometry import Box
+from partkit.parts import CUB_PART_NAMES, REGION_KINDS, PartKind
+from partkit.regions import PackedRegionSets
+
+
+def packed_regions(regions: Mapping[int, Mapping[PartKind, Box]]) -> PackedRegionSets:
+    """Region sets holding each image's boxes, added in ``regions`` order."""
+    sets = PackedRegionSets()
+    for image_id, boxes in regions.items():
+        sets.add(image_id, boxes)
+    return sets
+
+
+def boxes_of(sets: PackedRegionSets, image_id: int) -> dict[PartKind, Box]:
+    """One image's regions as boxes, in ``REGION_KINDS`` order."""
+    return {REGION_KINDS[k]: Box(x1, y1, x2, y2) for k, x1, y1, x2, y2 in sets.corners(image_id)}
 
 
 def keypoint_position(part_id: int) -> tuple[float, float]:

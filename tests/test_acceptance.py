@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import boxes_of
 from partkit.cli import combination_study, main
 from partkit.dataset_io import Split, parse_dataset, parse_detections, split_dataset
 from partkit.detection import Detection, compute_pcp, select_all, select_valid_parts
@@ -177,7 +178,7 @@ def test_04_threshold_semantics(report):
         dataset = synth_dataset(cfg)
         region_sets = generate_all(dataset, RegionConfig())
         detections = synth_detections(region_sets, score_noise=0.6, seed=9)
-        total = sum(len(rs.regions) for rs in region_sets.values())
+        total = region_sets.num_regions
         counts = []
         for step in range(101):
             selected = select_all(detections, step / 100)
@@ -202,9 +203,9 @@ def test_05_end_to_end_pcp(report, tmp_path):
         # intersection (1-d)wh, union (1+d)wh, so IoU = (1-d)/(1+d) = 0.35
         d = 0.4815
         shifted = {}
-        for image_id, rs in ground_truth.items():
+        for image_id in ground_truth:
             per_image = {}
-            for kind, gt in rs.regions.items():
+            for kind, gt in boxes_of(ground_truth, image_id).items():
                 offset = d * gt.width
                 moved = Box(gt.x1 + offset, gt.y1, gt.x2 + offset, gt.y2)
                 overlap = iou(moved, gt)
@@ -384,12 +385,10 @@ def test_10_format_round_trips(report, tmp_path):
             image = dataset.images[image_id]
             path = (tmp_path / "labels" / image.relative_path).with_suffix(".txt")
             by_image[image_id] = read_yolo_labels(path, image.width, image.height)
-        for image_id, rs in region_sets.items():
+        for image_id in region_sets:
             image = dataset.images[image_id]
             originals = [
-                (idx, rs.regions[kind])
-                for idx, kind in enumerate(REGION_KINDS)
-                if kind in rs.regions
+                (REGION_KINDS.index(kind), box) for kind, box in boxes_of(region_sets, image_id).items()
             ]
             recovered = by_image[image_id]
             assert [idx for idx, _ in recovered] == [idx for idx, _ in originals]

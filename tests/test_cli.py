@@ -199,7 +199,13 @@ class TestUsageAndConfig:
         )
 
     @pytest.mark.parametrize(
-        "line", ["group_order = original,cropped,head,wing,breast,leg,tail", "train_iou_min = 0.6"]
+        "line",
+        [
+            "group_order = original,cropped,head,wing,breast,leg,tail",
+            "train_iou_min = 0.6",
+            "breast_pad_w = 0.1",
+            "breast_pad_h = none",
+        ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
         cfg = tmp_path / "old.cfg"
@@ -222,7 +228,7 @@ class TestNonFiniteConfigFloats:
             ("svm_c = nan", "classify"),  # trained a NaN model and exited 0
             ("pad_w = nan", "gen-regions"),  # exited 1 on an unrelated invalid box
             ("envelope_scale_leg = inf", "gen-regions"),  # was accepted
-            ("breast_pad_w = -inf", "gen-regions"),
+            ("pad_h = -inf", "gen-regions"),
         ],
     )
     def test_exit_two_with_the_line(self, corpus, tmp_path, capsys, line, command):
@@ -539,6 +545,19 @@ class TestExportYolo:
         assert captured.out == ""
         assert not (out / "labels").exists()
 
+    @pytest.mark.parametrize(
+        "line", ["1 head 1 1 0 0\n", "1 head 150.00 150.00 260.00 270.00\n"], ids=["inverted", "outside"]
+    )
+    def test_a_bad_region_file_leaves_no_output_directory(self, corpus, tmp_path, capsys, line):
+        regions = tmp_path / "bad.txt"
+        regions.write_text(line, encoding="utf-8")
+        out = tmp_path / "yolobad"
+        argv = ["export-yolo", str(corpus["dataset"]), "--regions", str(regions), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_a_region_on_the_image_edges_reads_back(self, corpus, tmp_path, capsys):
         regions = tmp_path / "regions.txt"
         regions.write_text("1 head 0.00 0.00 200.00 200.00\n", encoding="utf-8")
@@ -723,6 +742,20 @@ class TestClassify:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert not (tmp_path / "clf" / "model.svm").exists()
+
+    @pytest.mark.parametrize("groups", ["head,head", ""])
+    def test_a_bad_group_selection_leaves_no_output_directory(self, corpus, tmp_path, capsys, groups):
+        out = tmp_path / "dup"
+        assert self.run_classify(corpus, out, ["--groups", groups]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        # the selection is checked before any input is read
+        argv = ["classify", str(tmp_path / "missing.tsv"), str(corpus["labels"]), str(corpus["split"])]
+        assert main([*argv, "--groups", groups, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: group selection ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "split_value,message", [("0", "no test samples"), ("2", "no training samples")]

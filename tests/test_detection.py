@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import packed_regions
 from partkit import detection
 from partkit.cli import main
 from partkit.config import ToolkitConfig
 from partkit.detection import (
     Detection,
+    PcpEntry,
     PcpReport,
     compute_pcp,
     filter_training_boxes,
@@ -22,7 +24,6 @@ from partkit.detection import (
 from partkit.errors import ConfigError, InputError, ScoreOutOfRange
 from partkit.geometry import Box, iou
 from partkit.parts import REGION_KINDS, PartKind
-from partkit.regions import PackedRegionSets, PartRegionSet
 
 
 def det(image_id, kind, score, box):
@@ -131,22 +132,31 @@ class TestSelectValidParts:
 
 class TestFilterTrainingBoxes:
     def test_iou_above_threshold_kept(self):
-        gt = PartRegionSet(1, {PartKind.HEAD: GT_BOX})
+        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
         kept = filter_training_boxes([det(1, PartKind.HEAD, 0.9, box_with_iou(0.7))], gt, 0.6)
         assert len(kept) == 1
 
     def test_iou_below_threshold_dropped(self):
-        gt = PartRegionSet(1, {PartKind.HEAD: GT_BOX})
+        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
         assert filter_training_boxes([det(1, PartKind.HEAD, 0.9, box_with_iou(0.5))], gt, 0.6) == []
 
     def test_exact_threshold_kept(self):
-        gt = PartRegionSet(1, {PartKind.HEAD: GT_BOX})
+        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
         kept = filter_training_boxes([det(1, PartKind.HEAD, 0.9, box_with_iou(0.6))], gt, 0.6)
         assert len(kept) == 1  # inclusive comparison
 
     def test_kind_without_ground_truth_dropped(self):
-        gt = PartRegionSet(1, {PartKind.HEAD: GT_BOX})
+        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
         assert filter_training_boxes([det(1, PartKind.TAIL, 0.9, GT_BOX)], gt, 0.0) == []
+
+    def test_ground_truth_of_another_image_dropped(self):
+        # image 1's head once matched image 2's detection of the same box
+        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
+        assert filter_training_boxes([det(2, PartKind.HEAD, 0.9, GT_BOX)], gt, 0.0) == []
+        gt.add(2, {PartKind.HEAD: box_with_iou(0.5)})
+        assert filter_training_boxes([det(2, PartKind.HEAD, 0.9, GT_BOX)], gt, 0.6) == []
+        kept = filter_training_boxes([det(2, PartKind.HEAD, 0.9, GT_BOX)], gt, 0.5)
+        assert [d.image_id for d in kept] == [2]
 
 
 class TestComputePcp:
@@ -156,8 +166,8 @@ class TestComputePcp:
             for image_id, box in per_image.items()
         }
 
-    def _gt(self, image_ids) -> dict[int, PartRegionSet]:
-        return {i: PartRegionSet(i, {PartKind.HEAD: GT_BOX}) for i in image_ids}
+    def _gt(self, image_ids):
+        return packed_regions({i: {PartKind.HEAD: GT_BOX} for i in image_ids})
 
     def test_two_of_three_heads(self):
         selected = self._selected({1: box_with_iou(0.6), 2: box_with_iou(0.8), 3: box_with_iou(0.2)})
@@ -212,19 +222,19 @@ class TestComputePcp:
                             i, kind, 0.9, Box(x1, y1, x1 + rng.uniform(2, 20), y1 + rng.uniform(2, 20))
                         )
                 if regions:
-                    gt[i] = PartRegionSet(i, regions)
+                    gt[i] = regions
                 if chosen:
                     selected[i] = chosen
             threshold = rng.uniform(0.05, 0.95)
-            report = compute_pcp(selected, gt, threshold)
+            report = compute_pcp(selected, packed_regions(gt), threshold)
 
             # independent recount, one part kind at a time
             for kind in REGION_KINDS:
-                visible = [i for i in gt if kind in gt[i].regions]
+                visible = [i for i in gt if kind in gt[i]]
                 localized = 0
                 for i in visible:
                     pick = selected.get(i, {}).get(kind)
-                    if pick is not None and iou(pick.box, gt[i].regions[kind]) >= threshold:
+                    if pick is not None and iou(pick.box, gt[i][kind]) >= threshold:
                         localized += 1
                 if not visible:
                     assert kind not in report.per_kind
@@ -239,11 +249,12 @@ class TestComputePcp:
         selected = {}
         for i in range(1, 11):
             x1, y1 = rng.uniform(0, 20), rng.uniform(0, 20)
-            gt[i] = PartRegionSet(i, {PartKind.HEAD: Box(x1, y1, x1 + 10, y1 + 10)})
+            gt[i] = {PartKind.HEAD: Box(x1, y1, x1 + 10, y1 + 10)}
             dx, dy = rng.uniform(-8, 8), rng.uniform(-8, 8)
             selected[i] = {
                 PartKind.HEAD: det(i, PartKind.HEAD, 0.9, Box(x1 + dx, y1 + dy, x1 + 10 + dx, y1 + 10 + dy))
             }
+        gt = packed_regions(gt)
         previous = None
         for step in range(1, 100):
             report = compute_pcp(selected, gt, step / 100)
@@ -253,9 +264,9 @@ class TestComputePcp:
             previous = value
 
     def test_packed_ground_truth_is_read_by_corners(self, monkeypatch):
-        """On packed ground truth, ``compute_pcp`` builds no region set: it
-        reads each image's corners and calls ``iou`` once per region that a
-        selected detection of its kind meets."""
+        """``compute_pcp`` reads each image's corners and calls ``iou`` once
+        per region that a selected detection of its kind meets, as a
+        recount from the regions finds."""
         rng = random.Random(7)
         gt, selected, meetings = {}, {}, 0
         for i in range(1, 30):
@@ -268,13 +279,17 @@ class TestComputePcp:
                 if rng.random() < 0.7:
                     chosen[kind] = det(i, kind, 0.9, Box(box.x1 + 1, box.y1, box.x2 + 1, box.y2))
                     meetings += kind in regions
-            gt[i] = PartRegionSet(i, regions)
+            gt[i] = regions
             selected[i] = chosen
-        expected = compute_pcp(selected, gt, 0.5)
-        packed = PackedRegionSets.pack(gt)
-
-        def no_lookup(self, image_id):
-            raise AssertionError("built a PartRegionSet")
+        expected = PcpReport(iou_threshold=0.5)
+        for kind in REGION_KINDS:
+            visible = [i for i in gt if kind in gt[i]]
+            localized = sum(
+                kind in selected[i] and iou(selected[i][kind].box, gt[i][kind]) >= 0.5 for i in visible
+            )
+            if visible:
+                expected.per_kind[kind] = PcpEntry(localized, len(visible))
+        packed = packed_regions(gt)
 
         calls = []
 
@@ -282,7 +297,6 @@ class TestComputePcp:
             calls.append(b)
             return iou(a, b)
 
-        monkeypatch.setattr(PackedRegionSets, "__getitem__", no_lookup)
         monkeypatch.setattr(detection, "iou", counted_iou)
         assert compute_pcp(selected, packed, 0.5) == expected
         assert len(calls) == meetings
@@ -294,7 +308,7 @@ class TestReportAndHelpers:
             i: {PartKind.HEAD: det(i, PartKind.HEAD, 0.9, box)}
             for i, box in {1: box_with_iou(0.6), 2: box_with_iou(0.8), 3: box_with_iou(0.2)}.items()
         }
-        gt = {i: PartRegionSet(i, {PartKind.HEAD: GT_BOX}) for i in (1, 2, 3)}
+        gt = packed_regions({i: {PartKind.HEAD: GT_BOX} for i in (1, 2, 3)})
         tsv = compute_pcp(selected, gt, 0.5).to_tsv()
         lines = tsv.splitlines()
         assert lines[0] == "#iou_threshold=0.5"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_tree
+from conftest import boxes_of, build_tree
 from partkit.dataset_io import (
     Dataset,
     ImageRecord,
@@ -35,8 +35,8 @@ from partkit.errors import (
 )
 from partkit.geometry import Box
 from partkit.parsing import _memo_float, _parse_float, _parse_int, _records
-from partkit.parts import CUB_PART_NAMES, REGION_KINDS, kind_from_name
-from partkit.regions import PartRegionSet, read_region_sets, read_yolo_labels
+from partkit.parts import CUB_PART_NAMES, REGION_KINDS, PartKind, kind_from_name
+from partkit.regions import read_region_sets, read_yolo_labels
 
 # --- field counts -------------------------------------------------------------
 
@@ -234,9 +234,9 @@ def parse_dataset_reference(root_dir) -> Dataset:
     return Dataset(images=images, keypoints=keypoints, class_names=class_names, part_names=part_names)
 
 
-def read_region_sets_reference(path) -> dict[int, PartRegionSet]:
+def read_region_sets_reference(path) -> dict[int, dict[PartKind, Box]]:
     path = Path(path)
-    result: dict[int, PartRegionSet] = {}
+    result: dict[int, dict[PartKind, Box]] = {}
     for line_no, fields in _records(path):
         if len(fields) != 6:
             raise MalformedLine(path, line_no, "expected '<image_id> <part_name> <x1> <y1> <x2> <y2>'")
@@ -254,13 +254,17 @@ def read_region_sets_reference(path) -> dict[int, PartRegionSet]:
                 f"{path}:{line_no}: invalid box ({x1}, {y1}, {x2}, {y2}): "
                 "requires x1 < x2 and y1 < y2"
             )
-        entry = result.get(image_id)
-        if entry is None:
-            entry = result[image_id] = PartRegionSet(image_id)
-        elif kind in entry.regions:
+        entry = result.setdefault(image_id, {})
+        if kind in entry:
             raise DuplicateId(path, line_no, "region", (image_id, kind.value))
-        entry.regions[kind] = Box(x1, y1, x2, y2)
+        entry[kind] = Box(x1, y1, x2, y2)
     return result
+
+
+def read_region_boxes(path) -> dict[int, dict[PartKind, Box]]:
+    """``read_region_sets``, each image's regions as boxes."""
+    sets = read_region_sets(path)
+    return {image_id: boxes_of(sets, image_id) for image_id in sets}
 
 
 # --- mutated files ------------------------------------------------------------
@@ -371,7 +375,7 @@ class TestAgainstPerTokenReaders:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "regions.txt"
             path.write_bytes(raw)
-            assert outcome(read_region_sets, path) == outcome(read_region_sets_reference, path)
+            assert outcome(read_region_boxes, path) == outcome(read_region_sets_reference, path)
 
     def test_same_bad_token_in_x_and_y_reports_x(self, tmp_path):
         path = tmp_path / "regions.txt"

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_tree, default_part_rows, toy_images
+from conftest import boxes_of, build_tree, default_part_rows, packed_regions, toy_images
 from partkit.dataset_io import ImageRecord, KeyPoint, parse_dataset
-from partkit.errors import ConfigError, DuplicateId, EmptyCandidates, MalformedLine
+from partkit.errors import ConfigError, DuplicateId, EmptyCandidates, InputError, MalformedLine
 from partkit.geometry import Box
 from partkit.parts import (
     CUB_PART_NAMES,
@@ -26,17 +26,15 @@ from partkit.parts import (
 )
 from partkit.regions import (
     PackedRegionSets,
-    PartRegionSet,
     RegionConfig,
-    breast_region,
     center_crop_box,
+    cluster_region,
     eliminate_redundant,
     envelope_region,
     envelope_side,
     export_yolo_labels,
     generate_all,
     generate_region_set,
-    head_region,
     padded_rect,
     read_region_sets,
     read_yolo_labels,
@@ -110,7 +108,7 @@ class TestRegionConfig:
         with pytest.raises(ConfigError):
             RegionConfig(center_crop_fraction=1.5)
         with pytest.raises(ConfigError):
-            RegionConfig(breast_pad_w=-1)
+            RegionConfig(pad_h=-0.1)
 
 
 class TestPaddedRect:
@@ -150,24 +148,23 @@ class TestPaddedRect:
 class TestHeadAndBreast:
     def test_single_keypoint_fallback_square(self):
         cfg = RegionConfig(head_fallback_fraction=0.1)
-        region = head_region([(50.0, 50.0)], BOUNDS_200, cfg)
+        region = cluster_region([(50.0, 50.0)], BOUNDS_200, cfg)
         assert region == Box(40.0, 40.0, 60.0, 60.0)
 
     def test_no_keypoints_absent(self):
-        assert head_region([], BOUNDS_200, RegionConfig()) is None
-        assert breast_region([], BOUNDS_200, RegionConfig()) is None
+        assert cluster_region([], BOUNDS_200, RegionConfig()) is None
 
     def test_breast_zero_padding(self):
-        cfg = RegionConfig(breast_pad_w=0.0, breast_pad_h=0.0)
-        assert breast_region([(10, 30), (30, 10)], BOUNDS_200, cfg) == Box(10, 10, 30, 30)
+        cfg = RegionConfig(pad_w=0.0, pad_h=0.0)
+        assert cluster_region([(10, 30), (30, 10)], BOUNDS_200, cfg) == Box(10, 10, 30, 30)
 
     def test_breast_follows_shared_padding_by_default(self):
         cfg = RegionConfig(pad_w=0.2, pad_h=0.2)
-        assert breast_region([(10, 30), (30, 10)], BOUNDS_200, cfg) == Box(8.0, 8.0, 32.0, 32.0)
+        assert cluster_region([(10, 30), (30, 10)], BOUNDS_200, cfg) == Box(8.0, 8.0, 32.0, 32.0)
 
     def test_result_clipped_to_image(self):
         cfg = RegionConfig()
-        region = head_region([(1, 1), (199, 199)], BOUNDS_200, cfg)
+        region = cluster_region([(1, 1), (199, 199)], BOUNDS_200, cfg)
         assert region.x1 >= 0 and region.y1 >= 0
         assert region.x2 <= 200 and region.y2 <= 200
 
@@ -338,7 +335,7 @@ class TestGenerateRegionSet:
         ds = parse_dataset(root)
         sets = generate_all(ds, RegionConfig())
         assert sorted(sets) == [1, 2, 3]
-        assert all(set(s.regions) == set(REGION_KINDS) for s in sets.values())
+        assert all(set(boxes_of(sets, i)) == set(REGION_KINDS) for i in sets)
 
 
 class TestCenterCrop:
@@ -358,24 +355,20 @@ class TestCenterCrop:
 
 class TestRegionFiles:
     def _sets(self):
-        return {
-            1: PartRegionSet(1, {PartKind.HEAD: Box(10.0, 5.0, 40.0, 35.0)}),
-            2: PartRegionSet(
-                2,
-                {
-                    PartKind.HEAD: Box(1.0, 2.0, 3.0, 4.0),
-                    PartKind.LEG: Box(10.5, 20.25, 30.75, 40.125),
-                },
-            ),
-        }
+        return packed_regions(
+            {
+                1: {PartKind.HEAD: Box(10.0, 5.0, 40.0, 35.0)},
+                2: {PartKind.HEAD: Box(1.0, 2.0, 3.0, 4.0), PartKind.LEG: Box(10.5, 20.25, 30.75, 40.125)},
+            }
+        )
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "regions.txt"
         write_region_sets(self._sets(), path)
         loaded = read_region_sets(path)
-        assert loaded[1].regions[PartKind.HEAD] == Box(10.0, 5.0, 40.0, 35.0)
+        assert boxes_of(loaded, 1)[PartKind.HEAD] == Box(10.0, 5.0, 40.0, 35.0)
         # 40.125 quantizes to the written 2-decimal grid
-        assert loaded[2].regions[PartKind.LEG] == Box(10.5, 20.25, 30.75, 40.12)
+        assert boxes_of(loaded, 2)[PartKind.LEG] == Box(10.5, 20.25, 30.75, 40.12)
 
     def test_two_decimal_format(self, tmp_path):
         path = tmp_path / "regions.txt"
@@ -383,7 +376,7 @@ class TestRegionFiles:
         assert path.read_text().splitlines()[0] == "1 head 10.00 5.00 40.00 35.00"
 
     def test_sliver_regions_omitted(self, tmp_path):
-        sets = {1: PartRegionSet(1, {PartKind.HEAD: Box(10.0, 10.0, 10.004, 50.0)})}
+        sets = packed_regions({1: {PartKind.HEAD: Box(10.0, 10.0, 10.004, 50.0)}})
         path = tmp_path / "regions.txt"
         write_region_sets(sets, path)
         assert path.read_text() == ""
@@ -425,28 +418,32 @@ def _distinct_region_lines(n_images: int) -> str:
 
 
 class TestPackedRegionSets:
-    def test_reads_as_the_mapping_it_was_built_from(self, tmp_path):
+    def test_reads_as_the_regions_it_was_built_from(self, tmp_path):
         # ids out of order and one image's lines apart
         path = tmp_path / "regions.txt"
         path.write_text("7 leg 1 2 3 4\n2 head 0 0 5.5 5\n7 head 10 10 20 30\n", encoding="utf-8")
         sets = read_region_sets(path)
         expected = {
-            2: PartRegionSet(2, {PartKind.HEAD: Box(0.0, 0.0, 5.5, 5.0)}),
-            7: PartRegionSet(
-                7, {PartKind.HEAD: Box(10.0, 10.0, 20.0, 30.0), PartKind.LEG: Box(1.0, 2.0, 3.0, 4.0)}
-            ),
+            2: {PartKind.HEAD: Box(0.0, 0.0, 5.5, 5.0)},
+            7: {PartKind.HEAD: Box(10.0, 10.0, 20.0, 30.0), PartKind.LEG: Box(1.0, 2.0, 3.0, 4.0)},
         }
-        assert sets == expected
+        assert {i: boxes_of(sets, i) for i in sets} == expected
         assert list(sets) == [2, 7] and len(sets) == 2
         assert sets.num_regions == 3
         assert sets.corners(7) == [(0, 10.0, 10.0, 20.0, 30.0), (4, 1.0, 2.0, 3.0, 4.0)]
         assert sets.corners(3) == []
-        assert 7 in sets and 3 not in sets and "7" not in sets
-        assert sets.get(3) is None and sets.get("x") is None
-        with pytest.raises(KeyError):
-            sets[3]
-        assert PackedRegionSets.pack(sets) is sets
-        assert PackedRegionSets.pack(expected) == sets
+        # added in any order, the same rows; kinds without a region kind are left out
+        built = packed_regions({7: {**expected[7], PartKind.ORIGINAL: Box(0, 0, 9, 9)}, 2: expected[2]})
+        assert list(built) == [2, 7]
+        assert [built.corners(i) for i in built] == [sets.corners(i) for i in sets]
+
+    def test_a_second_add_of_an_image_raises(self):
+        sets = packed_regions({3: {PartKind.HEAD: Box(0, 0, 1, 1)}, 5: {}})
+        for image_id in (3, 5):
+            with pytest.raises(InputError, match=f"image {image_id} "):
+                sets.add(image_id, {PartKind.TAIL: Box(0, 0, 2, 2)})
+        assert list(sets) == [3, 5] and sets.num_regions == 1
+        assert sets.corners(3) == [(0, 0, 0, 1, 1)]
 
     def test_generate_all_keys_every_image(self, tmp_path):
         rows = [row for row in default_part_rows([1, 2]) if not row.startswith("2 ")]
@@ -454,8 +451,8 @@ class TestPackedRegionSets:
         ds = parse_dataset(build_tree(tmp_path, toy_images(2), part_rows=rows))
         sets = generate_all(ds, RegionConfig())
         assert list(sets) == [1, 2]
-        assert sets[2] == PartRegionSet(2, {})
-        assert sets.num_regions == len(sets[1].regions) == 5
+        assert sets.corners(2) == []
+        assert sets.num_regions == len(sets.corners(1)) == 5
 
     def test_read_holds_no_object_per_region(self, tmp_path):
         # with a memo of tokens, Box and float objects, the reader held
@@ -493,7 +490,7 @@ class TestPackedRegionSets:
 
 class TestYoloExport:
     def test_normalization_line(self, tmp_path):
-        sets = {1: PartRegionSet(1, {PartKind.HEAD: Box(10.0, 5.0, 40.0, 35.0)})}
+        sets = packed_regions({1: {PartKind.HEAD: Box(10.0, 5.0, 40.0, 35.0)}})
         images = {1: ImageRecord(1, "c/im.jpg", 1, 100, 100)}
         export_yolo_labels(sets, images, tmp_path)
         content = (tmp_path / "c/im.txt").read_text()
@@ -501,14 +498,14 @@ class TestYoloExport:
 
     def test_no_regions_empty_file(self, tmp_path):
         images = {1: ImageRecord(1, "c/im.jpg", 1, 100, 100)}
-        export_yolo_labels({}, images, tmp_path)
+        export_yolo_labels(PackedRegionSets(), images, tmp_path)
         assert (tmp_path / "c/im.txt").read_text() == ""
 
     def test_label_paths_follow_pathlib_suffix_rules(self, tmp_path):
         # os.path.splitext would map "x." to "x.txt", not pathlib's "x..txt"
         relative = {"a/x.": "a/x..txt", "a/.x": "a/.x.txt", "a/x": "a/x.txt", "a/x.tar.gz": "a/x.tar.txt"}
         images = {i: ImageRecord(i, rel, 1, 100, 100) for i, rel in enumerate(relative, start=1)}
-        written = export_yolo_labels({}, images, tmp_path)
+        written = export_yolo_labels(PackedRegionSets(), images, tmp_path)
         assert [str(p) for p in written] == [str(tmp_path / label) for label in relative.values()]
         assert all((tmp_path / label).read_text() == "" for label in relative.values())
 
@@ -524,10 +521,10 @@ class TestYoloExport:
         # parts do not grow the interpreter's intern table inside the bound
         interned = [sys.intern(part) for i in images for part in images[i].relative_path.split("/")]
         out = tmp_path / "labels"
-        export_yolo_labels({}, images, out)  # the directories exist from here on
+        export_yolo_labels(PackedRegionSets(), images, out)  # the directories exist from here on
         tracemalloc.start()
         try:
-            written = export_yolo_labels({}, images, out)
+            written = export_yolo_labels(PackedRegionSets(), images, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -565,13 +562,13 @@ class TestYoloExport:
     def test_boxes_on_the_image_edges_read_back(self, tmp_path):
         boxes = {PartKind.HEAD: Box(0.0, 0.0, 200.0, 100.0), PartKind.LEG: Box(150.0, 0.0, 200.0, 20.0)}
         images = {1: ImageRecord(1, "im.jpg", 1, 200, 100)}
-        export_yolo_labels({1: PartRegionSet(1, boxes)}, images, tmp_path)
+        export_yolo_labels(packed_regions({1: boxes}), images, tmp_path)
         recovered = read_yolo_labels(tmp_path / "im.txt", 200, 100)
         assert recovered == [(0, boxes[PartKind.HEAD]), (4, boxes[PartKind.LEG])]
 
     def test_class_indices_follow_region_order(self, tmp_path):
         boxes = {kind: Box(10 + i, 10 + i, 30 + i, 30 + i) for i, kind in enumerate(REGION_KINDS)}
-        sets = {1: PartRegionSet(1, boxes)}
+        sets = packed_regions({1: boxes})
         images = {1: ImageRecord(1, "im.jpg", 1, 100, 100)}
         export_yolo_labels(sets, images, tmp_path)
         indices = [int(line.split()[0]) for line in (tmp_path / "im.txt").read_text().splitlines()]
@@ -591,11 +588,11 @@ class TestYoloExport:
         ds = parse_dataset(build_tree(tmp_path / "tree", toy_images(3)))
         sets = generate_all(ds, RegionConfig())
         export_yolo_labels(sets, ds.images, tmp_path / "labels")
-        for image_id, region_set in sets.items():
+        for image_id in sets:
             image = ds.images[image_id]
             path = (tmp_path / "labels" / image.relative_path).with_suffix(".txt")
             recovered = read_yolo_labels(path, image.width, image.height)
-            originals = [region_set.regions[k] for k in REGION_KINDS if k in region_set.regions]
+            originals = list(boxes_of(sets, image_id).values())
             tolerance = 1e-6 * max(image.width, image.height)  # 1e-4 px per 100 px
             for (_, got), want in zip(recovered, originals):
                 for a, b in zip(

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import boxes_of
 from partkit.dataset_io import Split, parse_dataset, parse_detections, read_split
 from partkit.detection import compute_pcp, select_all
 from partkit.errors import ConfigError
@@ -125,8 +126,8 @@ class TestSynthDataset:
             assert not kps[left].visible
             assert not kps[right].visible
         region_sets = generate_all(dataset, RegionConfig())
-        assert all(PartKind.LEG not in rs.regions for rs in region_sets.values())
-        assert all(PartKind.HEAD in rs.regions for rs in region_sets.values())
+        assert all(PartKind.LEG not in boxes_of(region_sets, i) for i in region_sets)
+        assert all(PartKind.HEAD in boxes_of(region_sets, i) for i in region_sets)
 
     def test_written_tree_parses_back_and_is_reproducible(self, tmp_path):
         cfg = SynthConfig(num_classes=2, images_per_class=3, seed=11)
@@ -160,10 +161,10 @@ class TestSynthDetections:
     def test_zero_noise_matches_ground_truth_exactly(self):
         region_sets = self._region_sets()
         dets = synth_detections(region_sets)
-        total_regions = sum(len(rs.regions) for rs in region_sets.values())
+        total_regions = region_sets.num_regions
         assert len(dets) == total_regions
         for det in dets:
-            gt = region_sets[det.image_id].regions[det.kind]
+            gt = boxes_of(region_sets, det.image_id)[det.kind]
             assert det.score == 1.0
             assert (det.box.x1, det.box.y1, det.box.x2, det.box.y2) == (
                 round(gt.x1, 2),

@@ -60,14 +60,15 @@ def _resolve_root(args, config: ToolkitConfig) -> Path:
     return Path(raw)
 
 
-def _resolve_out(args, config: ToolkitConfig, required: bool = True) -> Optional[Path]:
+def _resolve_out(args, config: ToolkitConfig, required: bool = True, make: bool = True) -> Optional[Path]:
     raw = args.out or config.out_dir
     if not raw:
         if required:
             raise ConfigError("no output directory given: pass --out or set out_dir")
         return None
     out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
+    if make:
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -82,7 +83,7 @@ def cmd_validate(args, config: ToolkitConfig) -> int:
 
 def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
-    out = _resolve_out(args, config)
+    out = _resolve_out(args, config, make=False)  # the label export makes it
     region_cfg = config.region_config()
     region_sets = generate_all(dataset, region_cfg)
     # labels first: their path-collision check raises before any output exists
@@ -95,9 +96,9 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
 
 def cmd_export_yolo(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
+    # before generating: a usage error must not wait for it
+    out = _resolve_out(args, config, make=False)  # the label export makes it
     if args.regions is None:
-        # before generating: a usage error must not wait for it
-        out = _resolve_out(args, config)
         region_sets = generate_all(dataset, config.region_config())
     else:
         region_sets = read_region_sets(args.regions)
@@ -113,8 +114,6 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
                 f"{args.regions}: the {kind} region of image {image_id} reaches beyond"
                 f" its {image.width} x {image.height} image"
             )
-        # after the checks: a bad region file leaves no output directory
-        out = _resolve_out(args, config)
     written = export_yolo_labels(region_sets, dataset.images, out / "labels")
     print(f"label_files={len(written)}")
     return 0

@@ -30,7 +30,6 @@ from .errors import (
 from .parsing import (
     MAX_IMAGE_ID,
     _memo_float,
-    _memo_int,
     _parse_float,
     _parse_int,
     _parse_region_kind,
@@ -50,7 +49,7 @@ class ImageRecord:
 
 @dataclass(frozen=True, slots=True)
 class KeyPoint:
-    image_id: int
+    # four slots: 64 bytes an object, where a fifth would take 80
     part_id: int
     x: float
     y: float
@@ -68,7 +67,7 @@ class Dataset:
     """Fully cross-referenced annotation set for one image corpus."""
 
     images: dict[int, ImageRecord]
-    keypoints: dict[int, dict[int, KeyPoint]]
+    keypoints: dict[int, tuple[KeyPoint, ...]]  # one row per image, in ascending part id order
     class_names: dict[int, str]
     part_names: dict[int, str]
 
@@ -79,8 +78,8 @@ class Dataset:
     def image_ids(self) -> list[int]:
         return sorted(self.images)
 
-    def keypoints_of(self, image_id: int) -> list[KeyPoint]:
-        return [self.keypoints[image_id][pid] for pid in sorted(self.keypoints[image_id])]
+    def keypoints_of(self, image_id: int) -> tuple[KeyPoint, ...]:
+        return self.keypoints[image_id]
 
 
 def _fmt(value: float) -> str:
@@ -97,8 +96,9 @@ def parse_dataset(root_dir) -> Dataset:
     Requires ``images.txt``, ``image_class_labels.txt``, ``classes.txt``,
     ``image_sizes.txt``, ``parts/parts.txt`` and ``parts/part_locs.txt``
     under ``root_dir``.  Any dangling id, duplicate, malformed line, or
-    visible keypoint outside its image is rejected.  Keypoints built from
-    equal tokens share one int or float object.
+    visible keypoint outside its image is rejected.  Each image's keypoints
+    are one row in part id order, holding the part table's id objects;
+    equal coordinate tokens share one float object.
     """
     root = Path(root_dir)
 
@@ -173,45 +173,45 @@ def parse_dataset(root_dir) -> Dataset:
         if image_id not in labels:
             raise DanglingReference(root / "image_class_labels.txt", None, "class label", image_id)
 
-    keypoints: dict[int, dict[int, KeyPoint]] = {image_id: {} for image_id in paths}
-    ids: dict[str, int] = {}
+    # a slot per part column for each image, frozen into its row below
+    part_ids = sorted(part_names)
+    column = {part_id: col for col, part_id in enumerate(part_ids)}
+    rows: dict[int, list] = {image_id: [None] * len(part_ids) for image_id in paths}
     coords: dict[str, float] = {}
     p = root / "parts" / "part_locs.txt"
     for line_no, fields in _records(p, "<image_id> <part_id> <x> <y> <visible>"):
-        image_id = _memo_int(ids, p, line_no, fields[0], "image_id", minimum=1)
-        part_id = _memo_int(ids, p, line_no, fields[1], "part_id", minimum=1)
+        image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
+        part_id = _parse_int(p, line_no, fields[1], "part_id", minimum=1)
         x = _memo_float(coords, p, line_no, fields[2], "x")
         y = _memo_float(coords, p, line_no, fields[3], "y")
         if fields[4] not in ("0", "1"):
             raise MalformedLine(p, line_no, f"visible flag must be 0 or 1, got {fields[4]!r}")
         visible = fields[4] == "1"
-        if image_id not in paths:
+        row = rows.get(image_id)
+        if row is None:
             raise DanglingReference(p, line_no, "image", image_id)
-        if part_id not in part_names:
+        col = column.get(part_id)
+        if col is None:
             raise DanglingReference(p, line_no, "part", part_id)
         if x < 0 or y < 0:
             raise MalformedLine(p, line_no, "keypoint coordinates must be non-negative")
-        if part_id in keypoints[image_id]:
+        if row[col] is not None:
             raise DuplicateId(p, line_no, "keypoint", (image_id, part_id))
         if visible:
             width, height = sizes[image_id]
             if x > width or y > height:
                 raise KeypointOutOfBounds(p, line_no, image_id, part_id)
-        keypoints[image_id][part_id] = KeyPoint(image_id, part_id, x, y, visible)
+        row[col] = KeyPoint(part_ids[col], x, y, visible)
 
-    for image_id, kps in keypoints.items():
-        if len(kps) != len(part_names):
-            missing_part = sorted(set(part_names) - set(kps))[0]
+    for image_id, row in rows.items():
+        if not all(row):  # a keypoint is always true, an empty slot None
+            missing_part = next(pid for pid, kp in zip(part_ids, row) if kp is None)
             raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
+    # each slot list dies as its row is made
+    keypoints = {image_id: tuple(rows.pop(image_id)) for image_id in paths}
 
     images = {
-        image_id: ImageRecord(
-            image_id=image_id,
-            relative_path=paths[image_id],
-            class_id=labels[image_id],
-            width=sizes[image_id][0],
-            height=sizes[image_id][1],
-        )
+        image_id: ImageRecord(image_id, paths[image_id], labels[image_id], *sizes[image_id])
         for image_id in paths
     }
     return Dataset(images=images, keypoints=keypoints, class_names=class_names, part_names=part_names)
@@ -221,29 +221,22 @@ def write_dataset(dataset: Dataset, root_dir) -> None:
     """Write a Dataset back out in the exact formats parse_dataset reads."""
     root = Path(root_dir)
     (root / "parts").mkdir(parents=True, exist_ok=True)
-
-    with open(root / "images.txt", "w", encoding="utf-8") as fh:
-        for image_id in sorted(dataset.images):
-            fh.write(f"{image_id} {dataset.images[image_id].relative_path}\n")
-    with open(root / "image_sizes.txt", "w", encoding="utf-8") as fh:
-        for image_id in sorted(dataset.images):
-            rec = dataset.images[image_id]
-            fh.write(f"{image_id} {rec.width} {rec.height}\n")
-    with open(root / "image_class_labels.txt", "w", encoding="utf-8") as fh:
-        for image_id in sorted(dataset.images):
-            fh.write(f"{image_id} {dataset.images[image_id].class_id}\n")
-    with open(root / "classes.txt", "w", encoding="utf-8") as fh:
-        for class_id in sorted(dataset.class_names):
-            fh.write(f"{class_id} {dataset.class_names[class_id]}\n")
-    with open(root / "parts" / "parts.txt", "w", encoding="utf-8") as fh:
-        for part_id in sorted(dataset.part_names):
-            fh.write(f"{part_id} {dataset.part_names[part_id]}\n")
-    with open(root / "parts" / "part_locs.txt", "w", encoding="utf-8") as fh:
-        for image_id in sorted(dataset.keypoints):
-            for part_id in sorted(dataset.keypoints[image_id]):
-                kp = dataset.keypoints[image_id][part_id]
-                flag = 1 if kp.visible else 0
-                fh.write(f"{image_id} {part_id} {_fmt(kp.x)} {_fmt(kp.y)} {flag}\n")
+    images = sorted(dataset.images.items())
+    files = {  # each file's lines, made as it is written
+        "images.txt": (f"{i} {rec.relative_path}\n" for i, rec in images),
+        "image_sizes.txt": (f"{i} {rec.width} {rec.height}\n" for i, rec in images),
+        "image_class_labels.txt": (f"{i} {rec.class_id}\n" for i, rec in images),
+        "classes.txt": (f"{i} {name}\n" for i, name in sorted(dataset.class_names.items())),
+        "parts/parts.txt": (f"{i} {name}\n" for i, name in sorted(dataset.part_names.items())),
+        "parts/part_locs.txt": (
+            f"{image_id} {kp.part_id} {_fmt(kp.x)} {_fmt(kp.y)} {1 if kp.visible else 0}\n"
+            for image_id in sorted(dataset.keypoints)
+            for kp in dataset.keypoints[image_id]
+        ),
+    }
+    for name, lines in files.items():
+        with open(root / name, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
 
 
 # --- dataset splitting --------------------------------------------------------

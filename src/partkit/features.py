@@ -118,10 +118,10 @@ class FeatureStore:
         Only the vectors of the images in ``hold`` are kept (all when it
         is None), but every record is checked.  The keys are checked line
         by line and the held value fields are streamed to one
-        ``np.loadtxt`` call; the others are checked by ``float()``.
+        ``np.loadtxt`` call; the others go to ``loadtxt`` in batches of 64.
         Whenever that cannot be trusted to match ``float()`` on every
-        component (a check fails, ``loadtxt`` raises or returns another row
-        count, or a value is not finite), the whole file goes through
+        component (a check fails, ``loadtxt`` raises or returns another
+        shape, or a value is not finite), the whole file goes through
         ``_load_per_line`` instead, which raises the error of the first bad
         line or reads the syntax only ``float()`` accepts, such as ``1_0``.
         The stream ends with a line of zeros, so ``loadtxt`` writes the
@@ -230,14 +230,15 @@ def _value_fields(
 
     Raises on any line the per-line reader rejects for its key, on an
     empty value field (``loadtxt`` skips it, and warns when no data is
-    left), on a record not held that ``float()`` rejects, whose length
-    differs from the first record's or that holds a value that is not
-    finite, and on a file with no records; the caller then reads per line.
-    A held record whose length ``loadtxt`` counts otherwise than
+    left), on a batch of records not held that ``loadtxt`` rejects, whose
+    length differs from the first record's or that holds a value that is
+    not finite, and on a file with no records; the caller then reads per
+    line.  A held record whose length ``loadtxt`` counts otherwise than
     ``str.split`` differs from the zero line, so ``loadtxt`` raises for it.
     """
     held = 0
     zeros = None
+    unheld: list[str] = []  # value fields not held, checked in batches
     for line_no, raw in enumerate(lines, start=1):
         if raw.isspace():
             continue
@@ -256,12 +257,25 @@ def _value_fields(
             yield fields[2]
         else:
             index[at] = _NOT_HELD
-            values = fields[2].split()
-            if len(values) != len(zeros) or not all(map(math.isfinite, map(float, values))):
-                raise MalformedLine(path, line_no, "not a finite vector of the store's length")
+            unheld.append(fields[2])
+            if len(unheld) == 64:
+                _check_vectors(unheld, len(zeros))
     if zeros is None:
         raise InputError(f"{path}: feature store is empty")
+    if unheld:
+        _check_vectors(unheld, len(zeros))
     yield " ".join(zeros)
+
+
+def _check_vectors(fields: list[str], dim: int) -> None:
+    """Raise ValueError unless ``loadtxt`` reads ``dim`` finite numbers from
+    each value field, then empty ``fields``."""
+    import numpy as np
+
+    values = np.loadtxt(fields, dtype=np.float64, ndmin=2, comments=None)
+    if values.shape != (len(fields), dim) or not np.isfinite(values).all():
+        raise ValueError("not a finite vector of the store's length")
+    fields.clear()
 
 
 def write_feature_records(

@@ -2,10 +2,10 @@
 
 ``_parse_int``, ``_parse_float`` and ``_parse_region_kind`` parse one token
 and raise the ``MalformedLine`` that names its file, line and field.
-``_memo_int`` and ``_memo_float`` run the same helpers once per distinct
-token and keep the value in a per-call dict, so records built from repeated
-tokens share one int or float object; a rejected token is never stored, so
-it raises again, with the field name of the lookup that met it.
+``_memo_float`` runs ``_parse_float`` once per distinct token and keeps the
+value in a per-call dict, so records built from repeated tokens share one
+float object; a rejected token is never stored, so it raises again, with the
+field name of the lookup that met it.
 """
 
 from __future__ import annotations
@@ -85,14 +85,6 @@ def _parse_region_kind(path: Path, line_no: int, token: str) -> PartKind:
         names = sorted(REGION_KIND_OF_NAME)
         raise MalformedLine(path, line_no, f"part_name must be one of {names}, got {token!r}")
     return kind
-
-
-def _memo_int(memo: dict, path: Path, line_no: int, token: str, what: str, minimum: int | None = None) -> int:
-    # one memo per rule: a value stored under one minimum is returned unchecked
-    value = memo.get(token)
-    if value is None:
-        value = memo[token] = _parse_int(path, line_no, token, what, minimum)
-    return value
 
 
 def _memo_float(memo: dict, path: Path, line_no: int, token: str, what: str) -> float:

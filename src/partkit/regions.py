@@ -289,7 +289,7 @@ def generate_region_set(
     """All resolvable part regions of one image.
 
     ``image`` needs image_id/width/height attributes and ``keypoints`` is
-    that image's keypoint list; ``part_names`` maps keypoint ids to names
+    that image's keypoint row; ``part_names`` maps keypoint ids to names
     (canonical CUB numbering when omitted).  Regions are fixed in the order
     head, breast, tail, wing, leg, so left/right resolution for a part sees
     every region fixed before it.  The tie RNG is seeded from
@@ -427,7 +427,7 @@ def export_yolo_labels(
     ``a/x.tar.txt``, ``a/x.`` to ``a/x..txt``).  Two images mapping to one
     label file (as ``a/x.jpg`` and ``a/x.png`` do), or one image's label
     file that is a directory of another's (``a/x.jpg`` and ``a/x.txt/y.jpg``),
-    raise InputError before any file is written.  Lines are '<class_index>
+    raise InputError before ``out_dir`` or any file is made.  Lines are '<class_index>
     <x_center/W> <y_center/H> <w/W> <h/H>' with class indices 0..4 for head,
     breast, tail, wing, leg and 6-decimal fixed rendering; images without
     regions produce empty files.  Returns the label file paths as strings,
@@ -439,6 +439,7 @@ def export_yolo_labels(
     # add about 2.4 MB to the peak of gen-regions
     label_paths = [str((out / images[i].relative_path).with_suffix(".txt")) for i in image_ids]
     _check_label_paths(image_ids, label_paths)
+    out.mkdir(parents=True, exist_ok=True)
     made: set[str] = set()
     for image_id, label_path in zip(image_ids, label_paths):
         image = images[image_id]

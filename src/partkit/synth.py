@@ -128,10 +128,9 @@ def synth_dataset(cfg: SynthConfig, root=None) -> Dataset:
     """
     rng = random.Random(derive_seed(cfg.seed, "dataset"))
     size = float(cfg.image_size)
-    part_ids = {name: i for i, name in enumerate(CUB_PART_NAMES, start=1)}
 
     images: dict[int, ImageRecord] = {}
-    keypoints: dict[int, dict[int, KeyPoint]] = {}
+    keypoints: dict[int, tuple[KeyPoint, ...]] = {}
     class_names = {cid: f"{cid:03d}.Synth_{cid:03d}" for cid in range(1, cfg.num_classes + 1)}
 
     image_id = 0
@@ -146,16 +145,15 @@ def synth_dataset(cfg: SynthConfig, root=None) -> Dataset:
                 dropped = rng.random() < _dropout_for(cfg, cluster)
                 for name in members:
                     visible[name] = not dropped
-            kps: dict[int, KeyPoint] = {}
-            for name in CUB_PART_NAMES:
-                part_id = part_ids[name]
+            row: list[KeyPoint] = []  # CUB_PART_NAMES order is ascending part id order
+            for part_id, name in enumerate(CUB_PART_NAMES, start=1):
                 if visible[name]:
                     fx, fy = TEMPLATE_FRACTIONS[name]
                     x = round(offset_x + fx * scale * size, 2)
                     y = round(offset_y + fy * scale * size, 2)
-                    kps[part_id] = KeyPoint(image_id, part_id, x, y, True)
+                    row.append(KeyPoint(part_id, x, y, True))
                 else:
-                    kps[part_id] = KeyPoint(image_id, part_id, 0.0, 0.0, False)
+                    row.append(KeyPoint(part_id, 0.0, 0.0, False))
             images[image_id] = ImageRecord(
                 image_id=image_id,
                 relative_path=f"{class_names[class_id]}/img_{image_id:04d}.jpg",
@@ -163,7 +161,7 @@ def synth_dataset(cfg: SynthConfig, root=None) -> Dataset:
                 width=cfg.image_size,
                 height=cfg.image_size,
             )
-            keypoints[image_id] = kps
+            keypoints[image_id] = tuple(row)
 
     dataset = Dataset(
         images=images,

@@ -10,6 +10,7 @@ import pytest
 
 import partkit.cli
 import partkit.features
+import partkit.regions
 from partkit.cli import main
 from partkit.dataset_io import Split, read_split
 from partkit.features import FeatureStore
@@ -433,7 +434,7 @@ class TestGenRegions:
 
 class TestLabelPathCollisions:
     """Two images whose label files would be one file are an input error,
-    raised before any label file is written."""
+    raised before the output directory or any label file is made."""
 
     @pytest.mark.parametrize(
         "image_lines, ids",
@@ -453,7 +454,7 @@ class TestLabelPathCollisions:
         assert main([command, str(root), "--out", str(out)]) == 1
         label = out / "labels" / "a" / "x.txt"
         assert capsys.readouterr().err == f"error: images {ids} map to one label file {label}\n"
-        assert not list(out.glob("labels/**/*.txt"))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "image_lines, file_id, other_id",
@@ -477,7 +478,7 @@ class TestLabelPathCollisions:
             f"error: label file {label} of image {file_id} is also a directory"
             f" holding the label file of image {other_id}\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_gen_regions_writes_no_output(self, tmp_path, capsys):
         root = tmp_path / "data"
@@ -487,7 +488,30 @@ class TestLabelPathCollisions:
         assert main(["gen-regions", str(root), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-regions", "export-yolo"])
+    def test_missing_out_is_reported_before_generating(self, corpus, capsys, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(partkit.cli, "generate_all", lambda *args: calls.append(1))
+        assert main([command, str(corpus["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no output directory given: pass --out or set out_dir\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["gen-regions", "export-yolo"])
+    def test_label_paths_are_checked_once(self, corpus, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        real_check = partkit.regions._check_label_paths
+
+        def check(*args):
+            calls.append(1)
+            return real_check(*args)
+
+        monkeypatch.setattr(partkit.regions, "_check_label_paths", check)
+        assert main([command, str(corpus["dataset"]), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert calls == [1]
 
 
 class TestExportYolo:

@@ -55,8 +55,8 @@ class TestParseDataset:
         rows[1] = "5 2 60.0 41.0 1"  # part 2 is beak
         root = build_tree(tmp_path, images, part_rows=rows)
         ds = parse_dataset(root)
-        kp = ds.keypoints[5][2]
-        assert (kp.image_id, kp.part_id, kp.x, kp.y, kp.visible) == (5, 2, 60.0, 41.0, True)
+        kp = ds.keypoints[5][1]  # the row's second column: part 2
+        assert (kp.part_id, kp.x, kp.y, kp.visible) == (2, 60.0, 41.0, True)
         assert ds.part_names[kp.part_id] == "beak"
 
     def test_dangling_image_in_part_locs(self, tmp_path):
@@ -131,7 +131,7 @@ class TestParseDataset:
         rows[0] = "1 1 0.0 0.0 0"
         root = build_tree(tmp_path, toy_images(3), part_rows=rows)
         ds = parse_dataset(root)
-        assert not ds.keypoints[1][1].visible
+        assert not ds.keypoints[1][0].visible
 
     def test_incomplete_keypoints_rejected(self, tmp_path):
         rows = default_part_rows([1, 2, 3])[:-1]  # image 3 misses part 15
@@ -174,7 +174,7 @@ class TestSplitDataset:
                 from partkit.dataset_io import ImageRecord
 
                 images[image_id] = ImageRecord(image_id, f"c{class_id}/{image_id}.jpg", class_id, 100, 100)
-                keypoints[image_id] = {}
+                keypoints[image_id] = ()
         return Dataset(
             images=images,
             keypoints=keypoints,

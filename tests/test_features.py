@@ -245,6 +245,26 @@ class TestFeatureStore:
             store.get(3, PartKind.TAIL)
         assert len(FeatureStore.load(path, hold=set())) == 0
 
+    def test_records_not_held_are_checked_in_batches(self, tmp_path, monkeypatch):
+        # 150 records not held: two batches of 64 checked as the file is
+        # read, and 22 at its end
+        def per_line(path, l2_normalize, hold):
+            raise AssertionError("fell back to the per-line reader")
+
+        monkeypatch.setattr(FeatureStore, "_load_per_line", per_line)
+        path = tmp_path / "f.tsv"
+        path.write_text("".join(f"{i}\toriginal\t{i}.5 -1e-3\n" for i in range(1, 152)), "utf-8")
+        assert len(FeatureStore.load(path, hold={151})) == 1
+
+    @pytest.mark.parametrize("damaged", [1, 100, 150])
+    def test_a_damaged_record_in_any_batch_gives_the_located_error(self, tmp_path, damaged):
+        rows = [f"{i}\toriginal\t{i}.5 -1e-3\n" for i in range(1, 152)]
+        rows[damaged - 1] = f"{damaged}\toriginal\t1 inf\n"
+        path = tmp_path / "f.tsv"
+        path.write_text("".join(rows), encoding="utf-8")
+        with pytest.raises(MalformedLine, match=rf":{damaged}: non-finite feature component"):
+            FeatureStore.load(path, hold={151})
+
     def test_fuse_raises_for_an_image_not_held(self, tmp_path):
         full_store(tmp_path, image_ids=(1, 2, 3))
         store = FeatureStore.load(tmp_path / "features.tsv", hold={1, 3})

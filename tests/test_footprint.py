@@ -5,7 +5,8 @@ No command loads OpenSSL: sub-seeds use the builtin blake2b, and importing
 commands (``validate``, ``gen-regions``, ``export-yolo``, ``eval-pcp``)
 never touch numpy, so they must not pay for importing it either, and the
 records they build once per keypoint, image, region or detection carry no
-per-instance ``__dict__``.
+per-instance ``__dict__``.  A parsed keypoint is a four-slot object in its
+image's row, with no dict around it.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
 
+from conftest import build_tree, toy_images
 from partkit.cli import main
-from partkit.dataset_io import ImageRecord, KeyPoint
+from partkit.dataset_io import ImageRecord, KeyPoint, parse_dataset
 from partkit.detection import Detection
 from partkit.geometry import Box
 from partkit.parts import PartKind
@@ -91,7 +94,7 @@ def test_no_command_loads_openssl(runs):
 
 BOX = Box(0.0, 0.0, 4.0, 3.0)
 RECORDS = [
-    KeyPoint(1, 2, 10.0, 20.0, True),
+    KeyPoint(2, 10.0, 20.0, True),
     ImageRecord(1, "001.Class_001/img_0001.jpg", 1, 200, 200),
     BOX,
     Detection(1, PartKind.HEAD, 0.5, BOX),
@@ -109,3 +112,23 @@ def test_per_record_classes_are_slotted(record):
     else:
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def test_keypoint_fits_the_64_byte_size_class():
+    # a fifth slot would put every keypoint in pymalloc's 80-byte class
+    assert sys.getsizeof(KeyPoint(2, 1.0, 2.0, True)) <= 64
+
+
+def test_parse_dataset_keeps_under_90_bytes_a_keypoint(tmp_path):
+    # a 64-byte keypoint and its slot in the image's row, plus the image's
+    # own records spread over its 15 keypoints: about 81 bytes; a dict per
+    # image of five-slot keypoints kept about 130
+    root = build_tree(tmp_path, toy_images(200))
+    parse_dataset(root)  # allocations of a first call are not the dataset's
+    tracemalloc.start()
+    try:
+        dataset = parse_dataset(root)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / dataset.num_keypoints <= 90

@@ -1,9 +1,10 @@
 """Shared record reading and token memos.
 
 Every line-format reader rejects a line with the wrong field count with
-its format.  The memo in the keypoint reader and the packed columns of the
-region reader give the same records or the same first error as plain
-per-token parsing; the keypoint reader shares equal tokens.
+its format.  The keypoint reader's part-ordered rows and float memo and the
+packed columns of the region reader give the same records or the same first
+error as plain per-token parsing; the keypoint reader shares equal tokens
+and each part's id object.
 """
 
 from __future__ import annotations
@@ -214,12 +215,13 @@ def parse_dataset_reference(root_dir) -> Dataset:
             width, height = sizes[image_id]
             if x > width or y > height:
                 raise KeypointOutOfBounds(p, line_no, image_id, part_id)
-        keypoints[image_id][part_id] = KeyPoint(image_id, part_id, x, y, visible)
+        keypoints[image_id][part_id] = KeyPoint(part_id, x, y, visible)
 
     for image_id, kps in keypoints.items():
         if len(kps) != len(part_names):
             missing_part = sorted(set(part_names) - set(kps))[0]
             raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
+    rows = {image_id: tuple(kps[pid] for pid in sorted(kps)) for image_id, kps in keypoints.items()}
 
     images = {
         image_id: ImageRecord(
@@ -231,7 +233,7 @@ def parse_dataset_reference(root_dir) -> Dataset:
         )
         for image_id in paths
     }
-    return Dataset(images=images, keypoints=keypoints, class_names=class_names, part_names=part_names)
+    return Dataset(images=images, keypoints=rows, class_names=class_names, part_names=part_names)
 
 
 def read_region_sets_reference(path) -> dict[int, dict[PartKind, Box]]:
@@ -386,11 +388,20 @@ class TestAgainstPerTokenReaders:
 
 class TestSharing:
     def test_keypoints(self, tmp_path):
-        rows = [f"{i} {p} 12.5 7.25 1" for i in IMAGE_IDS for p in range(1, 16)]
-        ds = parse_dataset(build_tree(tmp_path, tree_images(), part_rows=rows))
-        first, other = ds.keypoints[1000][1], ds.keypoints[1001][2]
+        # part ids beyond the interpreter's small-int cache, where equal
+        # ints parsed apart are distinct objects
+        part_ids = range(1001, 1001 + len(CUB_PART_NAMES))
+        rows = [f"{i} {p} 12.5 7.25 1" for i in IMAGE_IDS for p in part_ids]
+        root = build_tree(tmp_path, tree_images(), part_rows=rows)
+        (root / "parts" / "parts.txt").write_text(
+            "".join(f"{p} {name}\n" for p, name in zip(part_ids, CUB_PART_NAMES)), encoding="utf-8"
+        )
+        ds = parse_dataset(root)
+        first, other = ds.keypoints[1000][0], ds.keypoints[1001][1]
         assert first.x is other.x and first.y is other.y
-        assert first.image_id is ds.keypoints[1000][15].image_id
+        # every keypoint of a part holds the part table's one id object
+        for column, part_id in enumerate(sorted(ds.part_names)):
+            assert all(row[column].part_id is part_id for row in ds.keypoints.values())
 
 
 class TestMemo:

@@ -255,9 +255,9 @@ def _keypoints(visible_names, positions=None):
     for part_id, name in enumerate(CUB_PART_NAMES, start=1):
         if name in visible_names:
             x, y = (positions or {}).get(name, (10.0 + 5 * part_id, 10.0 + 7 * part_id))
-            kps.append(KeyPoint(1, part_id, x, y, True))
+            kps.append(KeyPoint(part_id, x, y, True))
         else:
-            kps.append(KeyPoint(1, part_id, 0.0, 0.0, False))
+            kps.append(KeyPoint(part_id, 0.0, 0.0, False))
     return kps
 
 
@@ -289,7 +289,7 @@ class TestGenerateRegionSet:
         random.Random(4).shuffle(ids)
         new_id = dict(zip(range(1, len(CUB_PART_NAMES) + 1), ids))
         names = {new_id[i]: f" {name.upper()} " for i, name in enumerate(CUB_PART_NAMES, start=1)}
-        renumbered = [KeyPoint(kp.image_id, new_id[kp.part_id], kp.x, kp.y, kp.visible) for kp in canonical]
+        renumbered = [KeyPoint(new_id[kp.part_id], kp.x, kp.y, kp.visible) for kp in canonical]
         expected = generate_region_set(_record(), canonical, RegionConfig())
         assert set(expected.regions) == set(REGION_KINDS)
         assert generate_region_set(_record(), renumbered, RegionConfig(), names) == expected

@@ -82,9 +82,9 @@ class TestSynthDataset:
         cfg = SynthConfig(num_classes=2, images_per_class=3)
         dataset = synth_dataset(cfg)
         assert len(dataset.images) == 6
-        total = sum(len(kps) for kps in dataset.keypoints.values())
+        total = sum(len(row) for row in dataset.keypoints.values())
         assert total == 6 * 15
-        assert all(kp.visible for kps in dataset.keypoints.values() for kp in kps.values())
+        assert all(kp.visible for row in dataset.keypoints.values() for kp in row)
         assert dataset.images[1].class_id == 1
         assert dataset.images[4].class_id == 2
         assert dataset.images[1].relative_path == "001.Synth_001/img_0001.jpg"
@@ -93,20 +93,21 @@ class TestSynthDataset:
     def test_keypoints_inside_image(self):
         cfg = SynthConfig(num_classes=3, images_per_class=5, image_size=120, seed=5)
         dataset = synth_dataset(cfg)
-        for kps in dataset.keypoints.values():
-            for kp in kps.values():
+        for row in dataset.keypoints.values():
+            for kp in row:
                 if kp.visible:
                     assert 0.0 <= kp.x <= 120.0
                     assert 0.0 <= kp.y <= 120.0
 
     def test_layout_scales_differ_between_images(self):
         dataset = synth_dataset(SynthConfig(num_classes=2, images_per_class=2))
-        beak_id = CUB_PART_NAMES.index("beak") + 1
-        tail_id = CUB_PART_NAMES.index("tail") + 1
+        # rows are in part id order, and part ids follow CUB_PART_NAMES
+        beak = CUB_PART_NAMES.index("beak")
+        tail = CUB_PART_NAMES.index("tail")
         spans = set()
         for image_id in dataset.image_ids():
-            kps = dataset.keypoints[image_id]
-            spans.add(round(kps[beak_id].x - kps[tail_id].x, 2))
+            row = dataset.keypoints[image_id]
+            spans.add(round(row[beak].x - row[tail].x, 2))
         assert len(spans) > 1  # per-image scale draws actually vary
 
     def test_layout_matches_template_geometry(self):
@@ -120,11 +121,11 @@ class TestSynthDataset:
     def test_dropout_override_hides_whole_cluster(self):
         cfg = SynthConfig(num_classes=2, images_per_class=4, dropout_overrides={"leg": 1.0})
         dataset = synth_dataset(cfg)
-        left = CUB_PART_NAMES.index("left leg") + 1
-        right = CUB_PART_NAMES.index("right leg") + 1
-        for kps in dataset.keypoints.values():
-            assert not kps[left].visible
-            assert not kps[right].visible
+        left = CUB_PART_NAMES.index("left leg")
+        right = CUB_PART_NAMES.index("right leg")
+        for row in dataset.keypoints.values():
+            assert not row[left].visible
+            assert not row[right].visible
         region_sets = generate_all(dataset, RegionConfig())
         assert all(PartKind.LEG not in boxes_of(region_sets, i) for i in region_sets)
         assert all(PartKind.HEAD in boxes_of(region_sets, i) for i in region_sets)

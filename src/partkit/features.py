@@ -1,10 +1,11 @@
 """Feature storage, zero-filled fusion, and linear SVM classification.
 
 Per-image feature vectors exist per group (the two whole-image views plus
-the five parts).  Fusion concatenates the selected groups' vectors in a
-fixed order, substituting exact-zero blocks for groups with no stored
-vector, so missing parts never shift block offsets; a fused matrix is an
-index into the store, and each row is gathered only when it is used.
+the five parts), read from a feature file by ``np.loadtxt``, whose number
+grammar is the file format's.  Fusion concatenates the selected groups'
+vectors in a fixed order, substituting exact-zero blocks for groups with no
+stored vector, so missing parts never shift block offsets; a fused matrix
+is an index into the store, and each row is gathered only when it is used.
 Classification is a one-vs-rest linear SVM trained by seeded epoch-wise
 subgradient descent on the L2-regularized hinge loss.
 """
@@ -47,15 +48,14 @@ class FeatureStore:
     The last row is all zero: it is the block ``fuse`` gives an absent
     group, and ``len``, ``get`` and ``image_ids`` never show it.  With
     ``l2_normalize`` every stored vector is rescaled to unit length once,
-    before the matrix is frozen.  A record may be checked but not held (a
-    ``None`` vector, or an image outside ``load``'s ``hold``): ``image_ids``
-    lists its image, ``get`` raises for the record and ``fuse`` for the
-    image.
+    before the matrix is frozen.  ``load`` checks every record of its file
+    but may hold only some: ``image_ids`` lists the image of a record not
+    held, ``get`` raises for the record and ``fuse`` for the image.
     """
 
     def __init__(
         self,
-        records: Mapping[tuple[int, PartKind], Optional[np.ndarray]],
+        records: Mapping[tuple[int, PartKind], np.ndarray],
         dim: int,
         l2_normalize: bool = False,
     ):
@@ -63,14 +63,11 @@ class FeatureStore:
 
         rows: dict[int, int] = {}
         index = array("i")
-        vectors = []
-        for (image_id, group), vector in records.items():
+        for n, (image_id, group) in enumerate(records):
             at = _index_row(rows, index, image_id) * len(GROUP_ORDER) + GROUP_ORDER.index(group)
-            index[at] = _NOT_HELD if vector is None else len(vectors)
-            if vector is not None:
-                vectors.append(vector)
-        matrix = np.array([*vectors, np.zeros(dim)], dtype=np.float64)
-        self._adopt(rows, index, matrix.reshape(len(vectors) + 1, dim), l2_normalize)
+            index[at] = n
+        matrix = np.array([*records.values(), np.zeros(dim)], dtype=np.float64)
+        self._adopt(rows, index, matrix.reshape(len(records) + 1, dim), l2_normalize)
 
     def _adopt(
         self, rows: dict[int, int], index: array, matrix: np.ndarray, l2_normalize: bool
@@ -119,13 +116,10 @@ class FeatureStore:
         is None), but every record is checked.  The keys are checked line
         by line and the held value fields are streamed to one
         ``np.loadtxt`` call; the others go to ``loadtxt`` in batches of 64.
-        Whenever that cannot be trusted to match ``float()`` on every
-        component (a check fails, ``loadtxt`` raises or returns another
-        shape, or a value is not finite), the whole file goes through
-        ``_load_per_line`` instead, which raises the error of the first bad
-        line or reads the syntax only ``float()`` accepts, such as ``1_0``.
         The stream ends with a line of zeros, so ``loadtxt`` writes the
-        store's zero row itself.
+        store's zero row itself.  When any check fails, the file is read
+        once more, holding nothing and checking each value field by
+        itself, to raise the located error of its first bad line.
         """
         import numpy as np
 
@@ -139,56 +133,13 @@ class FeatureStore:
                 fields = _value_fields(path, fh, rows, index, hold)
                 matrix = np.loadtxt(fields, dtype=np.float64, ndmin=2, comments=None)
         except (ToolkitError, ValueError):  # UnicodeDecodeError is a ValueError
-            return cls._load_per_line(path, l2_normalize, hold)
+            matrix = None
         held = len(index) - index.count(-1) - index.count(_NOT_HELD)
-        if matrix.shape[0] != held + 1 or not np.isfinite(matrix).all():
-            return cls._load_per_line(path, l2_normalize, hold)
+        if matrix is None or matrix.shape[0] != held + 1 or not np.isfinite(matrix).all():
+            _raise_first_error(path)
         store = cls.__new__(cls)
         store._adopt(rows, index, matrix, l2_normalize)
         return store
-
-    @classmethod
-    def _load_per_line(
-        cls, path: Path, l2_normalize: bool = False, hold: Optional[Container[int]] = None
-    ) -> "FeatureStore":
-        import numpy as np
-
-        records: dict[tuple[int, PartKind], Optional[np.ndarray]] = {}
-        dim: Optional[int] = None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line_no, raw in enumerate(fh, start=1):
-                    line = raw.rstrip("\n")
-                    if not line.strip():
-                        continue
-                    fields = line.split("\t")
-                    key = _record_key(path, line_no, fields)
-                    try:
-                        vector = np.array([float(v) for v in fields[2].split()], dtype=np.float64)
-                    except ValueError:
-                        raise MalformedLine(
-                            path, line_no, "non-numeric feature component"
-                        ) from None
-                    if vector.size == 0:
-                        raise MalformedLine(path, line_no, "empty feature vector")
-                    if not np.all(np.isfinite(vector)):
-                        raise MalformedLine(path, line_no, "non-finite feature component")
-                    if dim is None:
-                        dim = int(vector.size)
-                    elif vector.size != dim:
-                        raise DimensionMismatch(
-                            f"{path}:{line_no}: vector length {vector.size}, store dimension {dim}"
-                        )
-                    if key in records:
-                        raise DuplicateKey(
-                            f"{path}:{line_no}: repeated record for {key[0]}/{key[1]}"
-                        )
-                    records[key] = vector if hold is None or key[0] in hold else None
-        except UnicodeDecodeError:
-            raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
-        if dim is None:
-            raise InputError(f"{path}: feature store is empty")
-        return cls(records, dim, l2_normalize)
 
 
 # index entries: a group absent, and a record checked but not held
@@ -222,19 +173,25 @@ def _record_key(path: Path, line_no: int, fields: list[str]) -> tuple[int, PartK
 
 
 def _value_fields(
-    path: Path, lines: Iterable[str], rows: dict[int, int], index: array, hold: Optional[Container]
+    path: Path,
+    lines: Iterable[str],
+    rows: dict[int, int],
+    index: array,
+    hold: Optional[Container],
+    batch: int = 64,
 ) -> Iterator[str]:
     """Yield the value field of each held record, recording its matrix row
     in ``index`` (``_NOT_HELD`` for the others), then one line of zeros as
     long as the first record's field.
 
-    Raises on any line the per-line reader rejects for its key, on an
-    empty value field (``loadtxt`` skips it, and warns when no data is
-    left), on a batch of records not held that ``loadtxt`` rejects, whose
-    length differs from the first record's or that holds a value that is
-    not finite, and on a file with no records; the caller then reads per
-    line.  A held record whose length ``loadtxt`` counts otherwise than
-    ``str.split`` differs from the zero line, so ``loadtxt`` raises for it.
+    Raises the located error of a line whose key is bad or repeated or
+    whose value field is empty (``loadtxt`` skips it, and warns when no
+    data is left), and an error for a file with no records or a batch of
+    ``batch`` records not held that ``loadtxt`` does not read as finite
+    vectors of the first record's length; with batches of one, that error
+    is located too.  A held record whose length ``loadtxt`` counts
+    otherwise than ``str.split`` differs from the zero line, so ``loadtxt``
+    raises for it.
     """
     held = 0
     zeros = None
@@ -258,24 +215,46 @@ def _value_fields(
         else:
             index[at] = _NOT_HELD
             unheld.append(fields[2])
-            if len(unheld) == 64:
-                _check_vectors(unheld, len(zeros))
+            if len(unheld) == batch:
+                _check_vectors(path, line_no, unheld, len(zeros))
     if zeros is None:
         raise InputError(f"{path}: feature store is empty")
     if unheld:
-        _check_vectors(unheld, len(zeros))
+        _check_vectors(path, line_no, unheld, len(zeros))
     yield " ".join(zeros)
 
 
-def _check_vectors(fields: list[str], dim: int) -> None:
-    """Raise ValueError unless ``loadtxt`` reads ``dim`` finite numbers from
-    each value field, then empty ``fields``."""
+def _check_vectors(path: Path, line_no: int, fields: list[str], dim: int) -> None:
+    """Raise unless ``loadtxt`` reads ``dim`` finite numbers from each value
+    field, then empty ``fields``.  The error names ``line_no``, so it is
+    located only when ``fields`` holds one field, the one read at that
+    line."""
     import numpy as np
 
-    values = np.loadtxt(fields, dtype=np.float64, ndmin=2, comments=None)
-    if values.shape != (len(fields), dim) or not np.isfinite(values).all():
-        raise ValueError("not a finite vector of the store's length")
+    try:
+        values = np.loadtxt(fields, dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:
+        raise MalformedLine(path, line_no, "non-numeric feature component") from None
+    if not np.isfinite(values).all():
+        raise MalformedLine(path, line_no, "non-finite feature component")
+    if values.shape != (len(fields), dim):
+        raise DimensionMismatch(
+            f"{path}:{line_no}: vector length {values.shape[1]}, store dimension {dim}"
+        )
     fields.clear()
+
+
+def _raise_first_error(path: Path) -> None:
+    """Read a feature file that failed a check again, holding nothing and
+    checking each value field as it is read, and raise the error of its
+    first bad line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for _ in _value_fields(path, fh, {}, array("i"), hold=(), batch=1):
+                pass
+    except UnicodeDecodeError:
+        raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
+    raise InputError(f"{path}: the feature file changed while it was read")
 
 
 def write_feature_records(

@@ -1,13 +1,25 @@
-"""Shared builders for on-disk annotation trees and region sets used
-across test modules."""
+"""Shared builders for on-disk annotation trees and region sets, and the
+per-token reference reader of feature files, used across test modules."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Container, Mapping, Optional, Sequence
 
+import numpy as np
+
+from partkit.errors import (
+    DimensionMismatch,
+    DuplicateKey,
+    InputError,
+    MalformedLine,
+    MissingFile,
+    UnknownImage,
+)
+from partkit.features import _record_key
 from partkit.geometry import Box
-from partkit.parts import CUB_PART_NAMES, REGION_KINDS, PartKind
+from partkit.parsing import _first_non_utf8_line
+from partkit.parts import CUB_PART_NAMES, GROUP_ORDER, REGION_KINDS, PartKind
 from partkit.regions import PackedRegionSets
 
 
@@ -78,3 +90,71 @@ def build_tree(
 
 def toy_images(n: int = 3, size: int = 200) -> list[tuple[int, str, int, int, int]]:
     return [(i, f"{1:03d}.Class_001/img_{i:04d}.jpg", 1, size, size) for i in range(1, n + 1)]
+
+
+def load_features_reference(
+    path, hold: Optional[Container[int]] = None, l2_normalize: bool = False
+) -> tuple[int, int, dict]:
+    """What ``FeatureStore.load`` makes of a feature file, read a line and a
+    token at a time: ``(held records, dim, records)``, where ``records``
+    maps each record's ``(image_id, group)`` to its vector's bytes, or to
+    "not held" for an image outside ``hold``.  Or the error of the first
+    bad line, checked in ``load``'s order.
+
+    A component is read by ``float()``, less the syntax numpy's ``loadtxt``
+    does not read: ``_`` separators and non-ASCII characters.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(path)
+    dim: Optional[int] = None
+    records: dict = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    continue
+                fields = raw.rstrip("\n").split("\t")
+                key = _record_key(path, line_no, fields)
+                tokens = fields[2].split()
+                if not tokens:
+                    raise MalformedLine(path, line_no, "empty feature vector")
+                if key in records:
+                    raise DuplicateKey(f"{path}:{line_no}: repeated record for {key[0]}/{key[1]}")
+                if dim is None:
+                    dim = len(tokens)
+                try:
+                    if any("_" in token or not token.isascii() for token in tokens):
+                        raise ValueError("a component loadtxt does not read")
+                    vector = np.array([float(token) for token in tokens], dtype=np.float64)
+                except ValueError:
+                    raise MalformedLine(path, line_no, "non-numeric feature component") from None
+                if not np.isfinite(vector).all():
+                    raise MalformedLine(path, line_no, "non-finite feature component")
+                if len(vector) != dim:
+                    raise DimensionMismatch(
+                        f"{path}:{line_no}: vector length {len(vector)}, store dimension {dim}"
+                    )
+                if l2_normalize and np.linalg.norm(vector) > 0:
+                    vector = vector / np.linalg.norm(vector)
+                records[key] = vector.tobytes() if hold is None or key[0] in hold else "not held"
+    except UnicodeDecodeError:
+        raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
+    if dim is None:
+        raise InputError(f"{path}: feature store is empty")
+    return sum(1 for row in records.values() if row != "not held"), dim, records
+
+
+def store_records(store) -> tuple[int, int, dict]:
+    """A feature store in the form ``load_features_reference`` returns."""
+    records = {}
+    for image_id in store.image_ids:
+        for group in GROUP_ORDER:
+            try:
+                row = store.get(image_id, group)
+            except UnknownImage:
+                records[(image_id, group)] = "not held"
+                continue
+            if row is not None:
+                records[(image_id, group)] = row.tobytes()
+    return len(store), store.dim, records

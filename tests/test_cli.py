@@ -868,13 +868,51 @@ class TestHeldFeatureStore:
         assert capsys.readouterr().err == f"error: {features}:{message}\n"
 
     def test_underscore_digits_in_a_val_record_load(self, corpus, tmp_path, capsys):
+        """Digits ``loadtxt`` does not read are a located error, in a VAL
+        record as in a held one."""
         lines, at, _ = self.val_record(corpus)
         key, group, values = lines[at].rstrip("\n").split("\t")
-        lines[at] = f"{key}\t{group}\t{' '.join(['1_0', *values.split()[1:]])}\n"
         features = tmp_path / "features.tsv"
-        features.write_text("".join(lines), encoding="utf-8")
-        assert self.classify(corpus, tmp_path, features=features) == 0
-        assert capsys.readouterr().out == "accuracy=1.0000\n"
+        for token in ("1_0", "\u0663", "\uff11"):
+            lines[at] = f"{key}\t{group}\t{' '.join([token, *values.split()[1:]])}\n"
+            features.write_text("".join(lines), encoding="utf-8")
+            assert self.classify(corpus, tmp_path, features=features) == 1
+            assert capsys.readouterr().err == (
+                f"error: {features}:{at + 1}: non-numeric feature component\n"
+            )
+
+    def test_a_file_without_val_records_gives_the_same_outputs(self, tmp_path, capsys):
+        """VAL vectors never reach a model: ``classify`` and ``combination``
+        write the same bytes from a feature file without them."""
+        config = tmp_path / "l2.cfg"
+        config.write_text("synth_part_dropout = 0.25\nl2_normalize = true\n", encoding="utf-8")
+        root = tmp_path / "corpus"
+        assert main(["synth", "--config", str(config), "--seed", "5", "--out", str(root)]) == 0
+        split = read_split(root / "split.txt")
+        lines = (root / "features.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if split[int(line.split("\t")[0])] != Split.VAL]
+        assert len(kept) < len(lines)
+        (tmp_path / "noval.tsv").write_text("".join(kept), encoding="utf-8")
+        outputs = []
+        for features in (root / "features.tsv", tmp_path / "noval.tsv"):
+            out = tmp_path / features.stem
+            inputs = [str(features), str(root / "dataset" / "image_class_labels.txt")]
+            inputs += [str(root / "split.txt"), "--config", str(config)]
+            groups = ["--groups", "original,cropped,head"]
+            assert main(["classify", *inputs, *groups, "--out", str(out / "classify")]) == 0
+            assert main(["combination", *inputs, "--out", str(out / "combination")]) == 0
+            outputs.append(
+                [
+                    (out / name).read_bytes()
+                    for name in (
+                        "classify/model.svm",
+                        "classify/accuracy.tsv",
+                        "combination/combination.tsv",
+                    )
+                ]
+            )
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     def test_an_unlabeled_val_image_is_an_error(self, corpus, tmp_path, capsys):
         _, _, image_id = self.val_record(corpus)

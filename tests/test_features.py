@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partkit.features
+from conftest import load_features_reference, store_records
 from partkit.cli import combination_study, combination_tsv, fit_group_sets
 from partkit.dataset_io import Split
 from partkit.errors import (
@@ -45,6 +47,20 @@ from partkit.features import (
 from partkit.parts import GROUP_ORDER, PartKind
 
 DIM = 4
+
+
+def spy_on_passes(monkeypatch) -> list:
+    """Note the batch size of each pass ``FeatureStore.load`` makes over its
+    file in the returned list."""
+    passes = []
+    real_value_fields = partkit.features._value_fields
+
+    def value_fields(*args, batch=64, **kwargs):
+        passes.append(batch)
+        return real_value_fields(*args, batch=batch, **kwargs)
+
+    monkeypatch.setattr(partkit.features, "_value_fields", value_fields)
+    return passes
 
 
 def store_from_rows(rows, path):
@@ -214,23 +230,33 @@ class TestFeatureStore:
                 assert store.get(1, PartKind.HEAD)[0] != 7.0
 
     def test_valid_file_never_reads_per_line(self, tmp_path, monkeypatch):
-        def per_line(path):
-            raise AssertionError("fell back to the per-line reader")
-
-        monkeypatch.setattr(FeatureStore, "_load_per_line", per_line)
+        passes = spy_on_passes(monkeypatch)
         rows = ["\n", "2\thead\t1e-3 +2 -0.0\n", "  \n", "1\toriginal\t.5\x0c7. 1E2\n"]
         store = store_from_rows(rows, tmp_path / "f.tsv")
+        assert passes == [64]
         assert len(store) == 2
         assert store.get(1, PartKind.ORIGINAL).tolist() == [0.5, 7.0, 100.0]
         assert store.get(2, PartKind.HEAD).tobytes() == np.array([1e-3, 2.0, -0.0]).tobytes()
 
     @pytest.mark.parametrize(
         "row,expected",
-        [("1\toriginal\t1_0 2\n", [10.0, 2.0]), ("1\toriginal\t1\xa02\n", [1.0, 2.0])],
+        [
+            ("1\toriginal\t1_0 2\n", None),
+            ("1\toriginal\t1\xa02\n", [1.0, 2.0]),
+            ("1\toriginal\t\u0663 2\n", None),
+            ("1\toriginal\t\uff11 2\n", None),
+        ],
     )
     def test_underscore_digits_and_nbsp_separator_load(self, tmp_path, row, expected):
-        store = store_from_rows([row], tmp_path / "f.tsv")
-        assert store.get(1, PartKind.ORIGINAL).tolist() == expected
+        """A component is a number as ``loadtxt`` reads it: ``1_0`` and
+        non-ASCII digits are none (``expected`` None), and any whitespace
+        separates components."""
+        if expected is None:
+            with pytest.raises(MalformedLine, match=r"f\.tsv:1: non-numeric feature component$"):
+                store_from_rows([row], tmp_path / "f.tsv")
+        else:
+            store = store_from_rows([row], tmp_path / "f.tsv")
+            assert store.get(1, PartKind.ORIGINAL).tolist() == expected
 
     def test_held_images_keep_their_vectors_and_the_rest_are_listed(self, tmp_path):
         path = tmp_path / "features.tsv"
@@ -247,23 +273,64 @@ class TestFeatureStore:
 
     def test_records_not_held_are_checked_in_batches(self, tmp_path, monkeypatch):
         # 150 records not held: two batches of 64 checked as the file is
-        # read, and 22 at its end
-        def per_line(path, l2_normalize, hold):
-            raise AssertionError("fell back to the per-line reader")
+        # read, and 22 at its end, all in the one pass over the file
+        passes = spy_on_passes(monkeypatch)
+        batches = []
+        real_check = partkit.features._check_vectors
 
-        monkeypatch.setattr(FeatureStore, "_load_per_line", per_line)
+        def check_vectors(path, line_no, fields, dim):
+            batches.append((line_no, len(fields)))
+            real_check(path, line_no, fields, dim)
+
+        monkeypatch.setattr(partkit.features, "_check_vectors", check_vectors)
         path = tmp_path / "f.tsv"
         path.write_text("".join(f"{i}\toriginal\t{i}.5 -1e-3\n" for i in range(1, 152)), "utf-8")
         assert len(FeatureStore.load(path, hold={151})) == 1
+        assert passes == [64]
+        assert batches == [(64, 64), (128, 64), (151, 22)]
 
-    @pytest.mark.parametrize("damaged", [1, 100, 150])
-    def test_a_damaged_record_in_any_batch_gives_the_located_error(self, tmp_path, damaged):
+    @pytest.mark.parametrize(
+        "damaged, bad_key",
+        [
+            pytest.param(1, None, id="1"),
+            pytest.param(100, None, id="100"),
+            pytest.param(150, None, id="150"),
+            # the bad key is met before the batch that holds line 100 is checked
+            pytest.param(100, 110, id="100-before-a-bad-key"),
+        ],
+    )
+    def test_a_damaged_record_in_any_batch_gives_the_located_error(
+        self, tmp_path, monkeypatch, damaged, bad_key
+    ):
+        passes = spy_on_passes(monkeypatch)
         rows = [f"{i}\toriginal\t{i}.5 -1e-3\n" for i in range(1, 152)]
         rows[damaged - 1] = f"{damaged}\toriginal\t1 inf\n"
+        if bad_key is not None:
+            rows[bad_key - 1] = f"{bad_key}\tbeak\t1 2\n"
         path = tmp_path / "f.tsv"
         path.write_text("".join(rows), encoding="utf-8")
-        with pytest.raises(MalformedLine, match=rf":{damaged}: non-finite feature component"):
+        with pytest.raises(MalformedLine, match=rf":{damaged}: non-finite feature component$"):
             FeatureStore.load(path, hold={151})
+        # the checked pass, then one that checks each record by itself
+        assert passes == [64, 1]
+
+    def test_a_file_that_fails_once_and_then_reads_clean_is_an_error(self, tmp_path, monkeypatch):
+        # a file rewritten between the checked pass and the one that names
+        # the bad line: nothing read can be trusted
+        real_value_fields = partkit.features._value_fields
+        calls = []
+
+        def value_fields(path, lines, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                lines = ["1\toriginal\tx\n"]  # the file as the first pass read it
+            return real_value_fields(path, lines, *args, **kwargs)
+
+        monkeypatch.setattr(partkit.features, "_value_fields", value_fields)
+        path = tmp_path / "f.tsv"
+        path.write_text("1\toriginal\t1\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"f\.tsv: the feature file changed while it was read"):
+            FeatureStore.load(path)
 
     def test_fuse_raises_for_an_image_not_held(self, tmp_path):
         full_store(tmp_path, image_ids=(1, 2, 3))
@@ -338,23 +405,9 @@ def _mutate(lines, kind, at, pick):
 
 def _load_outcome(loader, path):
     try:
-        store = loader(path)
+        return loader(path)
     except Exception as exc:  # compared as an outcome; the test checks its class
         return type(exc), str(exc)
-    rows = {
-        (image_id, group): _row_bytes(store, image_id, group)
-        for image_id in sorted(store.image_ids)
-        for group in GROUP_ORDER
-    }
-    return len(store), store.dim, rows
-
-
-def _row_bytes(store, image_id, group):
-    try:
-        row = store.get(image_id, group)
-    except UnknownImage:
-        return "not held"
-    return None if row is None else row.tobytes()
 
 
 MUTATIONS = (
@@ -372,9 +425,9 @@ MUTATIONS = (
 
 
 class TestLoadMatchesPerLineReader:
-    """``FeatureStore.load``'s streamed parse must agree with the per-line
-    reader on every input: the same rows byte for byte, or the same error
-    at the same line."""
+    """``FeatureStore.load``'s streamed parse must agree with the per-token
+    reference reader on every input: the same rows byte for byte, or the
+    same error at the same line."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -404,8 +457,8 @@ class TestLoadMatchesPerLineReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "features.tsv"
             path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
-            fast = _load_outcome(lambda p: FeatureStore.load(p, hold=hold), path)
-            reference = _load_outcome(lambda p: FeatureStore._load_per_line(p, hold=hold), path)
+            fast = _load_outcome(lambda p: store_records(FeatureStore.load(p, hold=hold)), path)
+            reference = _load_outcome(lambda p: load_features_reference(p, hold=hold), path)
         assert fast == reference
         assert not isinstance(fast[0], type) or issubclass(fast[0], ToolkitError)
 
@@ -929,6 +982,11 @@ class TestModelFile:
         for _ in range(100):
             probe = np.array([rng.uniform(-3, 3) for _ in range(4)])
             assert predict(loaded, probe) == predict(model, probe)
+        # weights come back at 9 significant digits; saving them again
+        # writes the same bytes
+        again = tmp_path / "again.svm"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "model.svm"

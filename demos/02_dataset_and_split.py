@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 from partkit.dataset_io import Split, parse_dataset, split_dataset
+from partkit.parts import CUB_PART_NAMES
 from partkit.synth import SynthConfig, synth_dataset
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -26,8 +27,8 @@ with tempfile.TemporaryDirectory() as tmp:
 
     image = dataset.images[1]
     print(f"\nimage 1: {image.relative_path} ({image.width}x{image.height})")
-    for kp in dataset.keypoints_of(1)[:4]:
-        name = dataset.part_names[kp.part_id]
+    # a keypoint's part is its column: rows follow CUB_PART_NAMES
+    for name, kp in zip(CUB_PART_NAMES[:4], dataset.keypoints[1]):
         state = "visible" if kp.visible else "hidden"
         print(f"  {name:<12} ({kp.x:7.2f}, {kp.y:7.2f}) {state}")
 

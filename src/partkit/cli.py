@@ -60,15 +60,18 @@ def _resolve_root(args, config: ToolkitConfig) -> Path:
     return Path(raw)
 
 
-def _resolve_out(args, config: ToolkitConfig, required: bool = True, make: bool = True) -> Optional[Path]:
+def _resolve_out(args, config: ToolkitConfig, required: bool = True) -> Optional[Path]:
+    # each command makes the directory just before its first write, so one
+    # that fails leaves none; a path that cannot be one fails here
     raw = args.out or config.out_dir
     if not raw:
         if required:
             raise ConfigError("no output directory given: pass --out or set out_dir")
         return None
     out = Path(raw)
-    if make:
-        out.mkdir(parents=True, exist_ok=True)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise InputError(f"output directory {out} cannot be made: {existing} is not a directory")
     return out
 
 
@@ -83,7 +86,7 @@ def cmd_validate(args, config: ToolkitConfig) -> int:
 
 def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
-    out = _resolve_out(args, config, make=False)  # the label export makes it
+    out = _resolve_out(args, config)
     region_cfg = config.region_config()
     region_sets = generate_all(dataset, region_cfg)
     # labels first: their path-collision check raises before any output exists
@@ -97,7 +100,7 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
 def cmd_export_yolo(args, config: ToolkitConfig) -> int:
     dataset = parse_dataset(_resolve_root(args, config))
     # before generating: a usage error must not wait for it
-    out = _resolve_out(args, config, make=False)  # the label export makes it
+    out = _resolve_out(args, config)
     if args.regions is None:
         region_sets = generate_all(dataset, config.region_config())
     else:
@@ -130,6 +133,7 @@ def cmd_eval_pcp(args, config: ToolkitConfig) -> int:
     tsv = report.to_tsv()
     out = _resolve_out(args, config, required=False)
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
         (out / "pcp.tsv").write_text(tsv, encoding="utf-8")
     sys.stdout.write(tsv)
     return 0
@@ -218,6 +222,7 @@ def cmd_classify(args, config: ToolkitConfig) -> int:
     # before training: a missing output directory must not wait for the fit
     out = _resolve_out(args, config)
     (fit,) = fit_group_sets(store, labels, split, [groups], **_svm_settings(config))
+    out.mkdir(parents=True, exist_ok=True)
     save_model(fit.model, out / "model.svm")
     report = f"train\t{fit.train_rows}\ntest\t{fit.test_rows}\naccuracy\t{fit.accuracy:.4f}\n"
     (out / "accuracy.tsv").write_text(report, encoding="utf-8")
@@ -231,6 +236,7 @@ def cmd_combination(args, config: ToolkitConfig) -> int:
     rows = combination_study(store, labels, split, **_svm_settings(config))
     tsv = combination_tsv(rows)
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
         (out / "combination.tsv").write_text(tsv, encoding="utf-8")
     sys.stdout.write(tsv)
     return 0

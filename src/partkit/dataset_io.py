@@ -15,6 +15,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -49,8 +50,8 @@ class ImageRecord:
 
 @dataclass(frozen=True, slots=True)
 class KeyPoint:
-    # four slots: 64 bytes an object, where a fifth would take 80
-    part_id: int
+    # its part is its column in the image's row; three slots and the GC
+    # header take 56 bytes, in pymalloc's 64-byte class
     x: float
     y: float
     visible: bool
@@ -67,7 +68,7 @@ class Dataset:
     """Fully cross-referenced annotation set for one image corpus."""
 
     images: dict[int, ImageRecord]
-    keypoints: dict[int, tuple[KeyPoint, ...]]  # one row per image, in ascending part id order
+    keypoints: dict[int, tuple[KeyPoint, ...]]  # one row per image, in CUB_PART_NAMES order
     class_names: dict[int, str]
     part_names: dict[int, str]
 
@@ -78,13 +79,17 @@ class Dataset:
     def image_ids(self) -> list[int]:
         return sorted(self.images)
 
-    def keypoints_of(self, image_id: int) -> tuple[KeyPoint, ...]:
-        return self.keypoints[image_id]
-
 
 def _fmt(value: float) -> str:
     # repr round-trips doubles exactly and is platform-stable
     return repr(float(value))
+
+
+def _columns(part_names: Mapping[int, str]) -> dict[int, int]:
+    # part id -> the row column of its keypoint, its name's position in
+    # CUB_PART_NAMES; names are matched stripped and lower-cased
+    column_of = {name: col for col, name in enumerate(CUB_PART_NAMES)}
+    return {part_id: column_of[name.strip().lower()] for part_id, name in part_names.items()}
 
 
 # --- dataset parsing ----------------------------------------------------------
@@ -97,8 +102,8 @@ def parse_dataset(root_dir) -> Dataset:
     ``image_sizes.txt``, ``parts/parts.txt`` and ``parts/part_locs.txt``
     under ``root_dir``.  Any dangling id, duplicate, malformed line, or
     visible keypoint outside its image is rejected.  Each image's keypoints
-    are one row in part id order, holding the part table's id objects;
-    equal coordinate tokens share one float object.
+    are one row in ``CUB_PART_NAMES`` order, however the part table numbers
+    and spells the names; equal coordinate tokens share one float object.
     """
     root = Path(root_dir)
 
@@ -173,10 +178,9 @@ def parse_dataset(root_dir) -> Dataset:
         if image_id not in labels:
             raise DanglingReference(root / "image_class_labels.txt", None, "class label", image_id)
 
-    # a slot per part column for each image, frozen into its row below
-    part_ids = sorted(part_names)
-    column = {part_id: col for col, part_id in enumerate(part_ids)}
-    rows: dict[int, list] = {image_id: [None] * len(part_ids) for image_id in paths}
+    # a slot per keypoint column for each image, frozen into its row below
+    column = _columns(part_names)
+    rows: dict[int, list] = {image_id: [None] * len(CUB_PART_NAMES) for image_id in paths}
     coords: dict[str, float] = {}
     p = root / "parts" / "part_locs.txt"
     for line_no, fields in _records(p, "<image_id> <part_id> <x> <y> <visible>"):
@@ -201,11 +205,11 @@ def parse_dataset(root_dir) -> Dataset:
             width, height = sizes[image_id]
             if x > width or y > height:
                 raise KeypointOutOfBounds(p, line_no, image_id, part_id)
-        row[col] = KeyPoint(part_ids[col], x, y, visible)
+        row[col] = KeyPoint(x, y, visible)
 
     for image_id, row in rows.items():
         if not all(row):  # a keypoint is always true, an empty slot None
-            missing_part = next(pid for pid, kp in zip(part_ids, row) if kp is None)
+            missing_part = min(pid for pid, col in column.items() if row[col] is None)
             raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
     # each slot list dies as its row is made
     keypoints = {image_id: tuple(rows.pop(image_id)) for image_id in paths}
@@ -218,8 +222,11 @@ def parse_dataset(root_dir) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, root_dir) -> None:
-    """Write a Dataset back out in the exact formats parse_dataset reads."""
+    """Write a Dataset back out in the exact formats parse_dataset reads;
+    each image's keypoint lines are in ascending part id order."""
     root = Path(root_dir)
+    part_ids, columns = zip(*sorted(_columns(dataset.part_names).items()))
+    in_id_order = itemgetter(*columns)  # a row's keypoints in part id order
     (root / "parts").mkdir(parents=True, exist_ok=True)
     images = sorted(dataset.images.items())
     files = {  # each file's lines, made as it is written
@@ -229,9 +236,9 @@ def write_dataset(dataset: Dataset, root_dir) -> None:
         "classes.txt": (f"{i} {name}\n" for i, name in sorted(dataset.class_names.items())),
         "parts/parts.txt": (f"{i} {name}\n" for i, name in sorted(dataset.part_names.items())),
         "parts/part_locs.txt": (
-            f"{image_id} {kp.part_id} {_fmt(kp.x)} {_fmt(kp.y)} {1 if kp.visible else 0}\n"
-            for image_id in sorted(dataset.keypoints)
-            for kp in dataset.keypoints[image_id]
+            f"{image_id} {part_id} {_fmt(kp.x)} {_fmt(kp.y)} {1 if kp.visible else 0}\n"
+            for image_id, row in sorted(dataset.keypoints.items())
+            for part_id, kp in zip(part_ids, in_id_order(row))
         ),
     }
     for name, lines in files.items():

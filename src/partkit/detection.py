@@ -48,12 +48,18 @@ class PackedDetections:
     def append(
         self, image_id: int, kind: PartKind, score: float, x1: float, y1: float, x2: float, y2: float
     ) -> None:
-        """Add one record of a region kind; raises the error ``Detection``
-        and ``Box`` raise for a score outside [0, 1] or corners without area."""
+        """Add one record of a region kind.  Raises InputError for any other
+        kind, and the error ``Detection`` and ``Box`` raise for a score
+        outside [0, 1] or corners without area; a rejected record changes
+        no column."""
+        try:
+            k = REGION_KINDS.index(kind)
+        except ValueError:
+            raise InputError(f"{kind} is not a region kind") from None
         if not (x1 < x2 and y1 < y2 and 0.0 <= score <= 1.0):
             Detection(image_id, kind, score, Box(x1, y1, x2, y2))  # raises
         self._image_ids.append(image_id)
-        self._kinds.append(REGION_KINDS.index(kind))
+        self._kinds.append(k)
         self._scores.append(score)
         self._x1.append(x1)
         self._y1.append(y1)

@@ -51,7 +51,9 @@ GROUP_ORDER: tuple[PartKind, ...] = (
     PartKind.TAIL,
 )
 
-#: Canonical CUB part-keypoint names, indexed by part_id 1..15.
+#: Canonical CUB part-keypoint names, in the CUB numbering (part_id 1..15).
+#: An image's keypoint row holds one keypoint per name, in this order,
+#: whatever ids a part table gives the names.
 CUB_PART_NAMES: tuple[str, ...] = (
     "back",
     "beak",
@@ -80,6 +82,13 @@ KIND_TO_KEYPOINT_NAMES: dict[PartKind, frozenset[str]] = {
     PartKind.WING: frozenset({"left wing", "right wing"}),
     PartKind.LEG: frozenset({"left leg", "right leg"}),
 }
+
+#: For each keypoint column, the ``REGION_KINDS`` position of the region it
+#: feeds, or None for "back".
+REGION_OF_KEYPOINT: tuple[int | None, ...] = tuple(
+    next((k for k, kind in enumerate(REGION_KINDS) if name in KIND_TO_KEYPOINT_NAMES[kind]), None)
+    for name in CUB_PART_NAMES
+)
 
 _NAME_TO_KIND = {k.value: k for k in PartKind}
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
 from .parsing import MAX_IMAGE_ID, _parse_float, _parse_int, _parse_region_kind, _records
-from .parts import CUB_PART_NAMES, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
+from .parts import REGION_KINDS, REGION_OF_KEYPOINT, PartKind
 from .seeding import derive_seed
 
 _DEFAULT_ENVELOPE_SCALES = {PartKind.TAIL: 1.0, PartKind.WING: 1.0, PartKind.LEG: 0.6}
@@ -250,55 +250,27 @@ def eliminate_redundant(
     return candidates[tied[tie_rng.randrange(len(tied))]]
 
 
-# keypoint name -> the REGION_KINDS position of the region it feeds; "back"
-# feeds none
-_REGION_OF_KEYPOINT: dict[str, int] = {
-    name: index
-    for index, kind in enumerate(REGION_KINDS)
-    for name in KIND_TO_KEYPOINT_NAMES[kind]
-}
-_CANONICAL_PART_NAMES = {i: name for i, name in enumerate(CUB_PART_NAMES, start=1)}
-
-
-def _visible_points_by_region(
-    keypoints, part_names: Mapping[int, str]
-) -> list[list[tuple[float, float]]]:
-    # one pass over the name table, one over the keypoints; the visible
-    # points of each region kind in REGION_KINDS order, each list in the
-    # keypoints' order
+def _visible_points_by_region(row) -> list[list[tuple[float, float]]]:
+    # the visible points of each region kind in REGION_KINDS order, each
+    # list in the row's order
     points: list[list[tuple[float, float]]] = [[] for _ in REGION_KINDS]
-    bucket_of = {}  # part id -> the point list of its region
-    for pid, name in part_names.items():
-        index = _REGION_OF_KEYPOINT.get(name.strip().lower())
-        if index is not None:
-            bucket_of[pid] = points[index]
-    for kp in keypoints:
-        if kp.visible:
-            bucket = bucket_of.get(kp.part_id)
-            if bucket is not None:
-                bucket.append((kp.x, kp.y))
+    for kp, k in zip(row, REGION_OF_KEYPOINT):
+        if kp.visible and k is not None:
+            points[k].append((kp.x, kp.y))
     return points
 
 
-def generate_region_set(
-    image,
-    keypoints,
-    cfg: RegionConfig,
-    part_names: Optional[Mapping[int, str]] = None,
-) -> PartRegionSet:
+def generate_region_set(image, keypoints, cfg: RegionConfig) -> PartRegionSet:
     """All resolvable part regions of one image.
 
     ``image`` needs image_id/width/height attributes and ``keypoints`` is
-    that image's keypoint row; ``part_names`` maps keypoint ids to names
-    (canonical CUB numbering when omitted).  Regions are fixed in the order
-    head, breast, tail, wing, leg, so left/right resolution for a part sees
-    every region fixed before it.  The tie RNG is seeded from
-    (cfg.tie_seed, image_id), making the result a pure function of its
-    inputs; tie draws are consumed in region order.
+    that image's keypoint row, in ``CUB_PART_NAMES`` order.  Regions are
+    fixed in the order head, breast, tail, wing, leg, so left/right
+    resolution for a part sees every region fixed before it.  The tie RNG
+    is seeded from (cfg.tie_seed, image_id), making the result a pure
+    function of its inputs; tie draws are consumed in region order.
     """
-    head_points, breast_points, *envelope_points = _visible_points_by_region(
-        keypoints, part_names or _CANONICAL_PART_NAMES
-    )
+    head_points, breast_points, *envelope_points = _visible_points_by_region(keypoints)
     bounds = Box(0.0, 0.0, float(image.width), float(image.height))
 
     regions: dict[PartKind, Box] = {}
@@ -327,12 +299,7 @@ def generate_all(dataset, cfg: RegionConfig) -> PackedRegionSets:
     exists at a time."""
     packed = PackedRegionSets()
     for image_id in dataset.image_ids():
-        region_set = generate_region_set(
-            dataset.images[image_id],
-            dataset.keypoints_of(image_id),
-            cfg,
-            dataset.part_names,
-        )
+        region_set = generate_region_set(dataset.images[image_id], dataset.keypoints[image_id], cfg)
         packed.add(image_id, region_set.regions)
     return packed
 

@@ -29,7 +29,7 @@ from .detection import Detection
 from .errors import ConfigError
 from .features import write_feature_records
 from .geometry import Box
-from .parts import CUB_PART_NAMES, GROUP_ORDER, KIND_TO_KEYPOINT_NAMES, REGION_KINDS, PartKind
+from .parts import CUB_PART_NAMES, GROUP_ORDER, REGION_KINDS, REGION_OF_KEYPOINT, PartKind
 from .regions import (
     PackedRegionSets,
     RegionConfig,
@@ -63,12 +63,11 @@ TEMPLATE_FRACTIONS: dict[str, tuple[float, float]] = {
     "throat": (0.76, 0.34),
 }
 
-# visibility is drawn once per keypoint cluster, in this fixed order
-_VISIBILITY_GROUPS: tuple[tuple[str, frozenset[str]], ...] = tuple(
-    (kind.value, KIND_TO_KEYPOINT_NAMES[kind]) for kind in REGION_KINDS
-) + (("back", frozenset({"back"})),)
+# visibility is drawn once per keypoint cluster, in this fixed order: the
+# keypoints of each region kind, then "back", the one that feeds no region
+_CLUSTERS: tuple[str, ...] = tuple(kind.value for kind in REGION_KINDS) + ("back",)
 
-_OVERRIDE_KEYS = frozenset(name for name, _ in _VISIBILITY_GROUPS)
+_OVERRIDE_KEYS = frozenset(_CLUSTERS)
 
 
 @dataclass(frozen=True)
@@ -140,20 +139,16 @@ def synth_dataset(cfg: SynthConfig, root=None) -> Dataset:
             scale = rng.uniform(0.55, 0.95)
             offset_x = rng.uniform(0.0, (1.0 - scale) * size)
             offset_y = rng.uniform(0.0, (1.0 - scale) * size)
-            visible: dict[str, bool] = {}
-            for cluster, members in _VISIBILITY_GROUPS:
-                dropped = rng.random() < _dropout_for(cfg, cluster)
-                for name in members:
-                    visible[name] = not dropped
-            row: list[KeyPoint] = []  # CUB_PART_NAMES order is ascending part id order
-            for part_id, name in enumerate(CUB_PART_NAMES, start=1):
-                if visible[name]:
+            dropped = [rng.random() < _dropout_for(cfg, cluster) for cluster in _CLUSTERS]
+            row: list[KeyPoint] = []  # in CUB_PART_NAMES order
+            for name, k in zip(CUB_PART_NAMES, REGION_OF_KEYPOINT):
+                if not dropped[-1 if k is None else k]:
                     fx, fy = TEMPLATE_FRACTIONS[name]
                     x = round(offset_x + fx * scale * size, 2)
                     y = round(offset_y + fy * scale * size, 2)
-                    row.append(KeyPoint(part_id, x, y, True))
+                    row.append(KeyPoint(x, y, True))
                 else:
-                    row.append(KeyPoint(part_id, 0.0, 0.0, False))
+                    row.append(KeyPoint(0.0, 0.0, False))
             images[image_id] = ImageRecord(
                 image_id=image_id,
                 relative_path=f"{class_names[class_id]}/img_{image_id:04d}.jpg",
@@ -246,22 +241,22 @@ def synth_features(cfg: SynthConfig, dataset: Dataset) -> list[tuple[int, PartKi
     # Random.uniform(a, b) is a + (b - a) * random(); calling random()
     # directly draws the same stream without a method call per value
     draw = random.Random(derive_seed(cfg.seed, "features")).random
-    name_of = {i: name for i, name in enumerate(CUB_PART_NAMES, start=1)}
-    # per group: the keypoint names that make it exist (None: always
-    # exists), whether it carries the marker, and its noise interval
+    # per group: the REGION_KINDS position whose keypoints make it exist
+    # (None: always exists), whether it carries the marker, and its noise
+    # interval
     plan = []
     for group in GROUP_ORDER:
         signal = group in cfg.signal_groups
         low, high = (-0.1, 0.1) if signal else (-1.0, 1.0)
-        plan.append((group, KIND_TO_KEYPOINT_NAMES.get(group), signal, low, high - low))
+        k = REGION_KINDS.index(group) if group in REGION_KINDS else None
+        plan.append((group, k, signal, low, high - low))
     records: list[tuple[int, PartKind, np.ndarray]] = []
     for image_id in dataset.image_ids():
         class_id = dataset.images[image_id].class_id
-        visible_names = {
-            name_of[kp.part_id] for kp in dataset.keypoints_of(image_id) if kp.visible
-        }
-        for group, names, signal, low, width in plan:
-            if names is not None and not (names & visible_names):
+        row = dataset.keypoints[image_id]
+        present = {k for kp, k in zip(row, REGION_OF_KEYPOINT) if kp.visible}
+        for group, k, signal, low, width in plan:
+            if k is not None and k not in present:
                 continue
             vector = np.array([low + width * draw() for _ in range(dim)])
             if signal:

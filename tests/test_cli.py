@@ -794,6 +794,7 @@ class TestClassify:
         assert main([*argv, "--out", str(tmp_path / "clf")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+        assert not (tmp_path / "clf").exists()
 
     def test_non_utf8_feature_file_is_one_error_line(self, corpus, tmp_path, capsys):
         lines = corpus["features"].read_bytes().splitlines(keepends=True)
@@ -996,6 +997,21 @@ class TestCombination:
         assert main([*argv, "--out", str(tmp_path / "file" / "comb")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "split_value,message", [("0", "no test samples"), ("2", "no training samples")]
+    )
+    def test_one_sided_split_is_one_error_line(
+        self, corpus, tmp_path, capsys, split_value, message
+    ):
+        ids = [line.split()[0] for line in corpus["split"].read_text(encoding="utf-8").splitlines()]
+        split = tmp_path / "split.txt"
+        split.write_text("".join(f"{i} {split_value}\n" for i in ids), encoding="utf-8")
+        argv = ["combination", str(corpus["features"]), str(corpus["labels"]), str(split)]
+        assert main([*argv, "--out", str(tmp_path / "comb")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "comb").exists()
 
     def test_stdout_reproducible(self, corpus, capsys):
         argv = [

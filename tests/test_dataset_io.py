@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import build_tree, default_part_rows, keypoint_position, toy_images
 from partkit.dataset_io import (
     Dataset,
+    KeyPoint,
     Split,
     _largest_remainder,
     parse_dataset,
@@ -55,9 +56,8 @@ class TestParseDataset:
         rows[1] = "5 2 60.0 41.0 1"  # part 2 is beak
         root = build_tree(tmp_path, images, part_rows=rows)
         ds = parse_dataset(root)
-        kp = ds.keypoints[5][1]  # the row's second column: part 2
-        assert (kp.part_id, kp.x, kp.y, kp.visible) == (2, 60.0, 41.0, True)
-        assert ds.part_names[kp.part_id] == "beak"
+        kp = ds.keypoints[5][CUB_PART_NAMES.index("beak")]
+        assert (kp.x, kp.y, kp.visible) == (60.0, 41.0, True)
 
     def test_dangling_image_in_part_locs(self, tmp_path):
         rows = default_part_rows([1, 2, 3]) + ["99 1 10.0 10.0 1"]
@@ -161,6 +161,17 @@ class TestParseDataset:
         write_dataset(ds, tmp_path / "copy")
         again = parse_dataset(tmp_path / "copy")
         assert again == ds
+
+    def test_rows_follow_the_names_of_a_renumbered_part_table(self, tmp_path):
+        # part id 1 is "throat" and 15 is "back"
+        root = build_tree(tmp_path, toy_images(2), part_names=CUB_PART_NAMES[::-1])
+        ds = parse_dataset(root)
+        assert ds.keypoints[1][0] == KeyPoint(*keypoint_position(15), True)
+        assert ds.keypoints[1][-1] == KeyPoint(*keypoint_position(1), True)
+        # written back in ascending part id order, as read
+        write_dataset(ds, tmp_path / "copy")
+        for name in ("parts/parts.txt", "parts/part_locs.txt"):
+            assert (tmp_path / "copy" / name).read_bytes() == (root / name).read_bytes()
 
 
 class TestSplitDataset:

@@ -14,6 +14,7 @@ from partkit.cli import main
 from partkit.config import ToolkitConfig
 from partkit.detection import (
     Detection,
+    PackedDetections,
     PcpEntry,
     PcpReport,
     compute_pcp,
@@ -50,12 +51,19 @@ class TestThresholds:
         with pytest.raises(ConfigError, match="score_min must be in"):
             ToolkitConfig(score_min=-0.1)
 
-    @pytest.mark.parametrize("line", ["train_iou_min = 1.5", "score_min = -0.1"])
-    def test_out_of_range_config_file_exits_2(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pcp_iou_min = 1.5", "bad value for pcp_iou_min: pcp_iou_min must be in (0, 1)"),
+            ("score_min = -0.1", "bad value for score_min: score_min must be in [0, 1]"),
+        ],
+        ids=["pcp_iou_min = 1.5", "score_min = -0.1"],
+    )
+    def test_out_of_range_config_file_exits_2(self, tmp_path, capsys, line, message):
         config = tmp_path / "partkit.cfg"
         config.write_text(line + "\n", encoding="utf-8")
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {config}:1: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_detection_score_range(self):
@@ -328,6 +336,18 @@ class TestReportAndHelpers:
     def test_empty_report_tsv(self):
         report = PcpReport(iou_threshold=0.5)
         assert report.to_tsv() == "#iou_threshold=0.5\n"
+
+
+class TestPackedDetections:
+    def test_a_kind_that_is_no_region_changes_no_column(self):
+        packed = PackedDetections()
+        packed.append(1, PartKind.HEAD, 0.9, 0.0, 0.0, 10.0, 10.0)
+        columns = [getattr(packed, name).tolist() for name in PackedDetections.__slots__]
+        with pytest.raises(InputError, match="^original is not a region kind$"):
+            packed.append(2, PartKind.ORIGINAL, 0.5, 0.0, 0.0, 1.0, 1.0)
+        assert len(packed) == 1
+        assert [getattr(packed, name).tolist() for name in PackedDetections.__slots__] == columns
+        assert list(packed) == [det(1, PartKind.HEAD, 0.9, GT_BOX)]
 
 
 def select_all_reference(detections, score_min):

@@ -1,10 +1,10 @@
 """Shared record reading and token memos.
 
 Every line-format reader rejects a line with the wrong field count with
-its format.  The keypoint reader's part-ordered rows and float memo and the
-packed columns of the region reader give the same records or the same first
-error as plain per-token parsing; the keypoint reader shares equal tokens
-and each part's id object.
+its format.  The keypoint reader's rows in ``CUB_PART_NAMES`` order and
+float memo and the packed columns of the region reader give the same records
+or the same first error as plain per-token parsing, under any numbering of
+the part table; the keypoint reader shares equal tokens.
 """
 
 from __future__ import annotations
@@ -215,13 +215,18 @@ def parse_dataset_reference(root_dir) -> Dataset:
             width, height = sizes[image_id]
             if x > width or y > height:
                 raise KeypointOutOfBounds(p, line_no, image_id, part_id)
-        keypoints[image_id][part_id] = KeyPoint(part_id, x, y, visible)
+        keypoints[image_id][part_id] = KeyPoint(x, y, visible)
 
     for image_id, kps in keypoints.items():
         if len(kps) != len(part_names):
             missing_part = sorted(set(part_names) - set(kps))[0]
             raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
-    rows = {image_id: tuple(kps[pid] for pid in sorted(kps)) for image_id, kps in keypoints.items()}
+    # each row in CUB_PART_NAMES order, whatever the part ids
+    column = {pid: CUB_PART_NAMES.index(name.strip().lower()) for pid, name in part_names.items()}
+    rows = {
+        image_id: tuple(kps[pid] for pid in sorted(kps, key=column.__getitem__))
+        for image_id, kps in keypoints.items()
+    }
 
     images = {
         image_id: ImageRecord(
@@ -364,8 +369,10 @@ class TestAgainstPerTokenReaders:
     def test_parse_dataset(self, data):
         lines = data.draw(part_loc_lines())
         raw = data.draw(mutated(lines, fields=(0, 1, 2, 3, 4), ids=(0, 1), xy=(2, 3)))
+        # any numbering of the part table
+        names = data.draw(st.permutations(CUB_PART_NAMES))
         with tempfile.TemporaryDirectory() as tmp:
-            root = build_tree(Path(tmp), tree_images())
+            root = build_tree(Path(tmp), tree_images(), part_names=names)
             (root / "parts" / "part_locs.txt").write_bytes(raw)
             assert outcome(parse_dataset, root) == outcome(parse_dataset_reference, root)
 
@@ -388,20 +395,11 @@ class TestAgainstPerTokenReaders:
 
 class TestSharing:
     def test_keypoints(self, tmp_path):
-        # part ids beyond the interpreter's small-int cache, where equal
-        # ints parsed apart are distinct objects
-        part_ids = range(1001, 1001 + len(CUB_PART_NAMES))
-        rows = [f"{i} {p} 12.5 7.25 1" for i in IMAGE_IDS for p in part_ids]
+        rows = [f"{i} {p} 12.5 7.25 1" for i in IMAGE_IDS for p in range(1, len(CUB_PART_NAMES) + 1)]
         root = build_tree(tmp_path, tree_images(), part_rows=rows)
-        (root / "parts" / "parts.txt").write_text(
-            "".join(f"{p} {name}\n" for p, name in zip(part_ids, CUB_PART_NAMES)), encoding="utf-8"
-        )
         ds = parse_dataset(root)
         first, other = ds.keypoints[1000][0], ds.keypoints[1001][1]
         assert first.x is other.x and first.y is other.y
-        # every keypoint of a part holds the part table's one id object
-        for column, part_id in enumerate(sorted(ds.part_names)):
-            assert all(row[column].part_id is part_id for row in ds.keypoints.values())
 
 
 class TestMemo:

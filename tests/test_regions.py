@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boxes_of, build_tree, default_part_rows, packed_regions, toy_images
+from partkit.cli import main
 from partkit.dataset_io import ImageRecord, KeyPoint, parse_dataset
 from partkit.errors import ConfigError, DuplicateId, EmptyCandidates, InputError, MalformedLine
 from partkit.geometry import Box
@@ -255,9 +256,9 @@ def _keypoints(visible_names, positions=None):
     for part_id, name in enumerate(CUB_PART_NAMES, start=1):
         if name in visible_names:
             x, y = (positions or {}).get(name, (10.0 + 5 * part_id, 10.0 + 7 * part_id))
-            kps.append(KeyPoint(part_id, x, y, True))
+            kps.append(KeyPoint(x, y, True))
         else:
-            kps.append(KeyPoint(part_id, 0.0, 0.0, False))
+            kps.append(KeyPoint(0.0, 0.0, False))
     return kps
 
 
@@ -281,18 +282,46 @@ class TestGenerateRegionSet:
         image, kps, cfg = _record(), _keypoints(set(CUB_PART_NAMES)), RegionConfig()
         assert generate_region_set(image, kps, cfg) == generate_region_set(image, kps, cfg)
 
-    def test_part_table_numbering_and_case_are_followed(self):
+    def test_part_table_numbering_and_case_are_followed(self, tmp_path, capsys):
         # parts.txt may number the keypoints in any order and spell their
-        # names in any case with surrounding spaces; regions follow the names
-        canonical = _keypoints(set(CUB_PART_NAMES) - {"left leg"})
-        ids = list(range(1, len(CUB_PART_NAMES) + 1))
-        random.Random(4).shuffle(ids)
-        new_id = dict(zip(range(1, len(CUB_PART_NAMES) + 1), ids))
-        names = {new_id[i]: f" {name.upper()} " for i, name in enumerate(CUB_PART_NAMES, start=1)}
-        renumbered = [KeyPoint(new_id[kp.part_id], kp.x, kp.y, kp.visible) for kp in canonical]
-        expected = generate_region_set(_record(), canonical, RegionConfig())
-        assert set(expected.regions) == set(REGION_KINDS)
-        assert generate_region_set(_record(), renumbered, RegionConfig(), names) == expected
+        # names in any case with surrounding spaces; regions follow the
+        # names.  Both wings and both legs are visible and overlap nothing,
+        # so each left/right choice is a pure tie, drawn by candidate order.
+        positions = {
+            "left wing": (40.0, 40.0),
+            "right wing": (160.0, 40.0),
+            "left leg": (40.0, 160.0),
+            "right leg": (160.0, 160.0),
+        }
+        canonical = list(range(1, len(CUB_PART_NAMES) + 1))
+        shuffled = canonical[:]
+        random.Random(4).shuffle(shuffled)
+        id_of = dict(zip(CUB_PART_NAMES, shuffled))
+        # each right keypoint now comes first in part id order
+        assert id_of["right wing"] < id_of["left wing"] and id_of["right leg"] < id_of["left leg"]
+        images = toy_images(40)
+        written = []
+        for name, part_ids, spell in (
+            ("canonical", canonical, str),
+            ("shuffled", shuffled, lambda part: f"  {part.upper()} "),
+        ):
+            rows = [
+                f"{image_id} {part_id} {x} {y} {int(part in positions)}"
+                for image_id, *_ in images
+                for part_id, part in zip(part_ids, CUB_PART_NAMES)
+                for x, y in [positions.get(part, (0.0, 0.0))]
+            ]
+            root = build_tree(tmp_path / name, images, part_rows=rows)
+            (root / "parts" / "parts.txt").write_text(
+                "".join(f"{p} {spell(part)}\n" for p, part in zip(part_ids, CUB_PART_NAMES)),
+                encoding="utf-8",
+            )
+            out = tmp_path / f"{name}-regions"
+            assert main(["gen-regions", str(root), "--out", str(out)]) == 0
+            written.append((out / "gt_regions.txt").read_bytes())
+        capsys.readouterr()
+        assert written[0].count(b" wing ") == written[0].count(b" leg ") == len(images)
+        assert written[1] == written[0]
 
     def test_tie_seed_changes_only_tie_outcomes(self):
         # wings symmetric about an empty scene: pure tie

@@ -101,7 +101,7 @@ class TestSynthDataset:
 
     def test_layout_scales_differ_between_images(self):
         dataset = synth_dataset(SynthConfig(num_classes=2, images_per_class=2))
-        # rows are in part id order, and part ids follow CUB_PART_NAMES
+        # rows are in CUB_PART_NAMES order
         beak = CUB_PART_NAMES.index("beak")
         tail = CUB_PART_NAMES.index("tail")
         spans = set()
@@ -113,7 +113,7 @@ class TestSynthDataset:
     def test_layout_matches_template_geometry(self):
         dataset = synth_dataset(SynthConfig(num_classes=2, images_per_class=1, seed=3))
         for image_id in dataset.image_ids():
-            kps = {CUB_PART_NAMES[kp.part_id - 1]: kp for kp in dataset.keypoints_of(image_id)}
+            kps = dict(zip(CUB_PART_NAMES, dataset.keypoints[image_id]))
             # template is affine per image: relative order along x must hold
             assert kps["tail"].x < kps["back"].x < kps["breast"].x < kps["beak"].x
             assert kps["crown"].y < kps["throat"].y < kps["belly"].y
@@ -214,13 +214,11 @@ def synth_features_reference(cfg: SynthConfig, dataset):
     """The per-value ``Random.uniform`` form ``synth_features`` replaced: a
     zero vector, the marker set to 2.0, then the noise array added."""
     rng = random.Random(derive_seed(cfg.seed, "features"))
-    name_of = {i: name for i, name in enumerate(CUB_PART_NAMES, start=1)}
     records = []
     for image_id in dataset.image_ids():
         class_id = dataset.images[image_id].class_id
-        visible_names = {
-            name_of[kp.part_id] for kp in dataset.keypoints_of(image_id) if kp.visible
-        }
+        row = dataset.keypoints[image_id]
+        visible_names = {name for name, kp in zip(CUB_PART_NAMES, row) if kp.visible}
         for group in GROUP_ORDER:
             if group in REGION_KINDS and not (KIND_TO_KEYPOINT_NAMES[group] & visible_names):
                 continue

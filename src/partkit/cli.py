@@ -123,11 +123,10 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
 
 
 def cmd_eval_pcp(args, config: ToolkitConfig) -> int:
-    # select first and drop the candidates: the ground truth then reuses
-    # the memory of the losing ones, which lowers the command's peak
-    detections = parse_detections(args.detections)
-    selected = select_all(detections, config.score_min)
-    del detections
+    # the candidates stream from the file into the selection, which holds
+    # only the winners; they are read before the ground truth, so a bad
+    # detection file is reported first
+    selected = select_all(parse_detections(args.detections), config.score_min)
     ground_truth = read_region_sets(args.gt_regions)
     report = compute_pcp(selected, ground_truth, config.pcp_iou_min)
     tsv = report.to_tsv()

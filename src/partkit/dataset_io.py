@@ -17,9 +17,9 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .detection import Detection, PackedDetections
+from .detection import Detection
 from .errors import (
     BadRatios,
     DanglingReference,
@@ -27,7 +27,9 @@ from .errors import (
     InputError,
     KeypointOutOfBounds,
     MalformedLine,
+    MissingFile,
 )
+from .geometry import Box
 from .parsing import (
     MAX_IMAGE_ID,
     _memo_float,
@@ -85,10 +87,19 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _columns(part_names: Mapping[int, str]) -> dict[int, int]:
-    # part id -> the row column of its keypoint, its name's position in
-    # CUB_PART_NAMES; names are matched stripped and lower-cased
+def _columns(part_names: Mapping[int, str], path: Path) -> dict[int, int]:
+    """Part id -> the row column of its keypoint, its name's position in
+    CUB_PART_NAMES; names are matched stripped and lower-cased.  Raises
+    InputError, naming ``path``, the part table's file, unless the names
+    are the canonical ones, each once."""
     column_of = {name: col for col, name in enumerate(CUB_PART_NAMES)}
+    declared = {name.strip().lower() for name in part_names.values()}
+    if len(part_names) != len(CUB_PART_NAMES) or declared != column_of.keys():
+        missing = sorted(column_of.keys() - declared)
+        raise InputError(
+            f"{path}: expected the {len(CUB_PART_NAMES)} canonical keypoint names"
+            + (f"; missing {missing}" if missing else "")
+        )
     return {part_id: column_of[name.strip().lower()] for part_id, name in part_names.items()}
 
 
@@ -103,7 +114,7 @@ def parse_dataset(root_dir) -> Dataset:
     under ``root_dir``.  Any dangling id, duplicate, malformed line, or
     visible keypoint outside its image is rejected.  Each image's keypoints
     are one row in ``CUB_PART_NAMES`` order, however the part table numbers
-    and spells the names; equal coordinate tokens share one float object.
+    and spells the names; equal coordinates share one float object.
     """
     root = Path(root_dir)
 
@@ -162,26 +173,23 @@ def parse_dataset(root_dir) -> Dataset:
         if part_id in part_names:
             raise DuplicateId(p, line_no, "part", part_id)
         part_names[part_id] = fields[1]
-    canonical = {name.lower() for name in CUB_PART_NAMES}
-    declared = {name.strip().lower() for name in part_names.values()}
-    if len(part_names) != len(CUB_PART_NAMES) or declared != canonical:
-        missing = sorted(canonical - declared)
-        raise InputError(
-            f"{p}: expected the {len(CUB_PART_NAMES)} canonical keypoint names"
-            + (f"; missing {missing}" if missing else "")
-        )
+    column = _columns(part_names, p)
 
-    # cross-reference completeness: every image needs a size and a label
-    for image_id in paths:
+    # cross-reference completeness: every image needs a size and a label;
+    # the records then hold all three, and the keypoints are read without
+    # the tables
+    images: dict[int, ImageRecord] = {}
+    for image_id, relative_path in paths.items():
         if image_id not in sizes:
             raise DanglingReference(root / "image_sizes.txt", None, "image size", image_id)
         if image_id not in labels:
             raise DanglingReference(root / "image_class_labels.txt", None, "class label", image_id)
+        images[image_id] = ImageRecord(image_id, relative_path, labels[image_id], *sizes[image_id])
+    del paths, sizes, labels
 
     # a slot per keypoint column for each image, frozen into its row below
-    column = _columns(part_names)
-    rows: dict[int, list] = {image_id: [None] * len(CUB_PART_NAMES) for image_id in paths}
-    coords: dict[str, float] = {}
+    rows: dict[int, list] = {image_id: [None] * len(CUB_PART_NAMES) for image_id in images}
+    coords: dict[float, float] = {}
     p = root / "parts" / "part_locs.txt"
     for line_no, fields in _records(p, "<image_id> <part_id> <x> <y> <visible>"):
         image_id = _parse_int(p, line_no, fields[0], "image_id", minimum=1)
@@ -202,8 +210,8 @@ def parse_dataset(root_dir) -> Dataset:
         if row[col] is not None:
             raise DuplicateId(p, line_no, "keypoint", (image_id, part_id))
         if visible:
-            width, height = sizes[image_id]
-            if x > width or y > height:
+            image = images[image_id]
+            if x > image.width or y > image.height:
                 raise KeypointOutOfBounds(p, line_no, image_id, part_id)
         row[col] = KeyPoint(x, y, visible)
 
@@ -212,12 +220,7 @@ def parse_dataset(root_dir) -> Dataset:
             missing_part = min(pid for pid, col in column.items() if row[col] is None)
             raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
     # each slot list dies as its row is made
-    keypoints = {image_id: tuple(rows.pop(image_id)) for image_id in paths}
-
-    images = {
-        image_id: ImageRecord(image_id, paths[image_id], labels[image_id], *sizes[image_id])
-        for image_id in paths
-    }
+    keypoints = {image_id: tuple(rows.pop(image_id)) for image_id in images}
     return Dataset(images=images, keypoints=keypoints, class_names=class_names, part_names=part_names)
 
 
@@ -225,7 +228,7 @@ def write_dataset(dataset: Dataset, root_dir) -> None:
     """Write a Dataset back out in the exact formats parse_dataset reads;
     each image's keypoint lines are in ascending part id order."""
     root = Path(root_dir)
-    part_ids, columns = zip(*sorted(_columns(dataset.part_names).items()))
+    part_ids, columns = zip(*sorted(_columns(dataset.part_names, root / "parts" / "parts.txt").items()))
     in_id_order = itemgetter(*columns)  # a row's keypoints in part id order
     (root / "parts").mkdir(parents=True, exist_ok=True)
     images = sorted(dataset.images.items())
@@ -331,27 +334,47 @@ def read_labels(path) -> dict[int, int]:
 # --- detection files ----------------------------------------------------------
 
 
-def parse_detections(path) -> PackedDetections:
-    """Parse '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>' lines.
+class DetectionFile:
+    """The detections of one file, read lazily: each iteration parses and
+    checks the file again and yields one ``Detection`` per line, in file
+    order, so a consumer such as ``select_all`` holds only what it keeps.
+    A bad line raises its ``<path>:<line>:`` error when the iteration
+    reaches it.  ``len()`` counts the records by reading the file again,
+    without checking them; the benchmark's tracer (``bench/tracing.py``)
+    counts the detection lines and ``select_all``'s candidates with it."""
 
-    The records are packed into columns; iterating the result yields one
-    ``Detection`` per line, in file order, and ``len()`` counts them.
-    """
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+
+    def __iter__(self) -> Iterator[Detection]:
+        path = self.path
+        for line_no, fields in _records(path, "<image_id> <part_name> <score> <x1> <y1> <x2> <y2>"):
+            image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1, maximum=MAX_IMAGE_ID)
+            kind = _parse_region_kind(path, line_no, fields[1])
+            score = _parse_float(path, line_no, fields[2], "score")
+            x1 = _parse_float(path, line_no, fields[3], "x1")
+            y1 = _parse_float(path, line_no, fields[4], "y1")
+            x2 = _parse_float(path, line_no, fields[5], "x2")
+            y2 = _parse_float(path, line_no, fields[6], "y2")
+            try:
+                det = Detection(image_id, kind, score, Box(x1, y1, x2, y2))
+            except InputError as exc:  # a score or box range rule
+                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+            yield det
+
+    def __len__(self) -> int:
+        return sum(1 for _ in _records(self.path))
+
+
+def parse_detections(path) -> DetectionFile:
+    """The '<image_id> <part_name> <score> <x1> <y1> <x2> <y2>' lines of
+    ``path`` as a ``DetectionFile``; a missing file raises here."""
     path = Path(path)
-    detections = PackedDetections()
-    for line_no, fields in _records(path, "<image_id> <part_name> <score> <x1> <y1> <x2> <y2>"):
-        image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1, maximum=MAX_IMAGE_ID)
-        kind = _parse_region_kind(path, line_no, fields[1])
-        score = _parse_float(path, line_no, fields[2], "score")
-        x1 = _parse_float(path, line_no, fields[3], "x1")
-        y1 = _parse_float(path, line_no, fields[4], "y1")
-        x2 = _parse_float(path, line_no, fields[5], "x2")
-        y2 = _parse_float(path, line_no, fields[6], "y2")
-        try:
-            detections.append(image_id, kind, score, x1, y1, x2, y2)
-        except InputError as exc:  # a score or box range rule
-            raise type(exc)(f"{path}:{line_no}: {exc}") from None
-    return detections
+    if not path.is_file():
+        raise MissingFile(path)
+    return DetectionFile(path)
 
 
 def write_detections(detections: Iterable[Detection], path) -> None:

@@ -2,10 +2,10 @@
 
 ``_parse_int``, ``_parse_float`` and ``_parse_region_kind`` parse one token
 and raise the ``MalformedLine`` that names its file, line and field.
-``_memo_float`` runs ``_parse_float`` once per distinct token and keeps the
-value in a per-call dict, so records built from repeated tokens share one
-float object; a rejected token is never stored, so it raises again, with the
-field name of the lookup that met it.
+``_memo_float`` runs ``_parse_float`` on every token and keeps each value
+in a per-call dict keyed by the value, so records built from equal numbers
+share one float object while each token string dies with its line; a
+rejected token is never stored.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _parse_region_kind(path: Path, line_no: int, token: str) -> PartKind:
 
 
 def _memo_float(memo: dict, path: Path, line_no: int, token: str, what: str) -> float:
-    value = memo.get(token)
-    if value is None:
-        value = memo[token] = _parse_float(path, line_no, token, what)
+    value = _parse_float(path, line_no, token, what)
+    if value or math.copysign(1.0, value) > 0:  # -0.0 equals 0.0, so it is not shared
+        value = memo.setdefault(value, value)
     return value

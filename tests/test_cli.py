@@ -671,6 +671,21 @@ class TestEvalPcp:
         assert main(["eval-pcp", str(tmp_path / "no_gt.txt"), str(tmp_path / "no_dets.txt")]) == 1
         assert capsys.readouterr().err == f"error: missing required file: {tmp_path / 'no_dets.txt'}\n"
 
+    def test_a_bad_last_detection_line_fails_with_no_output(self, corpus, tmp_path, capsys):
+        # the detections stream into the selection, so the error is met at
+        # the end of the file, still before anything is written
+        dets = tmp_path / "dets.txt"
+        lines = corpus["detections"].read_text(encoding="utf-8").splitlines(keepends=True)
+        dets.write_text("".join(lines) + "1 head 0.5 10 0 10 10\n", encoding="utf-8")
+        out = tmp_path / "pcp"
+        assert main(["eval-pcp", str(corpus["gt_regions"]), str(dets), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {dets}:{len(lines) + 1}: invalid box (10.0, 0.0, 10.0, 10.0): requires x1 < x2 and y1 < y2"
+        ]
+        assert not out.exists()
+
     def test_candidates_are_freed_before_the_ground_truth_is_read(self, corpus, monkeypatch, capsys):
         argv = ["eval-pcp", str(corpus["gt_regions"]), str(corpus["detections"])]
         assert main(argv) == 0

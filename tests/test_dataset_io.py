@@ -24,7 +24,7 @@ from partkit.dataset_io import (
     write_detections,
     write_split,
 )
-from partkit.detection import Detection
+from partkit.detection import Detection, select_all
 from partkit.errors import (
     BadRatios,
     DanglingReference,
@@ -145,6 +145,40 @@ class TestParseDataset:
         root = build_tree(tmp_path, toy_images(3), part_names=names)
         with pytest.raises(InputError):
             parse_dataset(root)
+
+    def test_write_dataset_rejects_non_canonical_part_names_as_parse_dataset_does(self, tmp_path):
+        root = build_tree(tmp_path / "tree", toy_images(1), part_names=["antenna"])
+        with pytest.raises(InputError) as parsed:
+            parse_dataset(root)
+        odd = Dataset(images={}, keypoints={}, class_names={}, part_names={1: "antenna"})
+        out = tmp_path / "out"
+        with pytest.raises(InputError) as written:
+            write_dataset(odd, out)
+        assert str(written.value) == str(parsed.value).replace(str(root), str(out))
+        assert str(written.value).startswith(f"{out / 'parts' / 'parts.txt'}: expected the 15 canonical")
+        assert not out.exists()
+
+    def test_peak_above_the_dataset_returned_is_bounded(self, tmp_path):
+        # the image tables die before part_locs.txt is read, and no token
+        # string outlives its line; whole-pixel keypoints, as in CUB
+        n = 1000
+        rng = random.Random(3)
+        rows = [
+            f"{i} {part_id} {rng.randrange(200)}.0 {rng.randrange(200)}.0 1"
+            for i in range(1, n + 1)
+            for part_id in range(1, len(CUB_PART_NAMES) + 1)
+        ]
+        root = build_tree(tmp_path, toy_images(n), part_rows=rows)
+        tracemalloc.start()
+        try:
+            ds = parse_dataset(root)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.num_keypoints == n * len(CUB_PART_NAMES)
+        # about 80 bytes an image, mostly the slot lists and their dict;
+        # held tables and token strings took about 230
+        assert peak - held <= n * 150
 
     def test_bad_visible_flag(self, tmp_path):
         rows = default_part_rows([1, 2, 3])
@@ -281,25 +315,25 @@ class TestDetectionFiles:
         path = tmp_path / "det.txt"
         path.write_text("1 head 1.2 0 0 10 10\n")
         with pytest.raises(ScoreOutOfRange):
-            parse_detections(path)
+            list(parse_detections(path))
 
     def test_inverted_box(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1 head 0.5 10 0 10 10\n")
         with pytest.raises(InvertedBox):
-            parse_detections(path)
+            list(parse_detections(path))
 
     def test_unknown_part_name(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1 original 0.5 0 0 10 10\n")
         with pytest.raises(MalformedLine):
-            parse_detections(path)
+            list(parse_detections(path))
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1 head 0.5 0 0 10\n")
         with pytest.raises(MalformedLine):
-            parse_detections(path)
+            list(parse_detections(path))
 
     def test_round_trip(self, tmp_path):
         rng = random.Random(99)
@@ -334,7 +368,7 @@ class TestDetectionFiles:
         path = tmp_path / "det.txt"
         path.write_text("9223372036854775807 head 0.5 0 0 1 1\n9223372036854775808 head 0.5 0 0 1 1\n")
         with pytest.raises(MalformedLine, match=r":2: image_id must be <= 9223372036854775807, got "):
-            parse_detections(path)
+            list(parse_detections(path))
 
     def test_holds_no_object_per_detection(self, tmp_path):
         # a Detection, a Box and five floats per line held about 280 bytes
@@ -355,9 +389,46 @@ class TestDetectionFiles:
         finally:
             tracemalloc.stop()
         assert len(detections) == n
-        # 49 bytes of columns per detection, with room for their growth
-        # and the reading of one line
+        # the view reads nothing until it is iterated
         assert peak <= n * 64
+
+    def test_len_counts_the_records_past_blank_lines(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("\n1 head 0.5 0 0 10 10\n\n \t\n2 leg 0.25 1 2 3 4\n\n", encoding="utf-8")
+        detections = parse_detections(path)
+        assert len(detections) == 2
+        assert [det.image_id for det in detections] == [1, 2]
+
+    def test_a_missing_file_raises_at_the_call(self, tmp_path):
+        with pytest.raises(MissingFile):
+            parse_detections(tmp_path / "none.txt")
+
+    def test_selection_holds_the_winners_not_the_candidates(self, tmp_path):
+        # eight losing decoys beside each region's winner, in shuffled order
+        images, decoys = 400, 8
+        rng = random.Random(5)
+        lines = []
+        for image_id in range(1, images + 1):
+            for kind in ("head", "breast", "tail", "wing", "leg"):
+                for decoy in range(decoys + 1):
+                    score = 0.9 if decoy == 0 else rng.uniform(0.0, 0.85)
+                    x1, y1 = rng.uniform(0, 100), rng.uniform(0, 100)
+                    x2, y2 = x1 + rng.uniform(1, 50), y1 + rng.uniform(1, 50)
+                    lines.append(f"{image_id} {kind} {score!r} {x1!r} {y1!r} {x2!r} {y2!r}\n")
+        rng.shuffle(lines)
+        path = tmp_path / "det.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            selected = select_all(parse_detections(path), 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        winners = sum(len(chosen) for chosen in selected.values())
+        assert winners == images * 5
+        # about 340 bytes a winner, whatever the number of decoys; holding
+        # the candidates took about 800
+        assert peak <= winners * 400
 
     def test_read_labels(self, tmp_path):
         (tmp_path / "labels.txt").write_text("1 4\n2 2\n")

@@ -14,7 +14,6 @@ from partkit.cli import main
 from partkit.config import ToolkitConfig
 from partkit.detection import (
     Detection,
-    PackedDetections,
     PcpEntry,
     PcpReport,
     compute_pcp,
@@ -336,18 +335,6 @@ class TestReportAndHelpers:
     def test_empty_report_tsv(self):
         report = PcpReport(iou_threshold=0.5)
         assert report.to_tsv() == "#iou_threshold=0.5\n"
-
-
-class TestPackedDetections:
-    def test_a_kind_that_is_no_region_changes_no_column(self):
-        packed = PackedDetections()
-        packed.append(1, PartKind.HEAD, 0.9, 0.0, 0.0, 10.0, 10.0)
-        columns = [getattr(packed, name).tolist() for name in PackedDetections.__slots__]
-        with pytest.raises(InputError, match="^original is not a region kind$"):
-            packed.append(2, PartKind.ORIGINAL, 0.5, 0.0, 0.0, 1.0, 1.0)
-        assert len(packed) == 1
-        assert [getattr(packed, name).tolist() for name in PackedDetections.__slots__] == columns
-        assert list(packed) == [det(1, PartKind.HEAD, 0.9, GT_BOX)]
 
 
 def select_all_reference(detections, score_min):

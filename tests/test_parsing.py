@@ -9,6 +9,7 @@ the part table; the keypoint reader shares equal tokens.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -55,7 +56,7 @@ STANDALONE_READERS = {
     "read_split": (read_split, "1 0\n2 1\n", "<image_id> <0|1|2>"),
     "read_labels": (read_labels, "1 1\n2 3\n", "<image_id> <class_id>"),
     "parse_detections": (
-        parse_detections,
+        lambda path: list(parse_detections(path)),
         "1 head 0.9 0 0 10 10\n2 wing 0.35 5.5 1 20 8\n",
         "<image_id> <part_name> <score> <x1> <y1> <x2> <y2>",
     ),
@@ -404,9 +405,24 @@ class TestSharing:
 
 class TestMemo:
     def test_rejected_token_is_not_stored(self):
-        memo: dict[str, float] = {}
+        memo: dict[float, float] = {}
         for what in ("x", "y"):
             with pytest.raises(MalformedLine, match=rf":3: {what} is not finite: 'nan'"):
                 _memo_float(memo, Path("f"), 3, "nan", what)
         assert memo == {}
-        assert _memo_float(memo, Path("f"), 4, "2.5", "x") is memo["2.5"]
+        value = _memo_float(memo, Path("f"), 4, "2.5", "x")
+        assert memo == {2.5: 2.5} and value is memo[2.5]
+
+    def test_equal_values_of_other_spellings_share_one_object(self):
+        memo: dict[float, float] = {}
+        first = _memo_float(memo, Path("f"), 1, "1.5", "x")
+        assert _memo_float(memo, Path("f"), 2, "1.50", "y") is first
+        assert _memo_float(memo, Path("f"), 3, "15e-1", "x") is first
+        assert list(memo) == [1.5]
+
+    def test_negative_zero_keeps_its_sign_beside_zero(self):
+        memo: dict[float, float] = {}
+        for tokens in (("0.0", "-0.0"), ("-0.0", "0.0")):
+            memo.clear()
+            values = [_memo_float(memo, Path("f"), 1, token, "x") for token in tokens]
+            assert [math.copysign(1.0, v) for v in values] == [math.copysign(1.0, float(t)) for t in tokens]

@@ -31,7 +31,7 @@ from partkit.regions import read_region_sets, read_yolo_labels
 
 # reader -> a valid file it reads
 READERS = {
-    "parse_detections": (parse_detections, "1 head 0.9 0 0 10 10\n2 wing 0.35 5.5 1 20 8\n"),
+    "parse_detections": (lambda path: list(parse_detections(path)), "1 head 0.9 0 0 10 10\n2 wing 0.35 5.5 1 20 8\n"),
     "read_region_sets": (read_region_sets, "1 head 0.00 0.00 10.00 10.00\n1 leg 2.50 1.00 4.00 8.00\n"),
     "read_split": (read_split, "1 0\n2 1\n3 2\n"),
     "read_labels": (read_labels, "1 1\n2 3\n"),

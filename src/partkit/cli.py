@@ -89,11 +89,14 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     out = _resolve_out(args, config)
     region_cfg = config.region_config()
     region_sets = generate_all(dataset, region_cfg)
+    # the writers read only the image records; the keypoints die here
+    images = dataset.images
+    del dataset
     # labels first: their path-collision check raises before any output exists
-    export_yolo_labels(region_sets, dataset.images, out / "labels")
+    export_yolo_labels(region_sets, images, out / "labels")
     write_region_sets(region_sets, out / "gt_regions.txt")
-    write_crop_manifest(dataset, region_sets, region_cfg, out / "crop_manifest.txt")
-    print(f"images={len(dataset.images)} regions={region_sets.num_regions}")
+    write_crop_manifest(images, region_sets, region_cfg, out / "crop_manifest.txt")
+    print(f"images={len(images)} regions={region_sets.num_regions}")
     return 0
 
 

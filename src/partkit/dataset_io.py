@@ -338,6 +338,7 @@ class DetectionFile:
     """The detections of one file, read lazily: each iteration parses and
     checks the file again and yields one ``Detection`` per line, in file
     order, so a consumer such as ``select_all`` holds only what it keeps.
+    Consecutive detections of one image share one ``image_id`` object.
     A bad line raises its ``<path>:<line>:`` error when the iteration
     reaches it.  ``len()`` counts the records by reading the file again,
     without checking them; the benchmark's tracer (``bench/tracing.py``)
@@ -350,8 +351,10 @@ class DetectionFile:
 
     def __iter__(self) -> Iterator[Detection]:
         path = self.path
+        image_id = None
         for line_no, fields in _records(path, "<image_id> <part_name> <score> <x1> <y1> <x2> <y2>"):
-            image_id = _parse_int(path, line_no, fields[0], "image_id", minimum=1, maximum=MAX_IMAGE_ID)
+            parsed = _parse_int(path, line_no, fields[0], "image_id", minimum=1, maximum=MAX_IMAGE_ID)
+            image_id = image_id if parsed == image_id else parsed  # one object for a run of equal ids
             kind = _parse_region_kind(path, line_no, fields[1])
             score = _parse_float(path, line_no, fields[2], "score")
             x1 = _parse_float(path, line_no, fields[3], "x1")

@@ -64,12 +64,11 @@ def _require_single_image(detections: Sequence[Detection]) -> None:
         raise InputError(f"detections span multiple images: {sorted(ids)}")
 
 
-def select_valid_parts(
-    detections: Sequence[Detection], score_min: float
-) -> dict[PartKind, Detection]:
-    """``select_all`` for the detections of one image."""
+def select_valid_parts(detections: Sequence[Detection], score_min: float) -> tuple[Detection, ...]:
+    """``select_all`` for the detections of one image: its winners in
+    ``REGION_KINDS`` order, ``()`` when none is valid."""
     _require_single_image(detections)
-    return next(iter(select_all(detections, score_min).values()), {})
+    return next(iter(select_all(detections, score_min).values()), ())
 
 
 def filter_training_boxes(
@@ -88,24 +87,24 @@ def filter_training_boxes(
 
 
 def compute_pcp(
-    selected: Mapping[int, Mapping[PartKind, Detection]],
+    selected: Mapping[int, Sequence[Detection]],
     ground_truth: PackedRegionSets,
     iou_threshold: float = 0.5,
 ) -> PcpReport:
     """Percentage of correctly localized parts, per part kind.
 
-    A visible ground-truth part counts as localized iff a selected
-    detection of that kind exists and overlaps it at IoU >= iou_threshold;
+    ``selected`` maps an image id to its winners, at most one per kind, as
+    ``select_all`` returns them.  A visible ground-truth part counts as
+    localized iff a winner of its kind overlaps it at IoU >= iou_threshold;
     the denominator is the number of images where the part exists.  Parts
-    visible nowhere are omitted from the report rather than reported as
-    failures.
+    visible nowhere are omitted from the report, not reported as failures.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ConfigError("iou_threshold must be in (0, 1)")
     localized = {kind: 0 for kind in REGION_KINDS}
     visible = {kind: 0 for kind in REGION_KINDS}
     for image_id in ground_truth:
-        chosen = selected.get(image_id, {})
+        chosen = {det.kind: det for det in selected.get(image_id, ())}
         # the corners of each region: a Box only where a detection meets it
         for k, x1, y1, x2, y2 in ground_truth.corners(image_id):
             kind = REGION_KINDS[k]
@@ -125,17 +124,16 @@ def _rank(det: Detection) -> tuple[float, ...]:
     return (-det.score, box.area, box.x1, box.y1, box.x2, box.y2)
 
 
-def select_all(
-    detections: Iterable[Detection], score_min: float
-) -> dict[int, dict[PartKind, Detection]]:
+def select_all(detections: Iterable[Detection], score_min: float) -> dict[int, tuple[Detection, ...]]:
     """Best valid detection per part kind of each image, in one pass.
 
     A detection is valid only when its score is strictly greater than
     ``score_min``.  Among valid ones of the same image and kind the least
     ``_rank`` wins: the highest score, then the smaller box, then the
     lexicographically smaller corners; an exact tie keeps the earlier one.
-    Images come in ascending id order, kinds in ``REGION_KINDS`` order, and
-    an image with no valid detection maps to ``{}``.
+    Images come in ascending id order, each with a tuple of its winners
+    only, in ``REGION_KINDS`` order; an image with no valid detection maps
+    to ``()``.
     """
     best: dict[int, list[Optional[Detection]]] = {}  # image id -> a slot per region kind
     for det in detections:
@@ -147,7 +145,5 @@ def select_all(
             held = slots[slot]
             if held is None or _rank(det) < _rank(held):
                 slots[slot] = det
-    return {
-        image_id: {kind: det for kind, det in zip(REGION_KINDS, best[image_id]) if det is not None}
-        for image_id in sorted(best)
-    }
+    # each slot list dies as its tuple is made
+    return {image_id: tuple(d for d in best.pop(image_id) if d is not None) for image_id in sorted(best)}

@@ -110,10 +110,7 @@ class PackedRegionSets:
         row = self._slot(image_id)
         if len(self._ids) == held:
             raise InputError(f"the regions of image {image_id} are already held")
-        for k, kind in enumerate(REGION_KINDS):
-            box = regions.get(kind)
-            if box is not None:
-                self._add(row, k, box.x1, box.y1, box.x2, box.y2)
+        self._fill(row, regions)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -146,6 +143,13 @@ class PackedRegionSets:
             self._masks.insert(row, 0)
             self._corners[row * _WIDTH : row * _WIDTH] = _NO_CORNERS
         return row
+
+    def _fill(self, row: int, regions: Mapping[PartKind, Box]) -> None:
+        # hold the regions of REGION_KINDS in an empty row
+        for k, kind in enumerate(REGION_KINDS):
+            box = regions.get(kind)
+            if box is not None:
+                self._add(row, k, box.x1, box.y1, box.x2, box.y2)
 
     def _add(self, row: int, k: int, x1: float, y1: float, x2: float, y2: float) -> bool:
         # hold the corners of a region of kind REGION_KINDS[k] in a row;
@@ -295,12 +299,19 @@ def generate_region_set(image, keypoints, cfg: RegionConfig) -> PartRegionSet:
 
 def generate_all(dataset, cfg: RegionConfig) -> PackedRegionSets:
     """Region sets for every image, packed and keyed by image id; an image
-    without regions is a key too.  Only one image's ``PartRegionSet``
-    exists at a time."""
+    without regions is a key too.  The columns are sized once from the
+    image count and filled in ascending id order; only one image's
+    ``PartRegionSet`` exists at a time."""
+    image_ids = dataset.image_ids()
     packed = PackedRegionSets()
-    for image_id in dataset.image_ids():
+    # an empty row per image, each column allocated once: repeating an
+    # array makes no temporary buffer, as bytes(n) would
+    packed._ids = array("q", image_ids)
+    packed._masks = array("B", [0]) * len(image_ids)
+    packed._corners = _NO_CORNERS * len(image_ids)
+    for row, image_id in enumerate(image_ids):
         region_set = generate_region_set(dataset.images[image_id], dataset.keypoints[image_id], cfg)
-        packed.add(image_id, region_set.regions)
+        packed._fill(row, region_set.regions)
     return packed
 
 
@@ -366,16 +377,18 @@ def region_outside_image(
     return None
 
 
-def write_crop_manifest(dataset, region_sets: PackedRegionSets, cfg: RegionConfig, path) -> None:
-    """Region-format manifest of every crop to take: the full image
-    ('original'), the center crop ('cropped'), and each part region.
+def write_crop_manifest(images, region_sets: PackedRegionSets, cfg: RegionConfig, path) -> None:
+    """Region-format manifest of every crop to take, for each record of
+    ``images`` (image id -> record with a width and height) in ascending
+    id order: the full image ('original'), the center crop ('cropped'),
+    and each part region.
 
     Downstream tooling applies the crops and resizes them to the network
     input size; no pixels are touched here.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id in dataset.image_ids():
-            image = dataset.images[image_id]
+        for image_id in sorted(images):
+            image = images[image_id]
             width, height = float(image.width), float(image.height)
             _write_region_line(fh, image_id, PartKind.ORIGINAL.value, 0.0, 0.0, width, height)
             crop = center_crop_box(image, cfg)

@@ -292,7 +292,7 @@ def synth_corpus(
 
     region_sets = generate_all(dataset, region_cfg)
     write_region_sets(region_sets, out / "gt_regions.txt")
-    write_crop_manifest(dataset, region_sets, region_cfg, out / "crop_manifest.txt")
+    write_crop_manifest(dataset.images, region_sets, region_cfg, out / "crop_manifest.txt")
 
     reread = read_region_sets(out / "gt_regions.txt")
     detections = synth_detections(

@@ -172,7 +172,7 @@ def test_04_threshold_semantics(report):
         box = Box(0, 0, 10, 10)
         for score, admitted in ((0.31, True), (0.30, False), (0.29, False)):
             dets = [Detection(1, PartKind.HEAD, score, box)]
-            assert (PartKind.HEAD in select_valid_parts(dets, 0.3)) is admitted
+            assert (select_valid_parts(dets, 0.3) == (dets[0],)) is admitted
 
         cfg = SynthConfig(num_classes=5, images_per_class=10, seed=2)
         dataset = synth_dataset(cfg)
@@ -204,14 +204,14 @@ def test_05_end_to_end_pcp(report, tmp_path):
         d = 0.4815
         shifted = {}
         for image_id in ground_truth:
-            per_image = {}
+            per_image = []  # in REGION_KINDS order, as select_all returns them
             for kind, gt in boxes_of(ground_truth, image_id).items():
                 offset = d * gt.width
                 moved = Box(gt.x1 + offset, gt.y1, gt.x2 + offset, gt.y2)
                 overlap = iou(moved, gt)
                 assert 0.3 <= overlap <= 0.4
-                per_image[kind] = Detection(image_id, kind, 1.0, moved)
-            shifted[image_id] = per_image
+                per_image.append(Detection(image_id, kind, 1.0, moved))
+            shifted[image_id] = tuple(per_image)
         report_shifted = compute_pcp(shifted, ground_truth, 0.5)
         assert set(report_shifted.per_kind) == set(REGION_KINDS)
         assert all(entry.pcp == 0.0 for entry in report_shifted.per_kind.values())

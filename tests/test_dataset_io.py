@@ -370,6 +370,34 @@ class TestDetectionFiles:
         with pytest.raises(MalformedLine, match=r":2: image_id must be <= 9223372036854775807, got "):
             list(parse_detections(path))
 
+    def test_consecutive_detections_of_an_image_share_one_id(self, tmp_path):
+        # ids above 256, which the interpreter does not cache; +1000 and
+        # 01000 are other spellings of 1000
+        path = tmp_path / "det.txt"
+        path.write_text(
+            "1000 head 0.5 0 0 1 1\n+1000 leg 0.5 0 0 1 1\n\n01000 wing 0.5 0 0 1 1\n"
+            "2000 head 0.5 0 0 1 1\n1000 tail 0.5 0 0 1 1\n1000 leg 0.5 0 0 1 1\n",
+            encoding="utf-8",
+        )
+        ids = [det.image_id for det in parse_detections(path)]
+        assert ids == [1000, 1000, 1000, 2000, 1000, 1000]
+        assert ids[0] is ids[1] is ids[2]
+        assert ids[4] is ids[5]
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("1000x", "image_id is not an integer: '1000x'"),
+            ("0", "image_id must be >= 1, got 0"),
+            ("9223372036854775808", "image_id must be <= 9223372036854775807, got "),
+        ],
+    )
+    def test_a_bad_id_after_a_run_of_one_image_names_its_own_line(self, tmp_path, token, message):
+        path = tmp_path / "det.txt"
+        path.write_text(f"1000 head 0.5 0 0 1 1\n1000 leg 0.5 0 0 1 1\n{token} wing 0.5 0 0 1 1\n")
+        with pytest.raises(MalformedLine, match=rf"det\.txt:3: {message}"):
+            list(parse_detections(path))
+
     def test_holds_no_object_per_detection(self, tmp_path):
         # a Detection, a Box and five floats per line held about 280 bytes
         n = 10000
@@ -426,9 +454,10 @@ class TestDetectionFiles:
             tracemalloc.stop()
         winners = sum(len(chosen) for chosen in selected.values())
         assert winners == images * 5
-        # about 340 bytes a winner, whatever the number of decoys; holding
-        # the candidates took about 800
-        assert peak <= winners * 400
+        # about 305 bytes a winner on Python 3.10-3.13, whatever the number
+        # of decoys; a dict of each image's winners took about 340, and
+        # holding the candidates about 800
+        assert peak <= winners * 325
 
     def test_read_labels(self, tmp_path):
         (tmp_path / "labels.txt").write_text("1 4\n2 2\n")

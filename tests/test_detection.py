@@ -76,29 +76,31 @@ class TestSelectValidParts:
             det(1, PartKind.HEAD, 0.9, Box(0, 0, 10, 10)),
             det(1, PartKind.HEAD, 0.7, Box(5, 5, 15, 15)),
         ]
-        selected = select_valid_parts(dets, 0.3)
-        assert selected[PartKind.HEAD].score == 0.9
+        (winner,) = select_valid_parts(dets, 0.3)
+        assert winner.kind is PartKind.HEAD and winner.score == 0.9
 
     def test_below_threshold_absent(self):
         dets = [det(1, PartKind.LEG, 0.25, GT_BOX)]
-        assert PartKind.LEG not in select_valid_parts(dets, 0.3)
+        assert select_valid_parts(dets, 0.3) == ()
 
     def test_strictly_greater_required(self):
         for score, admitted in ((0.31, True), (0.30, False), (0.29, False)):
             dets = [det(1, PartKind.HEAD, score, GT_BOX)]
-            assert (PartKind.HEAD in select_valid_parts(dets, 0.3)) is admitted
+            assert (select_valid_parts(dets, 0.3) == (dets[0],)) is admitted
 
     def test_score_tie_smaller_area_wins(self):
         small = Box(0, 0, 10, 10)  # area 100
         large = Box(0, 0, 20, 20)  # area 400
         dets = [det(1, PartKind.WING, 0.5, large), det(1, PartKind.WING, 0.5, small)]
-        assert select_valid_parts(dets, 0.3)[PartKind.WING].box == small
+        (winner,) = select_valid_parts(dets, 0.3)
+        assert winner.box == small
 
     def test_full_tie_lexicographic_corners(self):
         a = Box(0, 0, 10, 10)
         b = Box(1, 0, 11, 10)  # same area, larger x1
         dets = [det(1, PartKind.WING, 0.5, b), det(1, PartKind.WING, 0.5, a)]
-        assert select_valid_parts(dets, 0.3)[PartKind.WING].box == a
+        (winner,) = select_valid_parts(dets, 0.3)
+        assert winner.box == a
 
     def test_one_entry_per_kind_and_scores_above_threshold(self):
         rng = random.Random(4)
@@ -110,11 +112,12 @@ class TestSelectValidParts:
                 det(1, kind, round(rng.random(), 3), Box(x1, y1, x1 + 5, y1 + 5))
             )
         selected = select_valid_parts(dets, 0.4)
-        assert len(selected) <= len(REGION_KINDS)
-        for kind, chosen in selected.items():
-            assert chosen.kind is kind
+        kinds = [chosen.kind for chosen in selected]
+        # one winner per kind, in REGION_KINDS order
+        assert kinds == [kind for kind in REGION_KINDS if kind in kinds]
+        for chosen in selected:
             assert chosen.score > 0.4
-            same_kind = [d.score for d in dets if d.kind is kind]
+            same_kind = [d.score for d in dets if d.kind is chosen.kind]
             assert chosen.score == max(same_kind)
 
     def test_mixed_images_rejected(self):
@@ -167,11 +170,8 @@ class TestFilterTrainingBoxes:
 
 
 class TestComputePcp:
-    def _selected(self, per_image: dict[int, Box]) -> dict[int, dict[PartKind, Detection]]:
-        return {
-            image_id: {PartKind.HEAD: det(image_id, PartKind.HEAD, 0.9, box)}
-            for image_id, box in per_image.items()
-        }
+    def _selected(self, per_image: dict[int, Box]) -> dict[int, tuple[Detection, ...]]:
+        return {image_id: (det(image_id, PartKind.HEAD, 0.9, box),) for image_id, box in per_image.items()}
 
     def _gt(self, image_ids):
         return packed_regions({i: {PartKind.HEAD: GT_BOX} for i in image_ids})
@@ -233,7 +233,7 @@ class TestComputePcp:
                 if chosen:
                     selected[i] = chosen
             threshold = rng.uniform(0.05, 0.95)
-            report = compute_pcp(selected, packed_regions(gt), threshold)
+            report = compute_pcp(winners_of(selected), packed_regions(gt), threshold)
 
             # independent recount, one part kind at a time
             for kind in REGION_KINDS:
@@ -264,7 +264,7 @@ class TestComputePcp:
         gt = packed_regions(gt)
         previous = None
         for step in range(1, 100):
-            report = compute_pcp(selected, gt, step / 100)
+            report = compute_pcp(winners_of(selected), gt, step / 100)
             value = report.per_kind[PartKind.HEAD].pcp
             if previous is not None:
                 assert value <= previous
@@ -305,14 +305,14 @@ class TestComputePcp:
             return iou(a, b)
 
         monkeypatch.setattr(detection, "iou", counted_iou)
-        assert compute_pcp(selected, packed, 0.5) == expected
+        assert compute_pcp(winners_of(selected), packed, 0.5) == expected
         assert len(calls) == meetings
 
 
 class TestReportAndHelpers:
     def test_tsv_format(self):
         selected = {
-            i: {PartKind.HEAD: det(i, PartKind.HEAD, 0.9, box)}
+            i: (det(i, PartKind.HEAD, 0.9, box),)
             for i, box in {1: box_with_iou(0.6), 2: box_with_iou(0.8), 3: box_with_iou(0.2)}.items()
         }
         gt = packed_regions({i: {PartKind.HEAD: GT_BOX} for i in (1, 2, 3)})
@@ -329,8 +329,9 @@ class TestReportAndHelpers:
             det(2, PartKind.TAIL, 0.1, Box(1, 1, 2, 2)),
         ]
         selected = select_all(dets, 0.3)
-        assert selected[1][PartKind.HEAD].score == 0.9
-        assert selected[2][PartKind.TAIL].score == 0.7
+        assert selected == {1: (dets[0],), 2: (dets[2],)}
+        assert selected[1][0].score == 0.9
+        assert selected[2][0].score == 0.7
 
     def test_empty_report_tsv(self):
         report = PcpReport(iou_threshold=0.5)
@@ -356,10 +357,16 @@ def select_all_reference(detections, score_min):
     return result
 
 
+def winners_of(selected):
+    """``{image: {kind: detection}}`` as ``select_all`` returns it: a tuple
+    of each image's detections in ``REGION_KINDS`` order."""
+    return {i: tuple(per_kind[k] for k in REGION_KINDS if k in per_kind) for i, per_kind in selected.items()}
+
+
 def picks(selected):
     """Each image's kinds in order with the identity of the detection kept,
     so an exact tie must keep the same one of two equal detections."""
-    return [(i, [(kind, id(d)) for kind, d in per_kind.items()]) for i, per_kind in selected.items()]
+    return [(i, [(d.kind, id(d)) for d in winners]) for i, winners in selected.items()]
 
 
 # few values, so that scores, areas and whole boxes repeat: three boxes of
@@ -385,7 +392,8 @@ class TestSelectAllAgainstTheSortRule:
     @given(dets=detections(), score_min=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
     def test_same_picks_in_the_same_order(self, dets, score_min):
         selected = select_all(dets, score_min)
-        reference = select_all_reference(dets, score_min)
+        reference = winners_of(select_all_reference(dets, score_min))
+        assert all(type(winners) is tuple for winners in selected.values())
         assert picks(selected) == picks(reference)
         for image_id in selected:
             one_image = [d for d in dets if d.image_id == image_id]
@@ -395,8 +403,21 @@ class TestSelectAllAgainstTheSortRule:
 
     def test_first_of_an_exact_tie_stays(self):
         first, second = det(1, PartKind.HEAD, 0.5, GT_BOX), det(1, PartKind.HEAD, 0.5, GT_BOX)
-        assert select_all([first, second], 0.3)[1][PartKind.HEAD] is first
+        ((winner,),) = select_all([first, second], 0.3).values()
+        assert winner is first
+
+    def test_winners_are_a_tuple_in_region_kind_order(self):
+        # candidates of image 4 in reverse kind order, with a loser of each kind
+        dets = [
+            det(4, kind, score, Box(0, 0, 1 + n, 1 + n))
+            for n, kind in enumerate(reversed(REGION_KINDS))
+            for score in (0.5, 0.9)
+        ]
+        winners = select_all(dets, 0.3)[4]
+        assert type(winners) is tuple
+        assert [d.kind for d in winners] == list(REGION_KINDS)
+        assert all(d.score == 0.9 for d in winners)
 
     def test_image_with_only_invalid_detections_maps_to_empty(self):
         dets = [det(3, PartKind.HEAD, 0.9, GT_BOX), det(2, PartKind.HEAD, 0.1, GT_BOX)]
-        assert list(select_all(dets, 0.3).items()) == [(2, {}), (3, {PartKind.HEAD: dets[0]})]
+        assert list(select_all(dets, 0.3).items()) == [(2, ()), (3, (dets[0],))]

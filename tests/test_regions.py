@@ -426,7 +426,7 @@ class TestRegionFiles:
         ds = parse_dataset(build_tree(tmp_path / "tree", toy_images(2)))
         sets = generate_all(ds, RegionConfig())
         path = tmp_path / "manifest.txt"
-        write_crop_manifest(ds, sets, RegionConfig(), path)
+        write_crop_manifest(ds.images, sets, RegionConfig(), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "1 original 0.00 0.00 200.00 200.00"
         assert lines[1].startswith("1 cropped ")

@@ -89,8 +89,7 @@ def cmd_gen_regions(args, config: ToolkitConfig) -> int:
     out = _resolve_out(args, config)
     region_cfg = config.region_config()
     region_sets = generate_all(dataset, region_cfg)
-    # the writers read only the image records; the keypoints die here
-    images = dataset.images
+    images = dataset.images  # all the writers read: the keypoints die here
     del dataset
     # labels first: their path-collision check raises before any output exists
     export_yolo_labels(region_sets, images, out / "labels")

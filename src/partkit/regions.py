@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -111,6 +111,20 @@ class PackedRegionSets:
         if len(self._ids) == held:
             raise InputError(f"the regions of image {image_id} are already held")
         self._fill(row, regions)
+
+    @classmethod
+    def from_rows(cls, ids: Sequence[int], rows: Iterable[Mapping[PartKind, Box]]) -> PackedRegionSets:
+        """``ids``, ascending and distinct, each with the regions of the next
+        of ``rows``, in columns allocated once, not grown as by ``add``."""
+        if any(a >= b for a, b in pairwise(ids)):
+            raise InputError("image ids must be ascending and distinct")
+        packed = cls()
+        packed._ids = array("q", ids)
+        # repeating an array makes no temporary buffer, as bytes(n) would
+        packed._masks, packed._corners = array("B", [0]) * len(ids), _NO_CORNERS * len(ids)
+        for row, regions in zip(range(len(ids)), rows, strict=True):
+            packed._fill(row, regions)
+        return packed
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -299,20 +313,11 @@ def generate_region_set(image, keypoints, cfg: RegionConfig) -> PartRegionSet:
 
 def generate_all(dataset, cfg: RegionConfig) -> PackedRegionSets:
     """Region sets for every image, packed and keyed by image id; an image
-    without regions is a key too.  The columns are sized once from the
-    image count and filled in ascending id order; only one image's
-    ``PartRegionSet`` exists at a time."""
-    image_ids = dataset.image_ids()
-    packed = PackedRegionSets()
-    # an empty row per image, each column allocated once: repeating an
-    # array makes no temporary buffer, as bytes(n) would
-    packed._ids = array("q", image_ids)
-    packed._masks = array("B", [0]) * len(image_ids)
-    packed._corners = _NO_CORNERS * len(image_ids)
-    for row, image_id in enumerate(image_ids):
-        region_set = generate_region_set(dataset.images[image_id], dataset.keypoints[image_id], cfg)
-        packed._fill(row, region_set.regions)
-    return packed
+    without regions is a key too.  Only one image's ``PartRegionSet``
+    exists at a time."""
+    ids = dataset.image_ids()
+    rows = (generate_region_set(dataset.images[i], dataset.keypoints[i], cfg).regions for i in ids)
+    return PackedRegionSets.from_rows(ids, rows)
 
 
 def center_crop_box(image, cfg: RegionConfig) -> Box:
@@ -378,10 +383,9 @@ def region_outside_image(
 
 
 def write_crop_manifest(images, region_sets: PackedRegionSets, cfg: RegionConfig, path) -> None:
-    """Region-format manifest of every crop to take, for each record of
-    ``images`` (image id -> record with a width and height) in ascending
-    id order: the full image ('original'), the center crop ('cropped'),
-    and each part region.
+    """Region-format manifest of every crop to take, for each image of
+    ``images`` (id -> record) in ascending id order: the full image
+    ('original'), the center crop ('cropped'), and each part region.
 
     Downstream tooling applies the crops and resizes them to the network
     input size; no pixels are touched here.

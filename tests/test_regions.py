@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -473,6 +474,39 @@ class TestPackedRegionSets:
                 sets.add(image_id, {PartKind.TAIL: Box(0, 0, 2, 2)})
         assert list(sets) == [3, 5] and sets.num_regions == 1
         assert sets.corners(3) == [(0, 0, 0, 1, 1)]
+
+    def test_from_rows_holds_what_add_holds(self):
+        rows = {
+            2: {PartKind.HEAD: Box(0.0, 0.0, 5.5, 5.0)},
+            5: {},
+            7: {PartKind.LEG: Box(1, 2, 3, 4), PartKind.HEAD: Box(10, 10, 20, 30), PartKind.ORIGINAL: Box(0, 0, 9, 9)},
+        }
+        sets = PackedRegionSets.from_rows(list(rows), rows.values())
+        added = packed_regions(rows)
+        assert list(sets) == [2, 5, 7] and sets.num_regions == added.num_regions == 3
+        assert [sets.corners(i) for i in sets] == [added.corners(i) for i in added]
+        with pytest.raises(InputError, match="image 7 "):
+            sets.add(7, {})
+        assert list(PackedRegionSets.from_rows([], [])) == []
+
+    @pytest.mark.parametrize("image_ids", [[3, 2], [2, 2]])
+    def test_from_rows_rejects_ids_out_of_order(self, image_ids):
+        with pytest.raises(InputError, match="ascending and distinct"):
+            PackedRegionSets.from_rows(image_ids, [{}, {}])
+
+    def test_from_rows_takes_one_mapping_per_id(self):
+        for regions in ([{}], [{}, {}, {}]):
+            with pytest.raises(ValueError):
+                PackedRegionSets.from_rows([1, 2], regions)
+
+    def test_generate_all_allocates_each_column_once(self, tmp_path):
+        # grown an image at a time, each column holds spare room, and the
+        # copies that growth leaves behind raised gen-regions' peak RSS
+        images = [(i, f"{i % 10:03d}.Class/img_{i:04d}.jpg", 1, 200, 200) for i in range(1, 301)]
+        sets = generate_all(parse_dataset(build_tree(tmp_path, images)), RegionConfig())
+        assert len(sets) == 300
+        for column in (sets._ids, sets._masks, sets._corners):
+            assert sys.getsizeof(column) == sys.getsizeof(array(column.typecode, column))
 
     def test_generate_all_keys_every_image(self, tmp_path):
         rows = [row for row in default_part_rows([1, 2]) if not row.startswith("2 ")]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import ConfigError, InputError, ScoreOutOfRange
+from .errors import ConfigError, ScoreOutOfRange
 from .geometry import Box, iou
 from .parts import REGION_KINDS, PartKind
 from .regions import PackedRegionSets
@@ -56,34 +56,6 @@ class PcpReport:
                 f"{kind.value}\t{entry.localized_count}\t{entry.visible_count}\t{entry.pcp:.4f}"
             )
         return "".join(line + "\n" for line in lines)
-
-
-def _require_single_image(detections: Sequence[Detection]) -> None:
-    ids = {d.image_id for d in detections}
-    if len(ids) > 1:
-        raise InputError(f"detections span multiple images: {sorted(ids)}")
-
-
-def select_valid_parts(detections: Sequence[Detection], score_min: float) -> tuple[Detection, ...]:
-    """``select_all`` for the detections of one image: its winners in
-    ``REGION_KINDS`` order, ``()`` when none is valid."""
-    _require_single_image(detections)
-    return next(iter(select_all(detections, score_min).values()), ())
-
-
-def filter_training_boxes(
-    predicted: Sequence[Detection], ground_truth: PackedRegionSets, train_iou_min: float
-) -> list[Detection]:
-    """Keep predictions overlapping same-kind ground truth of their own
-    image at IoU >= the threshold; predictions of kinds without ground
-    truth there are dropped."""
-    _require_single_image(predicted)
-    kept = []
-    for det in predicted:
-        for k, x1, y1, x2, y2 in ground_truth.corners(det.image_id):
-            if REGION_KINDS[k] == det.kind and iou(det.box, Box(x1, y1, x2, y2)) >= train_iou_min:
-                kept.append(det)
-    return kept
 
 
 def compute_pcp(

@@ -1,8 +1,7 @@
 """Axis-aligned box algebra in continuous pixel coordinates.
 
 Area is width * height over real coordinates (no inclusive-pixel +1
-convention), containment and intersection are closed-set, and zero-area
-overlap counts as no overlap.
+convention), and zero-area overlap counts as no overlap.
 """
 
 from __future__ import annotations
@@ -40,14 +39,6 @@ class Box:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
-
-    def contains_point(self, x: float, y: float) -> bool:
-        """Closed containment: edge points count as inside."""
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
 
 def intersect(a: Box, b: Box) -> Optional[Box]:

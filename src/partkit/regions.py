@@ -91,8 +91,9 @@ class PackedRegionSets:
     Each image is one row of three columns, in ascending image id order:
     its id, a bitmask of the region kinds it has (bit k for
     ``REGION_KINDS[k]``) and 20 doubles, the corners of each kind in
-    ``REGION_KINDS`` order (0.0 where a kind is absent).  ``add`` holds an
-    image, iteration yields ascending ids, and ``corners`` reads a row.
+    ``REGION_KINDS`` order (0.0 where a kind is absent).  ``from_rows``
+    builds the columns, iteration yields ascending ids, and ``corners``
+    reads a row.
     """
 
     __slots__ = ("_ids", "_masks", "_corners")
@@ -102,20 +103,11 @@ class PackedRegionSets:
         self._masks = array("B")
         self._corners = array("d")
 
-    def add(self, image_id: int, regions: Mapping[PartKind, Box]) -> None:
-        """Hold an image and its regions, a key even without any; kinds
-        outside ``REGION_KINDS`` are left out.  Raises InputError when the
-        image is already held."""
-        held = len(self._ids)
-        row = self._slot(image_id)
-        if len(self._ids) == held:
-            raise InputError(f"the regions of image {image_id} are already held")
-        self._fill(row, regions)
-
     @classmethod
     def from_rows(cls, ids: Sequence[int], rows: Iterable[Mapping[PartKind, Box]]) -> PackedRegionSets:
         """``ids``, ascending and distinct, each with the regions of the next
-        of ``rows``, in columns allocated once, not grown as by ``add``."""
+        of ``rows``, in columns allocated once; kinds outside
+        ``REGION_KINDS`` are left out."""
         if any(a >= b for a, b in pairwise(ids)):
             raise InputError("image ids must be ascending and distinct")
         packed = cls()
@@ -123,7 +115,10 @@ class PackedRegionSets:
         # repeating an array makes no temporary buffer, as bytes(n) would
         packed._masks, packed._corners = array("B", [0]) * len(ids), _NO_CORNERS * len(ids)
         for row, regions in zip(range(len(ids)), rows, strict=True):
-            packed._fill(row, regions)
+            for k, kind in enumerate(REGION_KINDS):
+                box = regions.get(kind)
+                if box is not None:
+                    packed._add(row, k, box.x1, box.y1, box.x2, box.y2)
         return packed
 
     def __len__(self) -> int:
@@ -157,13 +152,6 @@ class PackedRegionSets:
             self._masks.insert(row, 0)
             self._corners[row * _WIDTH : row * _WIDTH] = _NO_CORNERS
         return row
-
-    def _fill(self, row: int, regions: Mapping[PartKind, Box]) -> None:
-        # hold the regions of REGION_KINDS in an empty row
-        for k, kind in enumerate(REGION_KINDS):
-            box = regions.get(kind)
-            if box is not None:
-                self._add(row, k, box.x1, box.y1, box.x2, box.y2)
 
     def _add(self, row: int, k: int, x1: float, y1: float, x2: float, y2: float) -> bool:
         # hold the corners of a region of kind REGION_KINDS[k] in a row;

@@ -24,11 +24,10 @@ from partkit.regions import PackedRegionSets
 
 
 def packed_regions(regions: Mapping[int, Mapping[PartKind, Box]]) -> PackedRegionSets:
-    """Region sets holding each image's boxes, added in ``regions`` order."""
-    sets = PackedRegionSets()
-    for image_id, boxes in regions.items():
-        sets.add(image_id, boxes)
-    return sets
+    """Region sets holding each image's boxes, whatever the order of
+    ``regions``."""
+    ids = sorted(regions)
+    return PackedRegionSets.from_rows(ids, (regions[i] for i in ids))
 
 
 def boxes_of(sets: PackedRegionSets, image_id: int) -> dict[PartKind, Box]:

@@ -20,7 +20,7 @@ import pytest
 from conftest import boxes_of
 from partkit.cli import combination_study, main
 from partkit.dataset_io import Split, parse_dataset, parse_detections, split_dataset
-from partkit.detection import Detection, compute_pcp, select_all, select_valid_parts
+from partkit.detection import Detection, compute_pcp, select_all
 from partkit.features import (
     BASELINE_GROUPS,
     FeatureStore,
@@ -130,7 +130,7 @@ def test_02_padded_rect_exactness(report):
             assert rect.width == pytest.approx((1 + pad_w) * width, rel=1e-9)
             assert rect.height == pytest.approx((1 + pad_h) * height, rel=1e-9)
             for x, y in points:
-                assert rect.contains_point(x, y)
+                assert rect.x1 <= x <= rect.x2 and rect.y1 <= y <= rect.y2
 
 
 def test_03_redundancy_elimination(report):
@@ -172,7 +172,7 @@ def test_04_threshold_semantics(report):
         box = Box(0, 0, 10, 10)
         for score, admitted in ((0.31, True), (0.30, False), (0.29, False)):
             dets = [Detection(1, PartKind.HEAD, score, box)]
-            assert (select_valid_parts(dets, 0.3) == (dets[0],)) is admitted
+            assert (select_all(dets, 0.3)[1] == (dets[0],)) is admitted
 
         cfg = SynthConfig(num_classes=5, images_per_class=10, seed=2)
         dataset = synth_dataset(cfg)

@@ -17,11 +17,9 @@ from partkit.detection import (
     PcpEntry,
     PcpReport,
     compute_pcp,
-    filter_training_boxes,
     select_all,
-    select_valid_parts,
 )
-from partkit.errors import ConfigError, InputError, ScoreOutOfRange
+from partkit.errors import ConfigError, ScoreOutOfRange
 from partkit.geometry import Box, iou
 from partkit.parts import REGION_KINDS, PartKind
 
@@ -39,8 +37,7 @@ def box_with_iou(fraction: float) -> Box:
 
 
 class TestThresholds:
-    """The selection threshold is a ``ToolkitConfig`` key; the training
-    filter's IoU is an argument of ``filter_training_boxes``."""
+    """The selection threshold is a ``ToolkitConfig`` key."""
 
     def test_defaults(self):
         config = ToolkitConfig()
@@ -71,35 +68,37 @@ class TestThresholds:
 
 
 class TestSelectValidParts:
+    """The one-image cases of ``select_all``, read from that image's entry."""
+
     def test_highest_score_wins(self):
         dets = [
             det(1, PartKind.HEAD, 0.9, Box(0, 0, 10, 10)),
             det(1, PartKind.HEAD, 0.7, Box(5, 5, 15, 15)),
         ]
-        (winner,) = select_valid_parts(dets, 0.3)
+        (winner,) = select_all(dets, 0.3)[1]
         assert winner.kind is PartKind.HEAD and winner.score == 0.9
 
     def test_below_threshold_absent(self):
         dets = [det(1, PartKind.LEG, 0.25, GT_BOX)]
-        assert select_valid_parts(dets, 0.3) == ()
+        assert select_all(dets, 0.3)[1] == ()
 
     def test_strictly_greater_required(self):
         for score, admitted in ((0.31, True), (0.30, False), (0.29, False)):
             dets = [det(1, PartKind.HEAD, score, GT_BOX)]
-            assert (select_valid_parts(dets, 0.3) == (dets[0],)) is admitted
+            assert (select_all(dets, 0.3)[1] == (dets[0],)) is admitted
 
     def test_score_tie_smaller_area_wins(self):
         small = Box(0, 0, 10, 10)  # area 100
         large = Box(0, 0, 20, 20)  # area 400
         dets = [det(1, PartKind.WING, 0.5, large), det(1, PartKind.WING, 0.5, small)]
-        (winner,) = select_valid_parts(dets, 0.3)
+        (winner,) = select_all(dets, 0.3)[1]
         assert winner.box == small
 
     def test_full_tie_lexicographic_corners(self):
         a = Box(0, 0, 10, 10)
         b = Box(1, 0, 11, 10)  # same area, larger x1
         dets = [det(1, PartKind.WING, 0.5, b), det(1, PartKind.WING, 0.5, a)]
-        (winner,) = select_valid_parts(dets, 0.3)
+        (winner,) = select_all(dets, 0.3)[1]
         assert winner.box == a
 
     def test_one_entry_per_kind_and_scores_above_threshold(self):
@@ -111,7 +110,7 @@ class TestSelectValidParts:
             dets.append(
                 det(1, kind, round(rng.random(), 3), Box(x1, y1, x1 + 5, y1 + 5))
             )
-        selected = select_valid_parts(dets, 0.4)
+        selected = select_all(dets, 0.4)[1]
         kinds = [chosen.kind for chosen in selected]
         # one winner per kind, in REGION_KINDS order
         assert kinds == [kind for kind in REGION_KINDS if kind in kinds]
@@ -119,11 +118,6 @@ class TestSelectValidParts:
             assert chosen.score > 0.4
             same_kind = [d.score for d in dets if d.kind is chosen.kind]
             assert chosen.score == max(same_kind)
-
-    def test_mixed_images_rejected(self):
-        dets = [det(1, PartKind.HEAD, 0.5, GT_BOX), det(2, PartKind.HEAD, 0.5, GT_BOX)]
-        with pytest.raises(InputError):
-            select_valid_parts(dets, 0.3)
 
     def test_monotone_in_threshold(self):
         rng = random.Random(9)
@@ -134,39 +128,17 @@ class TestSelectValidParts:
         previous = None
         for step in range(101):
             threshold = step / 100
-            count = len(select_valid_parts(dets, threshold))
+            count = len(select_all(dets, threshold)[1])
             if previous is not None:
                 assert count <= previous
             previous = count
 
+    def test_only_detections_at_or_below_the_floor_map_to_empty(self):
+        dets = [det(1, PartKind.HEAD, 0.3, GT_BOX), det(1, PartKind.LEG, 0.1, GT_BOX)]
+        assert select_all(dets, 0.3) == {1: ()}
 
-class TestFilterTrainingBoxes:
-    def test_iou_above_threshold_kept(self):
-        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
-        kept = filter_training_boxes([det(1, PartKind.HEAD, 0.9, box_with_iou(0.7))], gt, 0.6)
-        assert len(kept) == 1
-
-    def test_iou_below_threshold_dropped(self):
-        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
-        assert filter_training_boxes([det(1, PartKind.HEAD, 0.9, box_with_iou(0.5))], gt, 0.6) == []
-
-    def test_exact_threshold_kept(self):
-        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
-        kept = filter_training_boxes([det(1, PartKind.HEAD, 0.9, box_with_iou(0.6))], gt, 0.6)
-        assert len(kept) == 1  # inclusive comparison
-
-    def test_kind_without_ground_truth_dropped(self):
-        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
-        assert filter_training_boxes([det(1, PartKind.TAIL, 0.9, GT_BOX)], gt, 0.0) == []
-
-    def test_ground_truth_of_another_image_dropped(self):
-        # image 1's head once matched image 2's detection of the same box
-        gt = packed_regions({1: {PartKind.HEAD: GT_BOX}})
-        assert filter_training_boxes([det(2, PartKind.HEAD, 0.9, GT_BOX)], gt, 0.0) == []
-        gt.add(2, {PartKind.HEAD: box_with_iou(0.5)})
-        assert filter_training_boxes([det(2, PartKind.HEAD, 0.9, GT_BOX)], gt, 0.6) == []
-        kept = filter_training_boxes([det(2, PartKind.HEAD, 0.9, GT_BOX)], gt, 0.5)
-        assert [d.image_id for d in kept] == [2]
+    def test_no_detections_no_images(self):
+        assert select_all([], 0.3) == {}
 
 
 class TestComputePcp:
@@ -397,9 +369,7 @@ class TestSelectAllAgainstTheSortRule:
         assert picks(selected) == picks(reference)
         for image_id in selected:
             one_image = [d for d in dets if d.image_id == image_id]
-            assert picks({0: select_valid_parts(one_image, score_min)}) == picks(
-                {0: reference[image_id]}
-            )
+            assert picks(select_all(one_image, score_min)) == picks({image_id: selected[image_id]})
 
     def test_first_of_an_exact_tie_stays(self):
         first, second = det(1, PartKind.HEAD, 0.5, GT_BOX), det(1, PartKind.HEAD, 0.5, GT_BOX)

@@ -119,7 +119,7 @@ class TestPaddedRect:
         rect = padded_rect([(0, 0), (100, 50)], 0.1, 0.1)
         assert rect.width == pytest.approx(110, rel=1e-12)
         assert rect.height == pytest.approx(55, rel=1e-12)
-        assert rect.center == (50.0, 25.0)
+        assert ((rect.x1 + rect.x2) / 2.0, (rect.y1 + rect.y2) / 2.0) == (50.0, 25.0)
         for got, want in zip((rect.x1, rect.y1, rect.x2, rect.y2), (-5.0, -2.5, 105.0, 52.5)):
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -144,7 +144,7 @@ class TestPaddedRect:
         assert rect.width == pytest.approx((1 + pad_w) * mini_w, rel=1e-9)
         assert rect.height == pytest.approx((1 + pad_h) * mini_h, rel=1e-9)
         for x, y in points:
-            assert rect.contains_point(x, y)
+            assert rect.x1 <= x <= rect.x2 and rect.y1 <= y <= rect.y2
 
 
 class TestHeadAndBreast:
@@ -462,31 +462,31 @@ class TestPackedRegionSets:
         assert sets.num_regions == 3
         assert sets.corners(7) == [(0, 10.0, 10.0, 20.0, 30.0), (4, 1.0, 2.0, 3.0, 4.0)]
         assert sets.corners(3) == []
-        # added in any order, the same rows; kinds without a region kind are left out
+        # from_rows over the same regions, given in any order, holds the same
+        # rows without a kind outside REGION_KINDS, and they read back as written
         built = packed_regions({7: {**expected[7], PartKind.ORIGINAL: Box(0, 0, 9, 9)}, 2: expected[2]})
         assert list(built) == [2, 7]
         assert [built.corners(i) for i in built] == [sets.corners(i) for i in sets]
+        write_region_sets(built, tmp_path / "written.txt")
+        reread = read_region_sets(tmp_path / "written.txt")
+        assert [reread.corners(i) for i in reread] == [sets.corners(i) for i in sets]
 
-    def test_a_second_add_of_an_image_raises(self):
-        sets = packed_regions({3: {PartKind.HEAD: Box(0, 0, 1, 1)}, 5: {}})
-        for image_id in (3, 5):
-            with pytest.raises(InputError, match=f"image {image_id} "):
-                sets.add(image_id, {PartKind.TAIL: Box(0, 0, 2, 2)})
-        assert list(sets) == [3, 5] and sets.num_regions == 1
-        assert sets.corners(3) == [(0, 0, 0, 1, 1)]
-
-    def test_from_rows_holds_what_add_holds(self):
+    def test_from_rows_holds_what_add_holds(self, tmp_path):
+        """``from_rows`` holds what ``read_region_sets`` reads back from
+        its written lines, in ``REGION_KINDS`` order whatever a mapping's
+        order; an image without regions writes no line."""
         rows = {
             2: {PartKind.HEAD: Box(0.0, 0.0, 5.5, 5.0)},
             5: {},
             7: {PartKind.LEG: Box(1, 2, 3, 4), PartKind.HEAD: Box(10, 10, 20, 30), PartKind.ORIGINAL: Box(0, 0, 9, 9)},
         }
         sets = PackedRegionSets.from_rows(list(rows), rows.values())
-        added = packed_regions(rows)
-        assert list(sets) == [2, 5, 7] and sets.num_regions == added.num_regions == 3
-        assert [sets.corners(i) for i in sets] == [added.corners(i) for i in added]
-        with pytest.raises(InputError, match="image 7 "):
-            sets.add(7, {})
+        write_region_sets(sets, tmp_path / "regions.txt")
+        reread = read_region_sets(tmp_path / "regions.txt")
+        assert list(sets) == [2, 5, 7] and list(reread) == [2, 7]
+        assert sets.num_regions == reread.num_regions == 3
+        assert [sets.corners(i) for i in sets] == [reread.corners(i) for i in sets]
+        assert sets.corners(7) == [(0, 10, 10, 20, 30), (4, 1, 2, 3, 4)]
         assert list(PackedRegionSets.from_rows([], [])) == []
 
     @pytest.mark.parametrize("image_ids", [[3, 2], [2, 2]])

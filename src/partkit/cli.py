@@ -28,7 +28,7 @@ from .dataset_io import (
     read_split,
 )
 from .detection import compute_pcp, select_all
-from .errors import ConfigError, InputError, ToolkitError
+from .errors import ConfigError, InputError, MalformedLine, ToolkitError
 from .features import (
     BASELINE_GROUPS,
     FeatureStore,
@@ -109,15 +109,15 @@ def cmd_export_yolo(args, config: ToolkitConfig) -> int:
         region_sets = read_region_sets(args.regions)
         unknown = sorted(set(region_sets) - set(dataset.images))
         if unknown:
-            raise InputError(f"{args.regions}: regions of images not in the dataset: {unknown[:5]}")
+            raise MalformedLine(args.regions, None, f"regions of images not in the dataset: {unknown[:5]}")
         # a label of such a region falls outside the normalized range
         outside = region_outside_image(region_sets, dataset.images)
         if outside is not None:
             image_id, kind = outside
             image = dataset.images[image_id]
-            raise InputError(
-                f"{args.regions}: the {kind} region of image {image_id} reaches beyond"
-                f" its {image.width} x {image.height} image"
+            size = f"{image.width} x {image.height}"
+            raise MalformedLine(
+                args.regions, None, f"the {kind} region of image {image_id} reaches beyond its {size} image"
             )
     written = export_yolo_labels(region_sets, dataset.images, out / "labels")
     print(f"label_files={len(written)}")
@@ -148,7 +148,11 @@ def _load_classification_inputs(args, config: ToolkitConfig):
     labels = read_labels(args.labels)
     unlabeled = sorted(i for i in store.image_ids if i not in labels)
     if unlabeled:
-        raise InputError(f"{args.labels}: no class label for feature store images {unlabeled[:5]}")
+        raise MalformedLine(args.labels, None, f"no class label for feature store images {unlabeled[:5]}")
+    # before any training: each side needs an image with feature records
+    for side, samples in ((Split.TRAIN, "training"), (Split.TEST, "test")):
+        if not any(s == side and i in store.image_ids for i, s in split.items()):
+            raise MalformedLine(args.split, None, f"no {samples} samples")
     return store, labels, split
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import BadRatios, ConfigError, MissingFile
+from .dataset_io import _check_ratios
+from .errors import ConfigError, MissingFile
 from .features import _check_svm_settings
 from .parsing import _first_non_utf8_line
 from .parts import GROUP_ORDER, PartKind, kind_from_name
@@ -91,10 +92,8 @@ class ToolkitConfig:
             raise ConfigError("score_min must be in [0, 1]")
         if not 0.0 < self.pcp_iou_min < 1.0:
             raise ConfigError("pcp_iou_min must be in (0, 1)")
-        ratios = (self.train_frac, self.val_frac, self.test_frac)
-        if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-            raise BadRatios(f"split fractions must be positive and sum to 1, got {ratios}")
         # delegate the remaining range checks to the owning rules
+        _check_ratios(self.ratios())
         _check_svm_settings(self.svm_c, self.svm_epochs)
         self.region_config()
         self.synth_config()
@@ -179,8 +178,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
             ToolkitConfig(**{key: value})
         except ConfigError as alone:
             if str(alone) == str(error):
-                raise type(error)(f"{source}:{line_of[key]}: bad value for {key}: {error}") from None
-    raise type(error)(f"{source}: {error}") from None
+                raise ConfigError(f"{source}:{line_of[key]}: bad value for {key}: {error}") from None
+    raise ConfigError(f"{source}: {error}") from None
 
 
 def load_config(path=None) -> ToolkitConfig:

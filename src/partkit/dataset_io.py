@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .detection import Detection
 from .errors import (
-    BadRatios,
+    ConfigError,
     DanglingReference,
     DuplicateId,
     InputError,
@@ -90,16 +90,14 @@ def _fmt(value: float) -> str:
 def _columns(part_names: Mapping[int, str], path: Path) -> dict[int, int]:
     """Part id -> the row column of its keypoint, its name's position in
     CUB_PART_NAMES; names are matched stripped and lower-cased.  Raises
-    InputError, naming ``path``, the part table's file, unless the names
+    a MalformedLine of ``path``, the part table's file, unless the names
     are the canonical ones, each once."""
     column_of = {name: col for col, name in enumerate(CUB_PART_NAMES)}
     declared = {name.strip().lower() for name in part_names.values()}
     if len(part_names) != len(CUB_PART_NAMES) or declared != column_of.keys():
         missing = sorted(column_of.keys() - declared)
-        raise InputError(
-            f"{path}: expected the {len(CUB_PART_NAMES)} canonical keypoint names"
-            + (f"; missing {missing}" if missing else "")
-        )
+        expected = f"expected the {len(CUB_PART_NAMES)} canonical keypoint names"
+        raise MalformedLine(path, None, expected + (f"; missing {missing}" if missing else ""))
     return {part_id: column_of[name.strip().lower()] for part_id, name in part_names.items()}
 
 
@@ -263,6 +261,13 @@ def _largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
     return counts
 
 
+def _check_ratios(ratios: Sequence[float]) -> None:
+    """The range rule of ``split_dataset``'s ratios; the config checks
+    ``train_frac``, ``val_frac`` and ``test_frac`` by it at load time."""
+    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split fractions must be positive and sum to 1, got {ratios}")
+
+
 def split_dataset(
     dataset: Dataset,
     ratios: tuple[float, float, float] = (0.5, 0.2, 0.3),
@@ -276,9 +281,7 @@ def split_dataset(
     depends only on dataset content, ratios, and seed.  The mapping is in
     ascending image id order, as ``read_split`` returns it.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatios(f"ratios must be positive and sum to 1, got {ratios}")
-
+    _check_ratios(ratios)
     by_class: dict[int, list[int]] = {}
     for image_id in sorted(dataset.images):
         by_class.setdefault(dataset.images[image_id].class_id, []).append(image_id)
@@ -364,7 +367,7 @@ class DetectionFile:
             try:
                 det = Detection(image_id, kind, score, Box(x1, y1, x2, y2))
             except InputError as exc:  # a score or box range rule
-                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+                raise MalformedLine(path, line_no, str(exc)) from None
             yield det
 
     def __len__(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import ConfigError, ScoreOutOfRange
+from .errors import ConfigError, InputError
 from .geometry import Box, iou
 from .parts import REGION_KINDS, PartKind
 from .regions import PackedRegionSets
@@ -28,7 +28,7 @@ class Detection:
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
-            raise ScoreOutOfRange(f"score {self.score} outside [0, 1]")
+            raise InputError(f"score {self.score} outside [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Exception types raised across the toolkit.
 
-Two broad families matter to callers: ``InputError`` for bad data files or
-bad arguments derived from them (CLI exit code 1), and ``ConfigError`` for
-out-of-range or unknown configuration (CLI exit code 2).
+A caller tells apart only the two families: ``InputError`` for bad data
+files or bad arguments derived from them (CLI exit code 1), and
+``ConfigError`` for out-of-range or unknown configuration (CLI exit code
+2).  An error found in an input file is a ``MalformedLine`` or one of its
+kin, which carry that file as ``path`` and the line at fault as
+``line_no`` (None for a fault of the whole file).
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ class ConfigError(ToolkitError):
     """Invalid configuration value or key."""
 
 
+class DegeneratePointSet(ToolkitError):
+    """Point set whose raw extent has zero width or height."""
+
+
 # --- file parsing -----------------------------------------------------------
 
 
@@ -29,8 +36,7 @@ class MissingFile(InputError):
 
 
 class _RecordError(InputError):
-    """Bad record at ``path:line_no``; a ``line_no`` of None blames the file
-    as a whole, for a record it lacks."""
+    """Bad record at ``path:line_no``, or of the whole file when ``line_no`` is None."""
 
     def __init__(self, path, line_no, message: str):
         where = path if line_no is None else f"{path}:{line_no}"
@@ -40,7 +46,7 @@ class _RecordError(InputError):
 
 
 class MalformedLine(_RecordError):
-    """A line that breaks its format or one of its fields' rules."""
+    """A line, or with a ``line_no`` of None a file, that breaks a rule."""
 
 
 class DanglingReference(_RecordError):
@@ -57,63 +63,3 @@ class KeypointOutOfBounds(_RecordError):
     def __init__(self, path, line_no: int, image_id: int, part_id: int):
         message = f"visible keypoint (image {image_id}, part {part_id}) lies outside the image"
         super().__init__(path, line_no, message)
-
-
-class InvertedBox(InputError):
-    """Box with non-positive width or height where a valid box is required."""
-
-
-class ScoreOutOfRange(InputError):
-    """Detection score outside [0, 1]."""
-
-
-# --- splitting --------------------------------------------------------------
-
-
-class BadRatios(ConfigError):
-    """Split ratios not positive or not summing to one."""
-
-
-# --- geometry ---------------------------------------------------------------
-
-
-class DegeneratePointSet(ToolkitError):
-    """Point set whose raw extent has zero width or height."""
-
-
-class NonPositiveSide(ToolkitError):
-    """Square side must be strictly positive."""
-
-
-# --- region generation ------------------------------------------------------
-
-
-class EmptyCandidates(ToolkitError):
-    """Redundancy elimination called with no candidate boxes."""
-
-
-# --- feature store / SVM ----------------------------------------------------
-
-
-class DimensionMismatch(InputError):
-    """Feature vector length differs from the store or model dimension."""
-
-
-class DuplicateKey(InputError):
-    """Repeated (image, group) key in a feature store."""
-
-
-class UnknownImage(InputError):
-    """Image id absent from the feature store."""
-
-
-class SingleClass(InputError):
-    """Training set contains fewer than two classes."""
-
-
-class EmptyTrainingSet(InputError):
-    pass
-
-
-class EmptyTestSet(InputError):
-    pass

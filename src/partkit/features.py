@@ -19,19 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DuplicateKey,
-    EmptyTestSet,
-    EmptyTrainingSet,
-    InputError,
-    MalformedLine,
-    MissingFile,
-    SingleClass,
-    ToolkitError,
-    UnknownImage,
-)
+from .errors import ConfigError, InputError, MalformedLine, MissingFile, ToolkitError
 from .parsing import _first_non_utf8_line, _records
 from .parts import GROUP_ORDER, PartKind, kind_from_name
 
@@ -103,7 +91,7 @@ class FeatureStore:
             return None
         at = int(self._index[row, GROUP_ORDER.index(group)])
         if at == _NOT_HELD:
-            raise UnknownImage(f"the feature records of image {image_id} were not held")
+            raise InputError(f"the feature records of image {image_id} were not held")
         return None if at < 0 else self._matrix[at]
 
     @classmethod
@@ -205,7 +193,7 @@ def _value_fields(
             raise MalformedLine(path, line_no, "empty feature vector")
         at = _index_row(rows, index, image_id) * len(GROUP_ORDER) + GROUP_ORDER.index(group)
         if index[at] != -1:
-            raise DuplicateKey(f"{path}:{line_no}: repeated record for {image_id}/{group}")
+            raise MalformedLine(path, line_no, f"repeated record for {image_id}/{group}")
         if zeros is None:
             zeros = ["0"] * len(fields[2].split())
         if hold is None or image_id in hold:
@@ -218,7 +206,7 @@ def _value_fields(
             if len(unheld) == batch:
                 _check_vectors(path, line_no, unheld, len(zeros))
     if zeros is None:
-        raise InputError(f"{path}: feature store is empty")
+        raise MalformedLine(path, None, "feature store is empty")
     if unheld:
         _check_vectors(path, line_no, unheld, len(zeros))
     yield " ".join(zeros)
@@ -238,9 +226,7 @@ def _check_vectors(path: Path, line_no: int, fields: list[str], dim: int) -> Non
     if not np.isfinite(values).all():
         raise MalformedLine(path, line_no, "non-finite feature component")
     if values.shape != (len(fields), dim):
-        raise DimensionMismatch(
-            f"{path}:{line_no}: vector length {values.shape[1]}, store dimension {dim}"
-        )
+        raise MalformedLine(path, line_no, f"vector length {values.shape[1]}, store dimension {dim}")
     fields.clear()
 
 
@@ -254,7 +240,7 @@ def _raise_first_error(path: Path) -> None:
                 pass
     except UnicodeDecodeError:
         raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
-    raise InputError(f"{path}: the feature file changed while it was read")
+    raise MalformedLine(path, None, "the feature file changed while it was read")
 
 
 def write_feature_records(
@@ -347,8 +333,8 @@ def fuse(store: FeatureStore, image_ids: Iterable[int], groups: Sequence[PartKin
     Rows follow ascending image id.  Block i of a row covers offsets
     [i*D, (i+1)*D) for the i-th selected group in ``GROUP_ORDER``.  No
     vector is copied: the result holds one store row index per block.
-    Raises UnknownImage when the store has no record of an image or did
-    not hold its records.
+    Raises InputError when the store has no record of an image or did not
+    hold its records.
     """
     import numpy as np
 
@@ -356,11 +342,11 @@ def fuse(store: FeatureStore, image_ids: Iterable[int], groups: Sequence[PartKin
     ids = sorted(image_ids)
     rows = [store._rows.get(image_id, -1) for image_id in ids]
     if -1 in rows:
-        raise UnknownImage(f"image {ids[rows.index(-1)]} has no feature records")
+        raise InputError(f"image {ids[rows.index(-1)]} has no feature records")
     index = store._index[np.array(rows, dtype=np.intp)]
     not_held = (index == _NOT_HELD).any(axis=1).nonzero()[0]
     if len(not_held):
-        raise UnknownImage(f"the feature records of image {ids[not_held[0]]} were not held")
+        raise InputError(f"the feature records of image {ids[not_held[0]]} were not held")
     slots = [GROUP_ORDER.index(group) for group in selected]
     return FusedMatrix(
         image_ids=tuple(ids),
@@ -419,12 +405,12 @@ def train_svm(
 
     _check_svm_settings(c, epochs)
     if not len(samples):
-        raise EmptyTrainingSet("no training samples")
+        raise InputError("no training samples")
     _check_labels(samples, labels)
     y_ids = [labels[image_id] for image_id in samples.image_ids]
     classes = tuple(sorted(set(int(v) for v in y_ids)))
     if len(classes) < 2:
-        raise SingleClass(f"training set has {len(classes)} class(es); need at least 2")
+        raise InputError(f"training set has {len(classes)} class(es); need at least 2")
 
     n, dim = len(samples), samples.dim
     if not math.isfinite(c * n):
@@ -463,7 +449,7 @@ def train_svm(
 
 def decision_scores(model: SvmModel, vector: np.ndarray) -> np.ndarray:
     if vector.size != model.dim:
-        raise DimensionMismatch(f"vector length {vector.size}, model dimension {model.dim}")
+        raise InputError(f"vector length {vector.size}, model dimension {model.dim}")
     return model.weights @ vector + model.biases
 
 
@@ -481,7 +467,7 @@ def evaluate_accuracy(
     """Share of rows whose prediction matches the label, one ``predict`` per
     row, each row gathered from the store into one reused buffer."""
     if not len(samples):
-        raise EmptyTestSet("no test samples")
+        raise InputError("no test samples")
     _check_labels(samples, labels)
     ids = samples.image_ids
     correct = sum(

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegeneratePointSet, InvertedBox, NonPositiveSide
+from .errors import DegeneratePointSet, InputError, ToolkitError
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,7 +23,7 @@ class Box:
 
     def __post_init__(self):
         if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise InvertedBox(
+            raise InputError(
                 f"invalid box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
                 "requires x1 < x2 and y1 < y2"
             )
@@ -94,7 +94,7 @@ def minimal_rect(points: Iterable[tuple[float, float]]) -> Box:
 def centered_square(center: tuple[float, float], side: float) -> Box:
     """Square of the given side centered on a point."""
     if side <= 0:
-        raise NonPositiveSide(f"side must be > 0, got {side}")
+        raise ToolkitError(f"side must be > 0, got {side}")
     cx, cy = center
     half = side / 2.0
     return Box(cx - half, cy - half, cx + half, cy + half)

@@ -19,14 +19,7 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import (
-    ConfigError,
-    DegeneratePointSet,
-    DuplicateId,
-    EmptyCandidates,
-    InputError,
-    MalformedLine,
-)
+from .errors import ConfigError, DegeneratePointSet, DuplicateId, InputError, MalformedLine
 from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
 from .parsing import MAX_IMAGE_ID, _parse_float, _parse_int, _parse_region_kind, _records
 from .parts import REGION_KINDS, REGION_OF_KEYPOINT, PartKind
@@ -186,21 +179,30 @@ def _extent_center(points: Sequence[tuple[float, float]]) -> tuple[float, float]
     return (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
 
 
+def _square_region(center: tuple[float, float], side: float, image_bounds: Box) -> Optional[Box]:
+    """The square of ``side`` about ``center`` clipped to the image, or None
+    when it has no area there: clipped to nothing, or collapsed where half
+    its side is lost in its center's coordinates (5e-324 about 100.26)."""
+    (cx, cy), half = center, side / 2.0
+    if cx - half < cx + half and cy - half < cy + half:
+        return clip(centered_square(center, side), image_bounds)
+    return None
+
+
 def cluster_region(
     points: Sequence[tuple[float, float]], image_bounds: Box, cfg: RegionConfig
 ) -> Optional[Box]:
     """Region around the visible keypoints of the head or the breast, or
-    None when there are none."""
+    None when there are none or nothing of it lies in the image."""
     if not points:
         return None
     try:
-        region = padded_rect(points, cfg.pad_w, cfg.pad_h)
+        return clip(padded_rect(points, cfg.pad_w, cfg.pad_h), image_bounds)
     except DegeneratePointSet:
         # degenerate clusters get a square sized from the image, centered on
         # the cluster's extent midpoint, in place of the padded rectangle
         side = cfg.head_fallback_fraction * min(image_bounds.width, image_bounds.height)
-        region = centered_square(_extent_center(points), side)
-    return clip(region, image_bounds)
+        return _square_region(_extent_center(points), side, image_bounds)
 
 
 def envelope_side(kind: PartKind, head_box: Optional[Box], image_bounds: Box, cfg: RegionConfig) -> float:
@@ -224,14 +226,11 @@ def envelope_region(
     image_bounds: Box,
     cfg: RegionConfig,
 ) -> list[Box]:
-    """One clipped keypoint-centered square per visible keypoint of ``kind``."""
+    """One clipped keypoint-centered square per visible keypoint of
+    ``kind``, less the squares with no area left in the image."""
     side = envelope_side(kind, head_box, image_bounds, cfg) if points else 0.0
-    candidates = []
-    for point in points:
-        clipped = clip(centered_square(point, side), image_bounds)
-        if clipped is not None:
-            candidates.append(clipped)
-    return candidates
+    squares = (_square_region(point, side, image_bounds) for point in points)
+    return [square for square in squares if square is not None]
 
 
 def eliminate_redundant(
@@ -244,7 +243,7 @@ def eliminate_redundant(
     draw decides alone.
     """
     if not candidates:
-        raise EmptyCandidates("no candidate boxes to choose from")
+        raise ValueError("no candidate boxes to choose from")
     if len(candidates) == 1:
         return candidates[0]
     others = sorted(other_regions, key=lambda b: (b.x1, b.y1, b.x2, b.y2))
@@ -350,7 +349,7 @@ def read_region_sets(path) -> PackedRegionSets:
             try:
                 Box(x1, y1, x2, y2)  # raises the box range rule's error
             except InputError as exc:
-                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+                raise MalformedLine(path, line_no, str(exc)) from None
         if not packed._add(packed._slot(image_id), REGION_KINDS.index(kind), x1, y1, x2, y2):
             raise DuplicateId(path, line_no, "region", (image_id, kind.value))
     return packed
@@ -481,6 +480,6 @@ def read_yolo_labels(path, image_width: float, image_height: float) -> list[tupl
         try:
             box = Box(center_x - half_w, center_y - half_h, center_x + half_w, center_y + half_h)
         except InputError as exc:  # the box range rule
-            raise type(exc)(f"{path}:{line_no}: {exc}") from None
+            raise MalformedLine(path, line_no, str(exc)) from None
         boxes.append((class_index, box))
     return boxes

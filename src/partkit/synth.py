@@ -92,10 +92,7 @@ class SynthConfig:
             raise ConfigError("images_per_class must be >= 1")
         if self.image_size < 1:
             raise ConfigError("image_size must be >= 1")
-        if self.jitter_px < 0:
-            raise ConfigError("jitter_px must be >= 0")
-        if not 0.0 <= self.score_noise < 1.0:
-            raise ConfigError("score_noise must be in [0, 1)")
+        _check_noise(self.jitter_px, self.score_noise)
         if not 0.0 <= self.part_dropout < 1.0:
             raise ConfigError("part_dropout must be in [0, 1)")
         for key, value in self.dropout_overrides.items():
@@ -183,6 +180,15 @@ def _quantized_box(x1: float, y1: float, x2: float, y2: float) -> Box:
     return Box(x1, y1, x2, y2)
 
 
+def _check_noise(jitter_px: float, score_noise: float) -> None:
+    """The range rule of ``synth_detections``' noise; ``SynthConfig``
+    checks its ``jitter_px`` and ``score_noise`` by it."""
+    if jitter_px < 0:
+        raise ConfigError("jitter_px must be >= 0")
+    if not 0.0 <= score_noise < 1.0:
+        raise ConfigError("score_noise must be in [0, 1)")
+
+
 def synth_detections(
     region_sets: PackedRegionSets,
     jitter_px: float = 0.0,
@@ -199,10 +205,7 @@ def synth_detections(
     stream.  With ``distractor_score`` set, every region also yields a
     decoy detection at that score, shifted by half its width and height.
     """
-    if jitter_px < 0:
-        raise ConfigError("jitter_px must be >= 0")
-    if not 0.0 <= score_noise < 1.0:
-        raise ConfigError("score_noise must be in [0, 1)")
+    _check_noise(jitter_px, score_noise)
     if distractor_score is not None and not 0.0 <= distractor_score <= 1.0:
         raise ConfigError("distractor_score must be in [0, 1]")
     rng = random.Random(seed)

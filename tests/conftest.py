@@ -8,14 +8,7 @@ from typing import Container, Mapping, Optional, Sequence
 
 import numpy as np
 
-from partkit.errors import (
-    DimensionMismatch,
-    DuplicateKey,
-    InputError,
-    MalformedLine,
-    MissingFile,
-    UnknownImage,
-)
+from partkit.errors import InputError, MalformedLine, MissingFile
 from partkit.features import _record_key
 from partkit.geometry import Box
 from partkit.parsing import _first_non_utf8_line
@@ -119,7 +112,7 @@ def load_features_reference(
                 if not tokens:
                     raise MalformedLine(path, line_no, "empty feature vector")
                 if key in records:
-                    raise DuplicateKey(f"{path}:{line_no}: repeated record for {key[0]}/{key[1]}")
+                    raise MalformedLine(path, line_no, f"repeated record for {key[0]}/{key[1]}")
                 if dim is None:
                     dim = len(tokens)
                 try:
@@ -131,16 +124,15 @@ def load_features_reference(
                 if not np.isfinite(vector).all():
                     raise MalformedLine(path, line_no, "non-finite feature component")
                 if len(vector) != dim:
-                    raise DimensionMismatch(
-                        f"{path}:{line_no}: vector length {len(vector)}, store dimension {dim}"
-                    )
+                    message = f"vector length {len(vector)}, store dimension {dim}"
+                    raise MalformedLine(path, line_no, message)
                 if l2_normalize and np.linalg.norm(vector) > 0:
                     vector = vector / np.linalg.norm(vector)
                 records[key] = vector.tobytes() if hold is None or key[0] in hold else "not held"
     except UnicodeDecodeError:
         raise MalformedLine(path, _first_non_utf8_line(path), "not valid UTF-8 text") from None
     if dim is None:
-        raise InputError(f"{path}: feature store is empty")
+        raise MalformedLine(path, None, "feature store is empty")
     return sum(1 for row in records.values() if row != "not held"), dim, records
 
 
@@ -151,7 +143,7 @@ def store_records(store) -> tuple[int, int, dict]:
         for group in GROUP_ORDER:
             try:
                 row = store.get(image_id, group)
-            except UnknownImage:
+            except InputError:  # the record was not held
                 records[(image_id, group)] = "not held"
                 continue
             if row is not None:

@@ -12,7 +12,9 @@ import partkit.cli
 import partkit.features
 import partkit.regions
 from partkit.cli import main
+from partkit.config import load_config
 from partkit.dataset_io import Split, read_split
+from partkit.errors import MalformedLine
 from partkit.features import FeatureStore
 from partkit.geometry import Box
 from partkit.parts import GROUP_ORDER
@@ -389,6 +391,27 @@ class TestReaderErrorsNameFileAndLine:
             f"error: {labels}: no class label for feature store images {missing}\n"
         )
 
+    @pytest.mark.parametrize("case", ["labels", "unknown regions", "regions beyond", "split"])
+    def test_an_error_of_an_argument_file_carries_its_path(self, corpus, tmp_path, case):
+        bad = tmp_path / "bad.txt"
+        if case == "labels":
+            labels = corpus["labels"].read_text(encoding="utf-8")
+            bad.write_text(labels.split("\n", 1)[1], encoding="utf-8")
+            argv = ["classify", str(corpus["features"]), str(bad), str(corpus["split"])]
+        elif case == "split":
+            ids = [line.split()[0] for line in corpus["split"].read_text(encoding="utf-8").splitlines()]
+            bad.write_text("".join(f"{i} 0\n" for i in ids), encoding="utf-8")
+            argv = ["classify", str(corpus["features"]), str(corpus["labels"]), str(bad)]
+        else:
+            image_id = 99 if case == "unknown regions" else 1
+            bad.write_text(f"{image_id} head 150.00 150.00 260.00 270.00\n", encoding="utf-8")
+            argv = ["export-yolo", str(corpus["dataset"]), "--regions", str(bad)]
+        args = partkit.cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "out")])
+        with pytest.raises(MalformedLine) as info:
+            args.handler(args, load_config(None))
+        assert info.value.path == str(bad) and info.value.line_no is None
+        assert str(info.value).startswith(f"{bad}: ")
+
 
 class TestGenRegions:
     def test_outputs_and_summary(self, corpus, tmp_path, capsys):
@@ -411,6 +434,18 @@ class TestGenRegions:
             assert main(["gen-regions", str(corpus["dataset"]), "--out", str(out)]) == 0
         capsys.readouterr()
         assert read_tree(outs[0]) == read_tree(outs[1]) == read_tree(outs[2])
+
+    def test_leg_squares_that_collapse_to_no_area_are_dropped(self, corpus, tmp_path, capsys):
+        # each leg side is a subnormal multiple of its head, lost in the
+        # coordinates of its keypoint
+        config = tmp_path / "tiny.cfg"
+        config.write_text("envelope_scale_leg = 5e-324\n", encoding="utf-8")
+        out = tmp_path / "regions"
+        argv = ["gen-regions", str(corpus["dataset"]), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        lines = (out / "gt_regions.txt").read_text(encoding="utf-8").splitlines()
+        assert {line.split()[1] for line in lines} == {"head", "breast", "tail", "wing"}
 
     def test_absolute_image_path_writes_no_label(self, tmp_path, capsys):
         root = tmp_path / "data"
@@ -800,15 +835,17 @@ class TestClassify:
         "split_value,message", [("0", "no test samples"), ("2", "no training samples")]
     )
     def test_one_sided_split_is_one_error_line(
-        self, corpus, tmp_path, capsys, split_value, message
+        self, corpus, tmp_path, capsys, monkeypatch, split_value, message
     ):
+        calls = count_training(monkeypatch)
         ids = [line.split()[0] for line in corpus["split"].read_text(encoding="utf-8").splitlines()]
         split = tmp_path / "split.txt"
         split.write_text("".join(f"{i} {split_value}\n" for i in ids), encoding="utf-8")
         argv = ["classify", str(corpus["features"]), str(corpus["labels"]), str(split)]
         assert main([*argv, "--out", str(tmp_path / "clf")]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert err == f"error: {split}: {message}\n"
+        assert calls == []
         assert not (tmp_path / "clf").exists()
 
     def test_non_utf8_feature_file_is_one_error_line(self, corpus, tmp_path, capsys):
@@ -1017,15 +1054,17 @@ class TestCombination:
         "split_value,message", [("0", "no test samples"), ("2", "no training samples")]
     )
     def test_one_sided_split_is_one_error_line(
-        self, corpus, tmp_path, capsys, split_value, message
+        self, corpus, tmp_path, capsys, monkeypatch, split_value, message
     ):
+        calls = count_training(monkeypatch)
         ids = [line.split()[0] for line in corpus["split"].read_text(encoding="utf-8").splitlines()]
         split = tmp_path / "split.txt"
         split.write_text("".join(f"{i} {split_value}\n" for i in ids), encoding="utf-8")
         argv = ["combination", str(corpus["features"]), str(corpus["labels"]), str(split)]
         assert main([*argv, "--out", str(tmp_path / "comb")]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert err == f"error: {split}: {message}\n"
+        assert calls == []
         assert not (tmp_path / "comb").exists()
 
     def test_stdout_reproducible(self, corpus, capsys):

@@ -8,7 +8,7 @@ from dataclasses import fields
 import pytest
 
 from partkit.config import ToolkitConfig, load_config, parse_config_text
-from partkit.errors import BadRatios, ConfigError
+from partkit.errors import ConfigError
 
 
 def render(value) -> str:
@@ -29,7 +29,7 @@ def test_every_default_round_trips_through_its_field_type_parser():
 
 def test_range_error_keeps_its_class_and_names_the_source():
     message = r"^bad\.cfg:1: bad value for train_frac: split fractions must be positive"
-    with pytest.raises(BadRatios, match=message):
+    with pytest.raises(ConfigError, match=message):
         parse_config_text("train_frac = 0.9\n", source="bad.cfg")
 
 

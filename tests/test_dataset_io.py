@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -26,15 +27,13 @@ from partkit.dataset_io import (
 )
 from partkit.detection import Detection, select_all
 from partkit.errors import (
-    BadRatios,
+    ConfigError,
     DanglingReference,
     DuplicateId,
     InputError,
-    InvertedBox,
     KeypointOutOfBounds,
     MalformedLine,
     MissingFile,
-    ScoreOutOfRange,
 )
 from partkit.geometry import Box
 from partkit.parts import CUB_PART_NAMES, PartKind
@@ -143,8 +142,10 @@ class TestParseDataset:
         names = list(CUB_PART_NAMES)
         names[0] = "antenna"
         root = build_tree(tmp_path, toy_images(3), part_names=names)
-        with pytest.raises(InputError):
+        message = r": expected the 15 canonical keypoint names; missing \['back'\]$"
+        with pytest.raises(MalformedLine, match=message) as info:
             parse_dataset(root)
+        assert info.value.path == root / "parts" / "parts.txt" and info.value.line_no is None
 
     def test_write_dataset_rejects_non_canonical_part_names_as_parse_dataset_does(self, tmp_path):
         root = build_tree(tmp_path / "tree", toy_images(1), part_names=["antenna"])
@@ -270,12 +271,10 @@ class TestSplitDataset:
 
     def test_bad_ratios(self):
         ds = self._dataset({1: 4})
-        with pytest.raises(BadRatios):
-            split_dataset(ds, (0.5, 0.5, 0.5))
-        with pytest.raises(BadRatios):
-            split_dataset(ds, (1.0, 0.0, 0.0))
-        with pytest.raises(BadRatios):
-            split_dataset(ds, (-0.5, 1.0, 0.5))
+        for ratios in [(0.5, 0.5, 0.5), (1.0, 0.0, 0.0), (-0.5, 1.0, 0.5)]:
+            message = rf"^split fractions must be positive and sum to 1, got {re.escape(str(ratios))}$"
+            with pytest.raises(ConfigError, match=message):
+                split_dataset(ds, ratios)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
@@ -314,13 +313,15 @@ class TestDetectionFiles:
     def test_score_out_of_range(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1 head 1.2 0 0 10 10\n")
-        with pytest.raises(ScoreOutOfRange):
+        message = rf"^{re.escape(str(path))}:1: score 1\.2 outside \[0, 1\]$"
+        with pytest.raises(MalformedLine, match=message):
             list(parse_detections(path))
 
     def test_inverted_box(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1 head 0.5 10 0 10 10\n")
-        with pytest.raises(InvertedBox):
+        message = rf"^{re.escape(str(path))}:1: invalid box \(10\.0, 0\.0, 10\.0, 10\.0\): requires"
+        with pytest.raises(MalformedLine, match=message):
             list(parse_detections(path))
 
     def test_unknown_part_name(self, tmp_path):

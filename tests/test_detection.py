@@ -19,7 +19,7 @@ from partkit.detection import (
     compute_pcp,
     select_all,
 )
-from partkit.errors import ConfigError, ScoreOutOfRange
+from partkit.errors import ConfigError, InputError
 from partkit.geometry import Box, iou
 from partkit.parts import REGION_KINDS, PartKind
 
@@ -63,7 +63,7 @@ class TestThresholds:
         assert not (tmp_path / "out").exists()
 
     def test_detection_score_range(self):
-        with pytest.raises(ScoreOutOfRange):
+        with pytest.raises(InputError, match=r"^score 1\.2 outside \[0, 1\]$"):
             Detection(1, PartKind.HEAD, 1.2, GT_BOX)
 
 

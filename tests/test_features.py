@@ -16,19 +16,7 @@ import partkit.features
 from conftest import load_features_reference, store_records
 from partkit.cli import combination_study, combination_tsv, fit_group_sets
 from partkit.dataset_io import Split
-from partkit.errors import (
-    ConfigError,
-    DimensionMismatch,
-    DuplicateKey,
-    EmptyTestSet,
-    EmptyTrainingSet,
-    InputError,
-    MalformedLine,
-    MissingFile,
-    SingleClass,
-    ToolkitError,
-    UnknownImage,
-)
+from partkit.errors import ConfigError, InputError, MalformedLine, MissingFile, ToolkitError
 from partkit.features import (
     BASELINE_GROUPS,
     FeatureStore,
@@ -182,13 +170,15 @@ class TestFeatureStore:
 
     def test_dimension_mismatch(self, tmp_path):
         rows = ["1\toriginal\t1.0 2.0\n", "1\thead\t1.0 2.0 3.0\n"]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MalformedLine, match=r":2: vector length 3, store dimension 2$") as info:
             store_from_rows(rows, tmp_path / "f.tsv")
+        assert info.value.path == tmp_path / "f.tsv" and info.value.line_no == 2
 
     def test_duplicate_record(self, tmp_path):
         rows = ["1\toriginal\t1.0\n", "1\toriginal\t2.0\n"]
-        with pytest.raises(DuplicateKey):
+        with pytest.raises(MalformedLine, match=r":2: repeated record for 1/original$") as info:
             store_from_rows(rows, tmp_path / "f.tsv")
+        assert info.value.path == tmp_path / "f.tsv" and info.value.line_no == 2
 
     @pytest.mark.parametrize(
         "row",
@@ -267,7 +257,7 @@ class TestFeatureStore:
         assert store.get(2, PartKind.HEAD) is None
         tail = np.arange(DIM) + 20 + 100 * GROUP_ORDER.index(PartKind.TAIL)
         np.testing.assert_array_equal(store.get(2, PartKind.TAIL), tail)
-        with pytest.raises(UnknownImage, match="image 3 were not held"):
+        with pytest.raises(InputError, match="^the feature records of image 3 were not held$"):
             store.get(3, PartKind.TAIL)
         assert len(FeatureStore.load(path, hold=set())) == 0
 
@@ -337,9 +327,9 @@ class TestFeatureStore:
         store = FeatureStore.load(tmp_path / "features.tsv", hold={1, 3})
         assert fuse(store, [3, 1], GROUP_ORDER).image_ids == (1, 3)
         for groups in (GROUP_ORDER, (PartKind.HEAD,)):
-            with pytest.raises(UnknownImage, match="image 2 were not held"):
+            with pytest.raises(InputError, match="^the feature records of image 2 were not held$"):
                 fuse(store, [1, 2, 3], groups)
-        with pytest.raises(UnknownImage, match="image 4 has no feature records"):
+        with pytest.raises(InputError, match="^image 4 has no feature records$"):
             fuse(store, [1, 4], GROUP_ORDER)
 
     def test_held_load_allocates_only_the_held_vectors(self, tmp_path):
@@ -468,7 +458,7 @@ def fuse_reference(store, image_id, groups, l2_normalize=False):
     ``fuse`` must equal.  Returns (vector, present groups)."""
     selected = normalize_groups(groups)
     if image_id not in store.image_ids:
-        raise UnknownImage(f"image {image_id} has no feature records")
+        raise InputError(f"image {image_id} has no feature records")
     dim = store.dim
     fused = np.zeros(len(selected) * dim, dtype=np.float64)
     present = []
@@ -524,7 +514,7 @@ class TestFuse:
 
     def test_unknown_image(self, tmp_path):
         store = full_store(tmp_path, image_ids=(1,))
-        with pytest.raises(UnknownImage):
+        with pytest.raises(InputError, match="^image 99 has no feature records$"):
             fuse(store, [1, 99], GROUP_ORDER)
 
     def test_rows_follow_ascending_ids(self, tmp_path):
@@ -839,12 +829,12 @@ class TestTrainSvm:
 
     def test_single_class_rejected(self):
         samples, _ = two_class_problem()
-        with pytest.raises(SingleClass):
+        with pytest.raises(InputError, match=r"^training set has 1 class\(es\); need at least 2$"):
             train_svm(samples, {image_id: 1 for image_id in samples.image_ids})
 
     def test_empty_training_set(self):
         samples, _ = two_class_problem()
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(InputError, match="^no training samples$"):
             train_svm(rows_of(samples, slice(0, 0)), {})
 
     def test_bad_hyperparameters(self):
@@ -927,7 +917,7 @@ class TestPredictAndAccuracy:
 
     def test_dimension_checked(self):
         model = self._hand_model([0.0, 0.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="^vector length 5, model dimension 2$"):
             decision_scores(model, np.zeros(5))
 
     def test_known_accuracy(self):
@@ -958,7 +948,7 @@ class TestPredictAndAccuracy:
 
     def test_empty_test_set(self):
         model = self._hand_model([0.0, 0.0])
-        with pytest.raises(EmptyTestSet):
+        with pytest.raises(InputError, match="^no test samples$"):
             evaluate_accuracy(model, rows_of(matrix_of([(1, [0.0, 0.0])]), slice(0, 0)), {})
 
     def test_unlabeled_test_image_is_input_error(self):

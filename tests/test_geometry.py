@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partkit.errors import DegeneratePointSet, InvertedBox, NonPositiveSide
+from partkit.errors import DegeneratePointSet, InputError, ToolkitError
 from partkit.geometry import (
     Box,
     centered_square,
@@ -137,13 +137,13 @@ class TestBox:
         assert b.area == 24.0
 
     def test_zero_area_rejected(self):
-        with pytest.raises(InvertedBox):
+        with pytest.raises(InputError, match=r"^invalid box \(5, 5, 5, 10\): requires x1 < x2 and y1 < y2"):
             Box(5, 5, 5, 10)
-        with pytest.raises(InvertedBox):
+        with pytest.raises(InputError, match=r"^invalid box \(0, 3, 10, 3\): requires x1 < x2 and y1 < y2"):
             Box(0, 3, 10, 3)
 
     def test_inverted_rejected(self):
-        with pytest.raises(InvertedBox):
+        with pytest.raises(InputError, match=r"^invalid box \(10, 0, 5, 10\): requires x1 < x2 and y1 < y2"):
             Box(10, 0, 5, 10)
 
 
@@ -238,7 +238,7 @@ class TestCenteredSquare:
         assert centered_square((0, 0), 2) == Box(-1, -1, 1, 1)
 
     def test_zero_side_rejected(self):
-        with pytest.raises(NonPositiveSide):
+        with pytest.raises(ToolkitError, match=r"^side must be > 0, got 0$"):
             centered_square((5, 5), 0)
 
     @settings(max_examples=100, deadline=None)

@@ -30,8 +30,6 @@ from partkit.dataset_io import (
 from partkit.errors import (
     DanglingReference,
     DuplicateId,
-    InputError,
-    InvertedBox,
     KeypointOutOfBounds,
     MalformedLine,
 )
@@ -181,9 +179,11 @@ def parse_dataset_reference(root_dir) -> Dataset:
     declared = {name.strip().lower() for name in part_names.values()}
     if len(part_names) != len(CUB_PART_NAMES) or declared != canonical:
         missing = sorted(canonical - declared)
-        raise InputError(
-            f"{p}: expected the {len(CUB_PART_NAMES)} canonical keypoint names"
-            + (f"; missing {missing}" if missing else "")
+        raise MalformedLine(
+            p,
+            None,
+            f"expected the {len(CUB_PART_NAMES)} canonical keypoint names"
+            + (f"; missing {missing}" if missing else ""),
         )
 
     for image_id in paths:
@@ -258,9 +258,8 @@ def read_region_sets_reference(path) -> dict[int, dict[PartKind, Box]]:
         x2 = _parse_float(path, line_no, fields[4], "x2")
         y2 = _parse_float(path, line_no, fields[5], "y2")
         if not (x1 < x2 and y1 < y2):
-            raise InvertedBox(
-                f"{path}:{line_no}: invalid box ({x1}, {y1}, {x2}, {y2}): "
-                "requires x1 < x2 and y1 < y2"
+            raise MalformedLine(
+                path, line_no, f"invalid box ({x1}, {y1}, {x2}, {y2}): requires x1 < x2 and y1 < y2"
             )
         entry = result.setdefault(image_id, {})
         if kind in entry:

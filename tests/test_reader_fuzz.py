@@ -4,6 +4,9 @@ Bytes inserted into, written over or cut from a valid file must never let
 a ``KeyError``, ``IndexError``, bare ``ValueError`` or
 ``UnicodeDecodeError`` escape: the CLI turns a ``ToolkitError`` into one
 ``error:`` line and an exit code, anything else into a traceback.  The
+error of a damaged input file is an ``InputError`` that carries the file
+as ``path`` and the line at fault as ``line_no``, and its message starts
+with both; a damaged config file's ``ConfigError`` starts with them.  The
 files of an annotation tree are damaged one at a time and read through
 ``partkit validate``.  A damaged feature file must load as the per-token
 reference reader reads it, or raise its error.
@@ -24,8 +27,8 @@ from hypothesis import strategies as st
 from conftest import build_tree, load_features_reference, store_records, toy_images
 from partkit.cli import main
 from partkit.config import load_config
-from partkit.dataset_io import parse_detections, read_labels, read_split
-from partkit.errors import InvertedBox, MalformedLine, ToolkitError
+from partkit.dataset_io import parse_dataset, parse_detections, read_labels, read_split
+from partkit.errors import ConfigError, InputError, MalformedLine, ToolkitError
 from partkit.features import FeatureStore, load_model
 from partkit.regions import read_region_sets, read_yolo_labels
 
@@ -109,6 +112,15 @@ def damaged(text: str, changes) -> bytes:
     return bytes(data)
 
 
+def assert_located(exc: ToolkitError, *paths: Path) -> None:
+    """``exc`` is the error of a record of one of ``paths``, and its message
+    starts with that file and line."""
+    assert isinstance(exc, InputError), repr(exc)
+    assert exc.path in paths
+    where = exc.path if exc.line_no is None else f"{exc.path}:{exc.line_no}"
+    assert str(exc).startswith(f"{where}: ")
+
+
 def read(name: str, raw: bytes) -> None:
     reader, _ = READERS[name]
     with tempfile.TemporaryDirectory() as tmp:
@@ -116,8 +128,11 @@ def read(name: str, raw: bytes) -> None:
         path.write_bytes(raw)
         try:
             reader(path)
-        except ToolkitError:
-            pass
+        except ConfigError as exc:
+            assert name == "load_config"
+            assert re.match(rf"{re.escape(str(path))}(:[1-9][0-9]*)?: ", str(exc))
+        except ToolkitError as exc:
+            assert_located(exc, path)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -148,6 +163,12 @@ def test_a_damaged_dataset_file_exits_with_at_most_one_error_line(name, changes)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["validate", str(root)])
+        if code == 1:
+            # a record of another file may be the one at fault: a reference
+            # to an image the damage removed from images.txt dangles there
+            with pytest.raises(InputError) as info:
+                parse_dataset(root)
+            assert_located(info.value, *(root / other for other in DATASET_FILES))
     assert code in (0, 1)
     if code == 0:
         assert err.getvalue() == ""
@@ -179,6 +200,7 @@ def test_a_damaged_feature_file_loads_as_the_per_line_reader_reads_it(changes, l
         try:
             got = store_records(FeatureStore.load(path, l2_normalize=l2_normalize))
         except ToolkitError as exc:
+            assert_located(exc, path)
             got = type(exc), str(exc)
         try:
             want = load_features_reference(path, l2_normalize=l2_normalize)
@@ -206,5 +228,6 @@ def test_a_model_header_too_large_to_allocate_is_a_malformed_line(tmp_path):
 def test_a_box_without_area_names_its_line(tmp_path, name, text):
     path = tmp_path / "input.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(InvertedBox, match=rf"^{re.escape(str(path))}:2: invalid box \("):
+    with pytest.raises(MalformedLine, match=rf"^{re.escape(str(path))}:2: invalid box \(") as info:
         READERS[name][0](path)
+    assert info.value.path == path and info.value.line_no == 2

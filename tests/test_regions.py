@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import boxes_of, build_tree, default_part_rows, packed_regions, toy_images
 from partkit.cli import main
 from partkit.dataset_io import ImageRecord, KeyPoint, parse_dataset
-from partkit.errors import ConfigError, DuplicateId, EmptyCandidates, InputError, MalformedLine
+from partkit.errors import ConfigError, DuplicateId, InputError, MalformedLine
 from partkit.geometry import Box
 from partkit.parts import (
     CUB_PART_NAMES,
@@ -170,6 +170,11 @@ class TestHeadAndBreast:
         assert region.x1 >= 0 and region.y1 >= 0
         assert region.x2 <= 200 and region.y2 <= 200
 
+    def test_a_fallback_square_that_collapses_to_no_area_is_dropped(self):
+        # a side of 5e-324 * 200 is lost in 100.26 - side / 2
+        cfg = RegionConfig(head_fallback_fraction=5e-324)
+        assert cluster_region([(100.26, 126.15)], BOUNDS_200, cfg) is None
+
 
 class TestEnvelopes:
     def test_side_from_head_reference(self):
@@ -205,6 +210,15 @@ class TestEnvelopes:
         (candidate,) = envelope_region(PartKind.WING, [(5, 5)], head, BOUNDS_200, RegionConfig())
         assert candidate.x1 == 0.0 and candidate.y1 == 0.0
 
+    @pytest.mark.parametrize("head_width", [0.4, 30.0])
+    def test_a_square_that_collapses_to_no_area_is_dropped(self, head_width):
+        # a side of 5e-324 * 0.4 underflows to 0.0, and one of 5e-324 * 30
+        # is lost in 100.26 - side / 2: neither square has any area
+        scales = {PartKind.TAIL: 1.0, PartKind.WING: 1.0, PartKind.LEG: 5e-324}
+        cfg = RegionConfig(envelope_scales=scales)
+        head = Box(0.0, 0.0, head_width, 0.4)
+        assert envelope_region(PartKind.LEG, [(100.26, 126.15)], head, BOUNDS_200, cfg) == []
+
 
 class TestEliminateRedundant:
     def test_min_overlap_candidate_wins(self):
@@ -219,7 +233,7 @@ class TestEliminateRedundant:
         assert eliminate_redundant([only], [Box(50, 50, 60, 60)], random.Random(0)) == only
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(EmptyCandidates):
+        with pytest.raises(ValueError, match="^no candidate boxes to choose from$"):
             eliminate_redundant([], [], random.Random(0))
 
     def test_tie_is_pure_function_of_rng_state(self):

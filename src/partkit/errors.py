@@ -23,10 +23,6 @@ class ConfigError(ToolkitError):
     """Invalid configuration value or key."""
 
 
-class DegeneratePointSet(ToolkitError):
-    """Point set whose raw extent has zero width or height."""
-
-
 # --- file parsing -----------------------------------------------------------
 
 

@@ -509,7 +509,7 @@ def load_model(path) -> SvmModel:
     path = Path(path)
     records = list(_records(path))
     if not records:
-        raise MalformedLine(path, 1, "empty model file")
+        raise MalformedLine(path, None, "empty model file")
     (header_no, header), *rows = records
     if len(header) != 7 or header[0] != "svm" or header[1] != "v1":
         raise MalformedLine(

@@ -1,7 +1,9 @@
 """Axis-aligned box algebra in continuous pixel coordinates.
 
 Area is width * height over real coordinates (no inclusive-pixel +1
-convention), and zero-area overlap counts as no overlap.
+convention), and zero-area overlap counts as no overlap.  Every box has
+positive area; clipping a box to bounds is ``intersect``, which returns
+None when nothing with area remains.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegeneratePointSet, InputError, ToolkitError
+from .errors import InputError
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,36 +75,15 @@ def iou(a: Box, b: Box) -> float:
 def minimal_rect(points: Iterable[tuple[float, float]]) -> Box:
     """Smallest axis-aligned box containing every point (closed edges).
 
-    Raises DegeneratePointSet when the raw extent has zero width or height
-    (single point, or all points collinear along an axis); the caller picks
-    the fallback.
+    Points with no 2D extent (a single point, or all points on one line
+    parallel to an axis) break the box rule and raise its InputError.
     """
     pts = list(points)
     if not pts:
         raise ValueError("minimal_rect requires at least one point")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    x1, x2 = min(xs), max(xs)
-    y1, y2 = min(ys), max(ys)
-    if x1 == x2 or y1 == y2:
-        raise DegeneratePointSet(
-            f"point extent has zero {'width' if x1 == x2 else 'height'}"
-        )
-    return Box(x1, y1, x2, y2)
-
-
-def centered_square(center: tuple[float, float], side: float) -> Box:
-    """Square of the given side centered on a point."""
-    if side <= 0:
-        raise ToolkitError(f"side must be > 0, got {side}")
-    cx, cy = center
-    half = side / 2.0
-    return Box(cx - half, cy - half, cx + half, cy + half)
-
-
-def clip(b: Box, bounds: Box) -> Optional[Box]:
-    """Clip a box to bounds; None when nothing with positive area remains."""
-    return intersect(b, bounds)
+    return Box(min(xs), min(ys), max(xs), max(ys))
 
 
 def union_area(boxes: Sequence[Box]) -> float:

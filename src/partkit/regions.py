@@ -19,8 +19,8 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ConfigError, DegeneratePointSet, DuplicateId, InputError, MalformedLine
-from .geometry import Box, centered_square, clip, iou_vs_union, minimal_rect
+from .errors import ConfigError, DuplicateId, InputError, MalformedLine
+from .geometry import Box, intersect, iou_vs_union
 from .parsing import MAX_IMAGE_ID, _parse_float, _parse_int, _parse_region_kind, _records
 from .parts import REGION_KINDS, REGION_OF_KEYPOINT, PartKind
 from .seeding import derive_seed
@@ -159,50 +159,40 @@ class PackedRegionSets:
         return True
 
 
-def padded_rect(points: Sequence[tuple[float, float]], pad_w: float, pad_h: float) -> Box:
-    """Minimal rectangle widened about its center to (1+pad_w) x (1+pad_h).
-
-    This is the pre-clip region; raises DegeneratePointSet when the points
-    have no 2D extent.
-    """
-    rect = minimal_rect(points)
-    # growing outward from the min/max edges keeps every input point inside
-    # even in floating point; center and dimensions are unchanged
-    dx = rect.width * pad_w / 2.0
-    dy = rect.height * pad_h / 2.0
-    return Box(rect.x1 - dx, rect.y1 - dy, rect.x2 + dx, rect.y2 + dy)
-
-
-def _extent_center(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
-
-
 def _square_region(center: tuple[float, float], side: float, image_bounds: Box) -> Optional[Box]:
     """The square of ``side`` about ``center`` clipped to the image, or None
     when it has no area there: clipped to nothing, or collapsed where half
     its side is lost in its center's coordinates (5e-324 about 100.26)."""
     (cx, cy), half = center, side / 2.0
     if cx - half < cx + half and cy - half < cy + half:
-        return clip(centered_square(center, side), image_bounds)
+        return intersect(Box(cx - half, cy - half, cx + half, cy + half), image_bounds)
     return None
 
 
 def cluster_region(
     points: Sequence[tuple[float, float]], image_bounds: Box, cfg: RegionConfig
 ) -> Optional[Box]:
-    """Region around the visible keypoints of the head or the breast, or
-    None when there are none or nothing of it lies in the image."""
+    """Region around the visible keypoints of the head or the breast, clipped
+    to the image, or None when there are none or nothing of it lies there.
+
+    The points' extent widened about its center to (1 + pad_w) x
+    (1 + pad_h); when the extent has no width or height (one point, or
+    points on one line parallel to an axis), the square of
+    head_fallback_fraction of the smaller image side about its midpoint.
+    """
     if not points:
         return None
-    try:
-        return clip(padded_rect(points, cfg.pad_w, cfg.pad_h), image_bounds)
-    except DegeneratePointSet:
-        # degenerate clusters get a square sized from the image, centered on
-        # the cluster's extent midpoint, in place of the padded rectangle
-        side = cfg.head_fallback_fraction * min(image_bounds.width, image_bounds.height)
-        return _square_region(_extent_center(points), side, image_bounds)
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    x1, y1, x2, y2 = min(xs), min(ys), max(xs), max(ys)
+    if x1 < x2 and y1 < y2:
+        # growing outward from the min/max edges keeps every input point inside
+        # even in floating point; center and dimensions are unchanged
+        dx = (x2 - x1) * cfg.pad_w / 2.0
+        dy = (y2 - y1) * cfg.pad_h / 2.0
+        return intersect(Box(x1 - dx, y1 - dy, x2 + dx, y2 + dy), image_bounds)
+    side = cfg.head_fallback_fraction * min(image_bounds.width, image_bounds.height)
+    return _square_region(((x1 + x2) / 2.0, (y1 + y2) / 2.0), side, image_bounds)
 
 
 def envelope_side(kind: PartKind, head_box: Optional[Box], image_bounds: Box, cfg: RegionConfig) -> float:
@@ -307,10 +297,13 @@ def generate_all(dataset, cfg: RegionConfig) -> PackedRegionSets:
     return PackedRegionSets.from_rows(ids, rows)
 
 
-def center_crop_box(image, cfg: RegionConfig) -> Box:
-    """Centered square crop covering center_crop_fraction of the short side."""
+def center_crop_box(image, cfg: RegionConfig) -> Optional[Box]:
+    """Centered square crop covering center_crop_fraction of the short side,
+    or None when it collapses to no area, as any part square does (a side of
+    5e-324 of the short side is lost in the image's center)."""
     side = cfg.center_crop_fraction * min(image.width, image.height)
-    return centered_square((image.width / 2.0, image.height / 2.0), side)
+    bounds = Box(0.0, 0.0, float(image.width), float(image.height))
+    return _square_region((image.width / 2.0, image.height / 2.0), side, bounds)
 
 
 # --- file formats ---------------------------------------------------------
@@ -372,7 +365,8 @@ def region_outside_image(
 def write_crop_manifest(images, region_sets: PackedRegionSets, cfg: RegionConfig, path) -> None:
     """Region-format manifest of every crop to take, for each image of
     ``images`` (id -> record) in ascending id order: the full image
-    ('original'), the center crop ('cropped'), and each part region.
+    ('original'), the center crop ('cropped') unless it collapses, and each
+    part region.
 
     Downstream tooling applies the crops and resizes them to the network
     input size; no pixels are touched here.
@@ -383,7 +377,8 @@ def write_crop_manifest(images, region_sets: PackedRegionSets, cfg: RegionConfig
             width, height = float(image.width), float(image.height)
             _write_region_line(fh, image_id, PartKind.ORIGINAL.value, 0.0, 0.0, width, height)
             crop = center_crop_box(image, cfg)
-            _write_region_line(fh, image_id, PartKind.CROPPED.value, crop.x1, crop.y1, crop.x2, crop.y2)
+            if crop is not None:
+                _write_region_line(fh, image_id, PartKind.CROPPED.value, crop.x1, crop.y1, crop.x2, crop.y2)
             for k, x1, y1, x2, y2 in region_sets.corners(image_id):
                 _write_region_line(fh, image_id, REGION_KINDS[k].value, x1, y1, x2, y2)
 

@@ -35,10 +35,10 @@ from partkit.geometry import Box, iou
 from partkit.parts import GROUP_ORDER, REGION_KINDS, PartKind
 from partkit.regions import (
     RegionConfig,
+    cluster_region,
     eliminate_redundant,
     export_yolo_labels,
     generate_all,
-    padded_rect,
     read_region_sets,
     read_yolo_labels,
 )
@@ -126,7 +126,9 @@ def test_02_padded_rect_exactness(report):
                 if width > 0.01 and height > 0.01:
                     break
             pad_w, pad_h = rng.uniform(0, 1), rng.uniform(0, 1)
-            rect = padded_rect(points, pad_w, pad_h)
+            cfg = RegionConfig(pad_w=pad_w, pad_h=pad_h)
+            # bounds that hold every padded rectangle, so none is clipped
+            rect = cluster_region(points, Box(-1e6, -1e6, 1e6, 1e6), cfg)
             assert rect.width == pytest.approx((1 + pad_w) * width, rel=1e-9)
             assert rect.height == pytest.approx((1 + pad_h) * height, rel=1e-9)
             for x, y in points:

@@ -17,7 +17,7 @@ from partkit.dataset_io import Split, read_split
 from partkit.errors import MalformedLine
 from partkit.features import FeatureStore
 from partkit.geometry import Box
-from partkit.parts import GROUP_ORDER
+from partkit.parts import GROUP_ORDER, REGION_KINDS
 from partkit.regions import read_yolo_labels
 from conftest import build_tree, default_part_rows, toy_images
 
@@ -435,17 +435,38 @@ class TestGenRegions:
         capsys.readouterr()
         assert read_tree(outs[0]) == read_tree(outs[1]) == read_tree(outs[2])
 
-    def test_leg_squares_that_collapse_to_no_area_are_dropped(self, corpus, tmp_path, capsys):
-        # each leg side is a subnormal multiple of its head, lost in the
-        # coordinates of its keypoint
+    @pytest.mark.parametrize(
+        "setting, kind, file",
+        [
+            # each leg side is a subnormal multiple of its head, lost in the
+            # coordinates of its keypoint
+            ("envelope_scale_leg", "leg", "gt_regions.txt"),
+            # the crop side is a subnormal fraction of the short side, lost
+            # in the coordinates of the image's center
+            ("center_crop_fraction", "cropped", "crop_manifest.txt"),
+        ],
+        ids=["leg", "crop"],
+    )
+    def test_squares_that_collapse_to_no_area_are_dropped(self, corpus, tmp_path, capsys, setting, kind, file):
         config = tmp_path / "tiny.cfg"
-        config.write_text("envelope_scale_leg = 5e-324\n", encoding="utf-8")
-        out = tmp_path / "regions"
-        argv = ["gen-regions", str(corpus["dataset"]), "--config", str(config), "--out", str(out)]
+        config.write_text(f"{setting} = 5e-324\n", encoding="utf-8")
+        default, tiny = tmp_path / "default", tmp_path / "tiny"
+        assert main(["gen-regions", str(corpus["dataset"]), "--out", str(default)]) == 0
+        argv = ["gen-regions", str(corpus["dataset"]), "--config", str(config), "--out", str(tiny)]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
-        lines = (out / "gt_regions.txt").read_text(encoding="utf-8").splitlines()
-        assert {line.split()[1] for line in lines} == {"head", "breast", "tail", "wing"}
+
+        def kind_of(name, line):  # a label line names its kind by class index
+            fields = line.split()
+            return REGION_KINDS[int(fields[0])].value if name.startswith("labels/") else fields[1]
+
+        # every file of the default run, less the lines of that kind
+        want, got = read_tree(default), read_tree(tiny)
+        assert any(kind_of(file, line) == kind for line in want[file].decode().splitlines())
+        assert got.keys() == want.keys()
+        for name, data in want.items():
+            lines = [line for line in data.decode().splitlines() if kind_of(name, line) != kind]
+            assert got[name].decode().splitlines() == lines, name
 
     def test_absolute_image_path_writes_no_label(self, tmp_path, capsys):
         root = tmp_path / "data"

@@ -9,6 +9,8 @@ import pytest
 
 from partkit.config import ToolkitConfig, load_config, parse_config_text
 from partkit.errors import ConfigError
+from partkit.regions import RegionConfig
+from partkit.synth import SynthConfig
 
 
 def render(value) -> str:
@@ -25,6 +27,11 @@ def test_every_default_round_trips_through_its_field_type_parser():
     default = ToolkitConfig()
     text = "".join(f"{f.name} = {render(getattr(default, f.name))}\n" for f in fields(default))
     assert parse_config_text(text) == default
+
+
+def test_defaults_restated_by_the_config_agree_with_the_components():
+    assert ToolkitConfig().region_config() == RegionConfig()
+    assert ToolkitConfig().synth_config() == SynthConfig()
 
 
 def test_range_error_keeps_its_class_and_names_the_source():

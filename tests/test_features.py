@@ -1042,6 +1042,14 @@ class TestModelFile:
         assert err.value.path == path
         assert err.value.line_no == 3
 
+    def test_empty_model_file_is_a_fault_of_the_whole_file(self, tmp_path):
+        path = tmp_path / "model.svm"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(MalformedLine) as err:
+            load_model(path)
+        assert err.value.path == path and err.value.line_no is None
+        assert str(err.value) == f"{path}: empty model file"
+
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_model(tmp_path / "absent.svm")

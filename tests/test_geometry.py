@@ -10,11 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partkit.errors import DegeneratePointSet, InputError, ToolkitError
+from partkit.errors import InputError
 from partkit.geometry import (
     Box,
-    centered_square,
-    clip,
     intersect,
     iou,
     iou_vs_union,
@@ -198,11 +196,11 @@ class TestMinimalRect:
         assert minimal_rect([(0, 0), (4, 0), (2, 3)]) == Box(0, 0, 4, 3)
 
     def test_single_point_degenerate(self):
-        with pytest.raises(DegeneratePointSet):
+        with pytest.raises(InputError, match=r"^invalid box \(5, 5, 5, 5\): requires x1 < x2 and y1 < y2$"):
             minimal_rect([(5, 5)])
 
     def test_collinear_degenerate(self):
-        with pytest.raises(DegeneratePointSet):
+        with pytest.raises(InputError, match=r"^invalid box \(0, 5, 20, 5\): requires x1 < x2 and y1 < y2$"):
             minimal_rect([(0, 5), (10, 5), (20, 5)])
 
     def test_empty_rejected(self):
@@ -221,7 +219,7 @@ class TestMinimalRect:
         xs = {p[0] for p in points}
         ys = {p[1] for p in points}
         if len(xs) < 2 or len(ys) < 2:
-            with pytest.raises(DegeneratePointSet):
+            with pytest.raises(InputError, match=r"^invalid box .*: requires x1 < x2 and y1 < y2$"):
                 minimal_rect(points)
             return
         rect = minimal_rect(points)
@@ -229,50 +227,26 @@ class TestMinimalRect:
             assert rect.x1 <= x <= rect.x2 and rect.y1 <= y <= rect.y2
 
 
-class TestCenteredSquare:
-    def test_basic(self):
-        assert centered_square((10, 10), 4) == Box(8, 8, 12, 12)
-
-    def test_negative_extent_allowed(self):
-        # clipping is a separate concern
-        assert centered_square((0, 0), 2) == Box(-1, -1, 1, 1)
-
-    def test_zero_side_rejected(self):
-        with pytest.raises(ToolkitError, match=r"^side must be > 0, got 0$"):
-            centered_square((5, 5), 0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.floats(-50, 50, allow_nan=False),
-        st.floats(-50, 50, allow_nan=False),
-        st.floats(0.001, 100, allow_nan=False),
-    )
-    def test_side_and_center_recovered(self, cx, cy, side):
-        b = centered_square((cx, cy), side)
-        assert b.width == pytest.approx(side, rel=1e-9)
-        assert b.height == pytest.approx(side, rel=1e-9)
-        assert (b.x1 + b.x2) / 2.0 == pytest.approx(cx, abs=1e-9)
-        assert (b.y1 + b.y2) / 2.0 == pytest.approx(cy, abs=1e-9)
-
-
 class TestClip:
+    """``intersect`` clipping a box to bounds."""
+
     def test_partial(self):
-        assert clip(Box(-1, -1, 1, 1), Box(0, 0, 100, 100)) == Box(0, 0, 1, 1)
+        assert intersect(Box(-1, -1, 1, 1), Box(0, 0, 100, 100)) == Box(0, 0, 1, 1)
 
     def test_inside_unchanged(self):
         b = Box(5, 5, 20, 20)
-        assert clip(b, Box(0, 0, 100, 100)) == b
+        assert intersect(b, Box(0, 0, 100, 100)) == b
 
     def test_outside_absent(self):
-        assert clip(Box(-10, -10, -1, -1), Box(0, 0, 100, 100)) is None
+        assert intersect(Box(-10, -10, -1, -1), Box(0, 0, 100, 100)) is None
 
     def test_edge_touching_absent(self):
-        assert clip(Box(-10, 0, 0, 10), Box(0, 0, 100, 100)) is None
+        assert intersect(Box(-10, 0, 0, 10), Box(0, 0, 100, 100)) is None
 
     @settings(max_examples=200, deadline=None)
     @given(int_boxes(), int_boxes())
     def test_result_within_bounds(self, b, bounds):
-        clipped = clip(b, bounds)
+        clipped = intersect(b, bounds)
         if clipped is not None:
             assert clipped.x1 >= bounds.x1 and clipped.y1 >= bounds.y1
             assert clipped.x2 <= bounds.x2 and clipped.y2 <= bounds.y2

@@ -37,7 +37,6 @@ from partkit.regions import (
     export_yolo_labels,
     generate_all,
     generate_region_set,
-    padded_rect,
     read_region_sets,
     read_yolo_labels,
     write_crop_manifest,
@@ -45,6 +44,8 @@ from partkit.regions import (
 )
 
 BOUNDS_200 = Box(0.0, 0.0, 200.0, 200.0)
+# bounds that hold every padded rectangle and square below, so none is clipped
+UNBOUNDED = Box(-1e6, -1e6, 1e6, 1e6)
 
 
 class TestPartVocabulary:
@@ -116,7 +117,7 @@ class TestRegionConfig:
 class TestPaddedRect:
     def test_hundred_by_fifty_padded_ten_percent(self):
         # mini-rect 100x50 grows to 110x55 about the same center
-        rect = padded_rect([(0, 0), (100, 50)], 0.1, 0.1)
+        rect = cluster_region([(0, 0), (100, 50)], UNBOUNDED, RegionConfig(pad_w=0.1, pad_h=0.1))
         assert rect.width == pytest.approx(110, rel=1e-12)
         assert rect.height == pytest.approx(55, rel=1e-12)
         assert ((rect.x1 + rect.x2) / 2.0, (rect.y1 + rect.y2) / 2.0) == (50.0, 25.0)
@@ -124,7 +125,8 @@ class TestPaddedRect:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_zero_padding_is_minimal_rect(self):
-        assert padded_rect([(10, 30), (30, 10)], 0.0, 0.0) == Box(10, 10, 30, 30)
+        cfg = RegionConfig(pad_w=0.0, pad_h=0.0)
+        assert cluster_region([(10, 30), (30, 10)], UNBOUNDED, cfg) == Box(10, 10, 30, 30)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -140,7 +142,7 @@ class TestPaddedRect:
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         mini_w, mini_h = max(xs) - min(xs), max(ys) - min(ys)
-        rect = padded_rect(points, pad_w, pad_h)
+        rect = cluster_region(points, UNBOUNDED, RegionConfig(pad_w=pad_w, pad_h=pad_h))
         assert rect.width == pytest.approx((1 + pad_w) * mini_w, rel=1e-9)
         assert rect.height == pytest.approx((1 + pad_h) * mini_h, rel=1e-9)
         for x, y in points:
@@ -152,6 +154,25 @@ class TestHeadAndBreast:
         cfg = RegionConfig(head_fallback_fraction=0.1)
         region = cluster_region([(50.0, 50.0)], BOUNDS_200, cfg)
         assert region == Box(40.0, 40.0, 60.0, 60.0)
+
+    def test_fallback_square_negative_extent_allowed(self):
+        # only the image bounds clip it
+        cfg = RegionConfig(head_fallback_fraction=0.25)
+        assert cluster_region([(0.0, 0.0)], Box(-4.0, -4.0, 4.0, 4.0), cfg) == Box(-1, -1, 1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-50, 50, allow_nan=False),
+        st.floats(-50, 50, allow_nan=False),
+        st.floats(0.001, 100, allow_nan=False),
+    )
+    def test_fallback_square_side_and_center_recovered(self, cx, cy, side):
+        cfg = RegionConfig(head_fallback_fraction=side / UNBOUNDED.width)
+        b = cluster_region([(cx, cy)], UNBOUNDED, cfg)
+        assert b.width == pytest.approx(side, rel=1e-9)
+        assert b.height == pytest.approx(side, rel=1e-9)
+        assert (b.x1 + b.x2) / 2.0 == pytest.approx(cx, abs=1e-9)
+        assert (b.y1 + b.y2) / 2.0 == pytest.approx(cy, abs=1e-9)
 
     def test_no_keypoints_absent(self):
         assert cluster_region([], BOUNDS_200, RegionConfig()) is None
@@ -395,6 +416,11 @@ class TestCenterCrop:
     def test_tall_image(self):
         cfg = RegionConfig(center_crop_fraction=0.5)
         assert center_crop_box(_record(w=100, h=300), cfg) == Box(25.0, 125.0, 75.0, 175.0)
+
+    def test_a_crop_that_collapses_to_no_area_is_none(self):
+        # a side of 5e-324 * 200 is lost in 100.0 - side / 2
+        cfg = RegionConfig(center_crop_fraction=5e-324)
+        assert center_crop_box(_record(w=200, h=200), cfg) is None
 
 
 class TestRegionFiles:

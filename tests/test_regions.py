@@ -155,6 +155,11 @@ class TestHeadAndBreast:
         region = cluster_region([(50.0, 50.0)], BOUNDS_200, cfg)
         assert region == Box(40.0, 40.0, 60.0, 60.0)
 
+    def test_fallback_square_basic(self):
+        # side 0.25 * 16 = 4 about (10, 10), well inside the bounds
+        cfg = RegionConfig(head_fallback_fraction=0.25)
+        assert cluster_region([(10.0, 10.0)], Box(0.0, 0.0, 16.0, 16.0), cfg) == Box(8, 8, 12, 12)
+
     def test_fallback_square_negative_extent_allowed(self):
         # only the image bounds clip it
         cfg = RegionConfig(head_fallback_fraction=0.25)

@@ -29,7 +29,6 @@ from .errors import (
     MalformedLine,
     MissingFile,
 )
-from .geometry import Box
 from .parsing import (
     MAX_IMAGE_ID,
     _memo_float,
@@ -52,11 +51,20 @@ class ImageRecord:
 
 @dataclass(frozen=True, slots=True)
 class KeyPoint:
-    # its part is its column in the image's row; three slots and the GC
-    # header take 56 bytes, in pymalloc's 64-byte class
+    """One keypoint of an image; its part is its column in the image's row.
+
+    Three slots and the GC header take 56 bytes, in pymalloc's 64-byte
+    class.  ``parse_dataset`` and ``synth_dataset`` give every absent
+    keypoint at ``0.0 0.0`` one shared object.
+    """
+
     x: float
     y: float
     visible: bool
+
+
+# the one object of every absent keypoint at 0.0 0.0 (see parse_dataset)
+_ABSENT = KeyPoint(0.0, 0.0, False)
 
 
 class Split(enum.IntEnum):
@@ -112,7 +120,11 @@ def parse_dataset(root_dir) -> Dataset:
     under ``root_dir``.  Any dangling id, duplicate, malformed line, or
     visible keypoint outside its image is rejected.  Each image's keypoints
     are one row in ``CUB_PART_NAMES`` order, however the part table numbers
-    and spells the names; equal coordinates share one float object.
+    and spells the names; equal coordinates share one float object, and
+    every absent keypoint at ``0.0 0.0`` one ``KeyPoint``.  An image's row
+    is frozen into its tuple as soon as its last keypoint line is read, so
+    only images whose lines are still to come hold a list of slots; lines
+    of different images may interleave.
     """
     root = Path(root_dir)
 
@@ -185,8 +197,10 @@ def parse_dataset(root_dir) -> Dataset:
         images[image_id] = ImageRecord(image_id, relative_path, labels[image_id], *sizes[image_id])
     del paths, sizes, labels
 
-    # a slot per keypoint column for each image, frozen into its row below
-    rows: dict[int, list] = {image_id: [None] * len(CUB_PART_NAMES) for image_id in images}
+    # an image's slot per keypoint column, from its first keypoint line
+    # until its last, when the slots are frozen into its row
+    open_rows: dict[int, list] = {}
+    keypoints: dict[int, tuple[KeyPoint, ...]] = {}
     coords: dict[float, float] = {}
     p = root / "parts" / "part_locs.txt"
     for line_no, fields in _records(p, "<image_id> <part_id> <x> <y> <visible>"):
@@ -196,29 +210,35 @@ def parse_dataset(root_dir) -> Dataset:
         y = _memo_float(coords, p, line_no, fields[3], "y")
         if fields[4] not in ("0", "1"):
             raise MalformedLine(p, line_no, f"visible flag must be 0 or 1, got {fields[4]!r}")
-        visible = fields[4] == "1"
-        row = rows.get(image_id)
-        if row is None:
+        image = images.get(image_id)
+        if image is None:
             raise DanglingReference(p, line_no, "image", image_id)
         col = column.get(part_id)
         if col is None:
             raise DanglingReference(p, line_no, "part", part_id)
         if x < 0 or y < 0:
             raise MalformedLine(p, line_no, "keypoint coordinates must be non-negative")
-        if row[col] is not None:
+        row = open_rows.get(image_id)
+        if row is None and image_id not in keypoints:
+            row = open_rows[image_id] = [None] * len(CUB_PART_NAMES)
+        if row is None or row[col] is not None:  # a frozen row, or a filled slot
             raise DuplicateId(p, line_no, "keypoint", (image_id, part_id))
-        if visible:
-            image = images[image_id]
+        if fields[4] == "1":
             if x > image.width or y > image.height:
                 raise KeypointOutOfBounds(p, line_no, image_id, part_id)
-        row[col] = KeyPoint(x, y, visible)
+            row[col] = KeyPoint(x, y, True)
+        elif x == y == 0.0 and math.copysign(1.0, x) == math.copysign(1.0, y) == 1.0:
+            row[col] = _ABSENT  # not at -0.0, which equals 0.0 but is written "-0.0"
+        else:
+            row[col] = KeyPoint(x, y, False)
+        if all(row):  # a keypoint is always true, an empty slot None
+            keypoints[image_id] = tuple(open_rows.pop(image_id))
 
-    for image_id, row in rows.items():
-        if not all(row):  # a keypoint is always true, an empty slot None
+    for image_id in images:
+        if image_id not in keypoints:
+            row = open_rows.get(image_id, [None] * len(CUB_PART_NAMES))
             missing_part = min(pid for pid, col in column.items() if row[col] is None)
             raise DanglingReference(p, None, "keypoint", (image_id, missing_part))
-    # each slot list dies as its row is made
-    keypoints = {image_id: tuple(rows.pop(image_id)) for image_id in images}
     return Dataset(images=images, keypoints=keypoints, class_names=class_names, part_names=part_names)
 
 
@@ -365,7 +385,7 @@ class DetectionFile:
             x2 = _parse_float(path, line_no, fields[5], "x2")
             y2 = _parse_float(path, line_no, fields[6], "y2")
             try:
-                det = Detection(image_id, kind, score, Box(x1, y1, x2, y2))
+                det = Detection(image_id, kind, score, x1, y1, x2, y2)
             except InputError as exc:  # a score or box range rule
                 raise MalformedLine(path, line_no, str(exc)) from None
             yield det
@@ -386,8 +406,7 @@ def parse_detections(path) -> DetectionFile:
 def write_detections(detections: Iterable[Detection], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for det in detections:
-            box = det.box
             fh.write(
                 f"{det.image_id} {det.kind.value} {_fmt(det.score)} "
-                f"{_fmt(box.x1)} {_fmt(box.y1)} {_fmt(box.x2)} {_fmt(box.y2)}\n"
+                f"{_fmt(det.x1)} {_fmt(det.y1)} {_fmt(det.x2)} {_fmt(det.y2)}\n"
             )

@@ -19,16 +19,30 @@ from .regions import PackedRegionSets
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """One scored candidate box for a part kind on one image."""
+    """One scored candidate box for a part kind on one image.
+
+    The box's corners are slots of the detection itself, so each winner
+    that ``select_all`` keeps is one object; the box rule (``x1 < x2`` and
+    ``y1 < y2``) is checked before the score rule, with ``Box``'s message.
+    """
 
     image_id: int
     kind: PartKind
     score: float
-    box: Box
+    x1: float
+    y1: float
+    x2: float
+    y2: float
 
     def __post_init__(self):
+        if not (self.x1 < self.x2 and self.y1 < self.y2):
+            Box(self.x1, self.y1, self.x2, self.y2)  # raises the box range rule's error
         if not 0.0 <= self.score <= 1.0:
             raise InputError(f"score {self.score} outside [0, 1]")
+
+    @property
+    def box(self) -> Box:
+        return Box(self.x1, self.y1, self.x2, self.y2)
 
 
 @dataclass(frozen=True)
@@ -92,8 +106,8 @@ def compute_pcp(
 
 
 def _rank(det: Detection) -> tuple[float, ...]:
-    box = det.box
-    return (-det.score, box.area, box.x1, box.y1, box.x2, box.y2)
+    # the area as Box.area computes it
+    return (-det.score, (det.x2 - det.x1) * (det.y2 - det.y1), det.x1, det.y1, det.x2, det.y2)
 
 
 def select_all(detections: Iterable[Detection], score_min: float) -> dict[int, tuple[Detection, ...]]:

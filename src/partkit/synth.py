@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .dataset_io import (
+    _ABSENT,
     Dataset,
     ImageRecord,
     KeyPoint,
@@ -28,7 +29,6 @@ from .dataset_io import (
 from .detection import Detection
 from .errors import ConfigError
 from .features import write_feature_records
-from .geometry import Box
 from .parts import CUB_PART_NAMES, GROUP_ORDER, REGION_KINDS, REGION_OF_KEYPOINT, PartKind
 from .regions import (
     PackedRegionSets,
@@ -145,7 +145,7 @@ def synth_dataset(cfg: SynthConfig, root=None) -> Dataset:
                     y = round(offset_y + fy * scale * size, 2)
                     row.append(KeyPoint(x, y, True))
                 else:
-                    row.append(KeyPoint(0.0, 0.0, False))
+                    row.append(_ABSENT)
             images[image_id] = ImageRecord(
                 image_id=image_id,
                 relative_path=f"{class_names[class_id]}/img_{image_id:04d}.jpg",
@@ -166,7 +166,7 @@ def synth_dataset(cfg: SynthConfig, root=None) -> Dataset:
     return dataset
 
 
-def _quantized_box(x1: float, y1: float, x2: float, y2: float) -> Box:
+def _quantized_box(x1: float, y1: float, x2: float, y2: float) -> tuple[float, float, float, float]:
     # 2-decimal grid; repair inversions and enforce the grid's minimum extent
     x1, y1, x2, y2 = round(x1, 2), round(y1, 2), round(x2, 2), round(y2, 2)
     if x1 > x2:
@@ -177,7 +177,7 @@ def _quantized_box(x1: float, y1: float, x2: float, y2: float) -> Box:
         x2 = round(x1 + 0.01, 2)
     if y2 - y1 < 0.01:
         y2 = round(y1 + 0.01, 2)
-    return Box(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
 def _check_noise(jitter_px: float, score_noise: float) -> None:
@@ -219,12 +219,12 @@ def synth_detections(
             dy2 = rng.uniform(-jitter_px, jitter_px)
             u = rng.random()
             score = round(min(max(1.0 - u * score_noise, 0.0), 1.0), 6)
-            box = _quantized_box(x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2)
-            detections.append(Detection(image_id, kind, score, box))
+            corners = _quantized_box(x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2)
+            detections.append(Detection(image_id, kind, score, *corners))
             if distractor_score is not None:
                 half_w, half_h = 0.5 * (x2 - x1), 0.5 * (y2 - y1)
-                decoy = Box(x1 + half_w, y1 + half_h, x2 + half_w, y2 + half_h)
-                detections.append(Detection(image_id, kind, distractor_score, decoy))
+                decoy = (x1 + half_w, y1 + half_h, x2 + half_w, y2 + half_h)
+                detections.append(Detection(image_id, kind, distractor_score, *decoy))
     return detections
 
 

@@ -171,9 +171,8 @@ def test_03_redundancy_elimination(report):
 def test_04_threshold_semantics(report):
     """Strictly-greater confidence floor; selection monotone over a 101-value sweep."""
     with report("4 threshold-semantics"):
-        box = Box(0, 0, 10, 10)
         for score, admitted in ((0.31, True), (0.30, False), (0.29, False)):
-            dets = [Detection(1, PartKind.HEAD, score, box)]
+            dets = [Detection(1, PartKind.HEAD, score, 0, 0, 10, 10)]
             assert (select_all(dets, 0.3)[1] == (dets[0],)) is admitted
 
         cfg = SynthConfig(num_classes=5, images_per_class=10, seed=2)
@@ -212,7 +211,7 @@ def test_05_end_to_end_pcp(report, tmp_path):
                 moved = Box(gt.x1 + offset, gt.y1, gt.x2 + offset, gt.y2)
                 overlap = iou(moved, gt)
                 assert 0.3 <= overlap <= 0.4
-                per_image.append(Detection(image_id, kind, 1.0, moved))
+                per_image.append(Detection(image_id, kind, 1.0, moved.x1, moved.y1, moved.x2, moved.y2))
             shifted[image_id] = tuple(per_image)
         report_shifted = compute_pcp(shifted, ground_truth, 0.5)
         assert set(report_shifted.per_kind) == set(REGION_KINDS)

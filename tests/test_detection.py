@@ -25,7 +25,7 @@ from partkit.parts import REGION_KINDS, PartKind
 
 
 def det(image_id, kind, score, box):
-    return Detection(image_id, kind, score, box)
+    return Detection(image_id, kind, score, box.x1, box.y1, box.x2, box.y2)
 
 
 GT_BOX = Box(0.0, 0.0, 10.0, 10.0)
@@ -64,7 +64,7 @@ class TestThresholds:
 
     def test_detection_score_range(self):
         with pytest.raises(InputError, match=r"^score 1\.2 outside \[0, 1\]$"):
-            Detection(1, PartKind.HEAD, 1.2, GT_BOX)
+            det(1, PartKind.HEAD, 1.2, GT_BOX)
 
 
 class TestSelectValidParts:

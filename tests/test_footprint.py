@@ -6,7 +6,8 @@ commands (``validate``, ``gen-regions``, ``export-yolo``, ``eval-pcp``)
 never touch numpy, so they must not pay for importing it either, and the
 records they build once per keypoint, image, region or detection carry no
 per-instance ``__dict__``.  A parsed keypoint is a three-slot object in its
-image's row, with no dict around it.
+image's row, with no dict around it, and a detection holds its corners as
+slots of its own, with no box object beside it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -24,8 +26,8 @@ import pytest
 
 from conftest import build_tree, toy_images
 from partkit.cli import main
-from partkit.dataset_io import ImageRecord, KeyPoint, parse_dataset
-from partkit.detection import Detection
+from partkit.dataset_io import ImageRecord, KeyPoint, parse_dataset, parse_detections
+from partkit.detection import Detection, select_all
 from partkit.geometry import Box
 from partkit.parts import PartKind
 from partkit.regions import PartRegionSet
@@ -98,7 +100,7 @@ RECORDS = [
     KeyPoint(10.0, 20.0, True),
     ImageRecord(1, "001.Class_001/img_0001.jpg", 1, 200, 200),
     BOX,
-    Detection(1, PartKind.HEAD, 0.5, BOX),
+    Detection(1, PartKind.HEAD, 0.5, 0.0, 0.0, 4.0, 3.0),
     PartRegionSet(1, {PartKind.HEAD: BOX}),
 ]
 
@@ -139,3 +141,32 @@ def test_parse_dataset_keeps_under_95_bytes_a_keypoint(tmp_path):
         tracemalloc.stop()
         gc.enable()
     assert kept / dataset.num_keypoints <= 95
+
+
+def test_select_all_keeps_under_255_bytes_a_winner(tmp_path):
+    # one seven-slot detection (96 bytes asked of the allocator), its five
+    # floats and its slot in the image's tuple, plus the tuple and the
+    # image's dict entry spread over its five winners: about 238 bytes; a
+    # detection holding a Box kept about 278
+    rng = random.Random(11)
+    lines = []
+    for image_id in range(1, 401):
+        for kind in ("head", "breast", "tail", "wing", "leg"):
+            x1, y1 = rng.uniform(0, 100), rng.uniform(0, 100)
+            x2, y2 = x1 + rng.uniform(1, 50), y1 + rng.uniform(1, 50)
+            lines.append(f"{image_id} {kind} {rng.uniform(0.5, 1.0)!r} {x1!r} {y1!r} {x2!r} {y2!r}\n")
+    path = tmp_path / "det.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    select_all(parse_detections(path), 0.3)  # allocations of a first call are not the winners'
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        selected = select_all(parse_detections(path), 0.3)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    winners = sum(len(chosen) for chosen in selected.values())
+    assert winners == 2000
+    assert kept / winners <= 255
